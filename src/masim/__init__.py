@@ -1,10 +1,10 @@
 """masim: simulation and optimization toolkit for movable-antenna wireless systems."""
 
-from .channel import (ChannelSpec, PathSpec, Region, channel_gain,
+from .channel import (ChannelSpec, Region, channel_gain,
                       channel_spec_from_json, channel_spec_to_json,
                       direction_from_angles, field_on_grid,
                       sample_stochastic_channel)
-from .gainmap import GainMap, evaluate_map, map_extrema
+from .gainmap import GainMap, evaluate_map
 from .positioning import (InterferenceScenario, SearchConfig, expected_max_snr,
                           expected_max_sinr, gradient_ascent_refine,
                           max_sinr_position, max_snr_position, snr_gradient)

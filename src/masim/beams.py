@@ -13,6 +13,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .channel import MIN_SPACING
+from .gainmap import DB_FLOOR
 from .util import write_csv_atomic
 
 __all__ = [
@@ -30,10 +32,6 @@ __all__ = [
     "write_pattern_csv",
     "write_spacing_csv",
 ]
-
-# Minimum adjacent spacing in wavelengths (coupling constraint).
-MIN_SPACING = 0.5
-_PATTERN_DB_FLOOR = -120.0
 
 
 def uniform_layout(num_elements: int, spacing: float) -> np.ndarray:
@@ -92,34 +90,20 @@ class TwoBeamResult:
     degenerate: bool = False  # True when the two directions coincide
 
 
-def two_beam_weights_fpa(layout, u1: float, u2: float, phase_grid: int = 1024) -> TwoBeamResult:
-    """Two-beam weights w ~ a(u1) + exp(j*psi)*a(u2) with psi grid-searched.
+def two_beam_weights_fpa(layout, u1: float, u2: float) -> TwoBeamResult:
+    """Two-beam weights w = a(u1) + exp(j*psi)*a(u2) maximizing min(G(u1), G(u2)).
 
-    The relative phase is scanned over ``phase_grid`` points to maximize
-    min(G(u1), G(u2)).  Coincident directions degenerate to the matched
-    filter (returned flagged).
+    With c = <a(u1), a(u2)> = sum_n exp(j*2*pi*x_n*(u2-u1)), both beams get
+    (N^2 + |c|^2 + 2N*Re(e^{j psi} c)) / (2N + 2*Re(e^{j psi} c)), which
+    rises with Re(e^{j psi} c); so psi = -arg(c) and the gain is (N + |c|)/2.
+    Coincident directions give the matched filter (returned flagged).
     """
-    x = _check_layout(layout)
-    a1 = steering_vector(x, u1)
-    a2 = steering_vector(x, u2)
-    n = x.size
-    if abs(u1 - u2) < 1e-15:
-        return TwoBeamResult(weights=a1, min_gain=float(n), degenerate=True)
-    psi = 2.0 * np.pi * np.arange(phase_grid) / phase_grid
-    w = a1[None, :] + np.exp(1j * psi)[:, None] * a2[None, :]
-    norms = np.einsum("ij,ij->i", w, np.conj(w)).real
-    g1 = np.abs(np.conj(w) @ a1) ** 2 / np.maximum(norms, 1e-300)
-    g2 = np.abs(np.conj(w) @ a2) ** 2 / np.maximum(norms, 1e-300)
-    gains = np.minimum(g1, g2)
-    gains[norms < 1e-12] = 0.0  # degenerate cancellation of the two beams
-    best = int(np.argmax(gains))
-    return TwoBeamResult(weights=w[best], min_gain=float(gains[best]))
-
-
-def _normalized_overlap(layout, u1: float, u2: float) -> complex:
-    """<a(u1), a(u2)> / N for unit-modulus steering vectors."""
-    x = _check_layout(layout)
-    return complex(np.mean(np.exp(2j * np.pi * x * (u2 - u1))))
+    a1 = steering_vector(layout, u1)
+    a2 = steering_vector(layout, u2)
+    c = complex(np.vdot(a1, a2))
+    return TwoBeamResult(weights=a1 + np.exp(-1j * np.angle(c)) * a2,
+                         min_gain=(a1.size + abs(c)) / 2.0,
+                         degenerate=abs(u1 - u2) < 1e-15)
 
 
 def null_steer_weights(layout, u_signal: float, u_interference: float) -> np.ndarray:
@@ -168,8 +152,8 @@ def optimize_uniform_spacing(num_elements: int, objective: str, u_params,
                              d_range=(MIN_SPACING, 2.0), d_step: float = 1.0 / 64.0) -> SpacingSearchResult:
     """Grid search over uniform spacings for two-beam or null-steer synthesis.
 
-    ``objective`` is ``"two-beam"`` (maximize the min per-direction gain of
-    the phase-scanned two-beam weights at ``u_params = (u1, u2)``) or
+    ``objective`` is ``"two-beam"`` (maximize the min per-direction gain
+    (N + |c|)/2 of the two-beam weights at ``u_params = (u1, u2)``) or
     ``"null-steer"`` (maximize the post-nulling signal gain
     N*(1-|rho|^2) at ``u_params = (u_signal, u_interference)``).  Ties break
     toward the smaller spacing.
@@ -179,29 +163,31 @@ def optimize_uniform_spacing(num_elements: int, objective: str, u_params,
         raise ValueError(f"spacing range must lie within [{MIN_SPACING}, inf)")
     if d_step <= 0:
         raise ValueError("d_step must be positive")
+    if objective not in ("two-beam", "null-steer"):
+        raise ValueError("objective must be 'two-beam' or 'null-steer'")
     count = int(math.floor((hi - lo) / d_step + 1e-9)) + 1
     spacings = lo + np.arange(count) * d_step
     u1, u2 = float(u_params[0]), float(u_params[1])
-    values = np.empty(count)
-    for i, d in enumerate(spacings):
-        layout = uniform_layout(num_elements, d)
-        if objective == "two-beam":
-            values[i] = two_beam_weights_fpa(layout, u1, u2).min_gain
-        elif objective == "null-steer":
-            rho = _normalized_overlap(layout, u1, u2)
-            values[i] = num_elements * (1.0 - abs(rho) ** 2)
-        else:
-            raise ValueError("objective must be 'two-beam' or 'null-steer'")
+    # Row i is the unit-spacing layout scaled to spacings[i].
+    layouts = np.outer(spacings, uniform_layout(num_elements, 1.0))
+    # Normalized steering overlap |<a(u1), a(u2)>|/N of every layout; hypot
+    # rather than np.abs keeps the null-steer scan bit-identical to abs(complex).
+    overlap = np.mean(np.exp(2j * np.pi * layouts * (u2 - u1)), axis=1)
+    rho = np.hypot(overlap.real, overlap.imag)
+    if objective == "two-beam":
+        values = num_elements * (1.0 + rho) / 2.0
+    else:
+        values = num_elements * (1.0 - rho ** 2)
     best = int(np.argmax(values))
     return SpacingSearchResult(spacing=float(spacings[best]), objective=float(values[best]),
                                scan=np.column_stack([spacings, values]))
 
 
 def write_pattern_csv(pattern: BeamPattern, path: str) -> None:
-    """Export as ``u,gain_linear,gain_db`` (exact zeros floored at -120 dB)."""
+    """Export as ``u,gain_linear,gain_db`` (exact zeros floored at ``DB_FLOOR``)."""
     def rows():
         for u, g in zip(pattern.u, pattern.gain):
-            db = 10.0 * math.log10(g) if g > 0.0 else _PATTERN_DB_FLOOR
+            db = 10.0 * math.log10(g) if g > 0.0 else DB_FLOOR
             yield (float(u), float(g), float(db))
     write_csv_atomic(path, "u,gain_linear,gain_db", rows())
 

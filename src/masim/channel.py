@@ -16,7 +16,7 @@ import numpy as np
 
 __all__ = [
     "UNIT_NORM_TOL",
-    "PathSpec",
+    "MIN_SPACING",
     "ChannelSpec",
     "Region",
     "direction_from_angles",
@@ -24,11 +24,14 @@ __all__ = [
     "channel_gain",
     "field_on_grid",
     "sample_stochastic_channel",
+    "channel_spec_from_records",
     "channel_spec_to_json",
     "channel_spec_from_json",
 ]
 
 UNIT_NORM_TOL = 1e-12
+# Minimum antenna separation in wavelengths (coupling constraint).
+MIN_SPACING = 0.5
 
 
 def direction_from_angles(theta: float, phi: float) -> np.ndarray:
@@ -51,83 +54,43 @@ def angles_from_direction(direction: np.ndarray) -> tuple[float, float]:
     return theta, phi
 
 
-def _as_direction(value) -> np.ndarray:
-    d = np.array(value, dtype=float)
-    if d.shape != (3,):
-        raise ValueError(f"direction must be a 3-vector, got shape {d.shape}")
-    norm = float(np.linalg.norm(d))
-    if abs(norm - 1.0) > UNIT_NORM_TOL:
-        raise ValueError(f"direction must have unit norm (|norm-1|={abs(norm - 1.0):.2e})")
-    d.flags.writeable = False
-    return d
-
-
-@dataclass(eq=False)
-class PathSpec:
-    """One propagation path: arrival direction, complex coefficient, and an
-    optional departure direction for scenarios with a Tx-side array."""
-
-    rx_dir: np.ndarray
-    coeff: complex
-    tx_dir: np.ndarray | None = None
-
-    def __post_init__(self):
-        self.rx_dir = _as_direction(self.rx_dir)
-        if self.tx_dir is not None:
-            self.tx_dir = _as_direction(self.tx_dir)
-        self.coeff = complex(self.coeff)
-        if not (math.isfinite(self.coeff.real) and math.isfinite(self.coeff.imag)):
-            raise ValueError("path coefficient must be finite")
-
-
 @dataclass(eq=False)
 class ChannelSpec:
-    """Ordered list of paths defining the channel field over a region."""
+    """Field-response channel: ``L`` paths held as arrays.
 
-    paths: tuple[PathSpec, ...]
+    ``rx_directions`` (L, 3) unit arrival directions, ``coefficients`` (L,)
+    finite complex path coefficients, and optional ``tx_directions`` (L, 3)
+    unit departure directions for scenarios with a Tx-side array (present
+    for every path or for none).  The arrays are copied and frozen.
+    """
+
+    rx_directions: np.ndarray
+    coefficients: np.ndarray
+    tx_directions: np.ndarray | None = None
 
     def __post_init__(self):
-        self.paths = tuple(self.paths)
-        if len(self.paths) < 1:
-            raise ValueError("a channel needs at least one path")
-        has_tx = self.paths[0].tx_dir is not None
-        if any((p.tx_dir is not None) != has_tx for p in self.paths):
-            raise ValueError("all paths must agree on the presence of a departure direction")
-        rx = np.array([p.rx_dir for p in self.paths])
-        rx.flags.writeable = False
-        coeff = np.array([p.coeff for p in self.paths], dtype=complex)
-        coeff.flags.writeable = False
-        self._rx_directions = rx
-        self._coefficients = coeff
-        if has_tx:
-            tx = np.array([p.tx_dir for p in self.paths])
-            tx.flags.writeable = False
-            self._tx_directions = tx
-        else:
-            self._tx_directions = None
-
-    @property
-    def num_paths(self) -> int:
-        return len(self.paths)
+        rx = np.array(self.rx_directions, dtype=float)
+        tx = rx if self.tx_directions is None else np.array(self.tx_directions, dtype=float)
+        coeff = np.array(self.coefficients, dtype=complex)
+        if rx.ndim != 2 or rx.shape[1] != 3 or rx.shape[0] < 1:
+            raise ValueError(f"rx_directions must have shape (L, 3) with L >= 1, got {rx.shape}")
+        if coeff.shape != rx.shape[:1] or tx.shape != rx.shape:
+            raise ValueError("need one coefficient per path and Tx directions for all paths or none; "
+                             f"got shapes {rx.shape}, {coeff.shape}, {tx.shape}")
+        error = np.abs(np.linalg.norm(np.concatenate([rx, tx]), axis=1) - 1.0)
+        if not (error <= UNIT_NORM_TOL).all():
+            raise ValueError(f"directions must have unit norm (max |norm-1|={error.max():.2e})")
+        if not np.isfinite(coeff).all():
+            raise ValueError("path coefficients must be finite")
+        for arr in (rx, tx, coeff):
+            arr.flags.writeable = False
+        self.rx_directions = rx
+        self.coefficients = coeff
+        self.tx_directions = None if self.tx_directions is None else tx
 
     @property
     def has_tx(self) -> bool:
-        return self._tx_directions is not None
-
-    @property
-    def rx_directions(self) -> np.ndarray:
-        """(L, 3) arrival directions."""
-        return self._rx_directions
-
-    @property
-    def tx_directions(self) -> np.ndarray | None:
-        """(L, 3) departure directions, or None for Rx-only channels."""
-        return self._tx_directions
-
-    @property
-    def coefficients(self) -> np.ndarray:
-        """(L,) complex path coefficients."""
-        return self._coefficients
+        return self.tx_directions is not None
 
 
 @dataclass(eq=False)
@@ -192,6 +155,20 @@ class Region:
             n = int(math.floor(self.extents[a] / step + 1e-9)) + 1
             coords.append(self.origin[a] + np.arange(n) * step)
         return coords
+
+    def grid_position(self, coords, flat_index) -> np.ndarray:
+        """Position of the grid point(s) at row-major ``flat_index``.
+
+        ``coords`` lists the coordinates along each free axis (as from
+        :meth:`grid_coords`); collapsed axes keep the origin's coordinate.
+        An integer index gives a (3,) position, an index array of shape (P,)
+        gives (P, 3) positions.
+        """
+        index = np.unravel_index(flat_index, tuple(len(c) for c in coords))
+        pos = np.tile(self.origin, np.shape(flat_index) + (1,))
+        for axis, c, i in zip(self.free_axes, coords, index):
+            pos[..., axis] = c[i]
+        return pos
 
 
 def channel_gain(spec: ChannelSpec, r) -> complex | np.ndarray:
@@ -273,38 +250,37 @@ def sample_stochastic_channel(num_paths: int, seed, include_tx: bool = False) ->
     tx = _sample_hemisphere(rng, num_paths) if include_tx else None
     scale = math.sqrt(1.0 / (2.0 * num_paths))
     coeff = scale * (rng.standard_normal(num_paths) + 1j * rng.standard_normal(num_paths))
-    paths = [
-        PathSpec(rx_dir=rx[l], coeff=coeff[l], tx_dir=None if tx is None else tx[l])
-        for l in range(num_paths)
-    ]
-    return ChannelSpec(tuple(paths))
+    return ChannelSpec(rx, coeff, tx)
+
+
+def channel_spec_from_records(records) -> ChannelSpec:
+    """Channel from path records ``{theta, phi, coeff_re, coeff_im[, tx_theta, tx_phi]}``.
+
+    Angles are in radians; the Tx angles are optional but, when given, must
+    be given for every path.
+    """
+    rx = [direction_from_angles(rec["theta"], rec["phi"]) for rec in records]
+    tx = [direction_from_angles(rec["tx_theta"], rec["tx_phi"])
+          for rec in records if "tx_theta" in rec]
+    coeff = [complex(rec["coeff_re"], rec["coeff_im"]) for rec in records]
+    return ChannelSpec(rx, coeff, tx or None)
 
 
 def channel_spec_to_json(spec: ChannelSpec, indent: int | None = None) -> str:
-    """Serialize a channel to JSON.
+    """Serialize a channel as ``{"paths": [record, ...]}``.
 
-    Schema: ``{"paths": [{"rx_theta", "rx_phi", "coeff_re", "coeff_im"}, ...]}``
-    with angles in radians; paths with a Tx side carry ``tx_theta``/``tx_phi``.
+    Each record follows the schema read by :func:`channel_spec_from_records`.
     """
     records = []
-    for p in spec.paths:
-        theta, phi = angles_from_direction(p.rx_dir)
-        rec = {"rx_theta": theta, "rx_phi": phi,
-               "coeff_re": p.coeff.real, "coeff_im": p.coeff.imag}
-        if p.tx_dir is not None:
-            rec["tx_theta"], rec["tx_phi"] = angles_from_direction(p.tx_dir)
+    for l, c in enumerate(spec.coefficients):
+        theta, phi = angles_from_direction(spec.rx_directions[l])
+        rec = {"theta": theta, "phi": phi, "coeff_re": float(c.real), "coeff_im": float(c.imag)}
+        if spec.has_tx:
+            rec["tx_theta"], rec["tx_phi"] = angles_from_direction(spec.tx_directions[l])
         records.append(rec)
     return json.dumps({"paths": records}, indent=indent)
 
 
 def channel_spec_from_json(text: str) -> ChannelSpec:
     """Parse the JSON format produced by :func:`channel_spec_to_json`."""
-    data = json.loads(text)
-    paths = []
-    for rec in data["paths"]:
-        rx = direction_from_angles(rec["rx_theta"], rec["rx_phi"])
-        tx = None
-        if "tx_theta" in rec:
-            tx = direction_from_angles(rec["tx_theta"], rec["tx_phi"])
-        paths.append(PathSpec(rx_dir=rx, coeff=complex(rec["coeff_re"], rec["coeff_im"]), tx_dir=tx))
-    return ChannelSpec(tuple(paths))
+    return channel_spec_from_records(json.loads(text)["paths"])

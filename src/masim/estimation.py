@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .channel import ChannelSpec, PathSpec, Region, channel_gain, field_on_grid
+from .channel import ChannelSpec, Region, channel_gain, field_on_grid
 
 __all__ = [
     "MeasurementSet",
@@ -123,9 +123,7 @@ class FriEstimate:
         """Equivalent channel spec, or None for an empty estimate."""
         if not self.indices:
             return None
-        return ChannelSpec(tuple(
-            PathSpec(rx_dir=self.directions[i], coeff=self.coefficients[i])
-            for i in range(self.num_paths)))
+        return ChannelSpec(self.directions, self.coefficients)
 
 
 def _most_square_lattice(count: int) -> tuple[int, int]:
@@ -164,16 +162,9 @@ def plan_measurement_positions(region: Region, num_positions: int,
     if len(axes) > 2:
         raise ValueError("grid strategy supports regions with at most two free axes")
     counts = (num_positions,) if len(axes) == 1 else _most_square_lattice(num_positions)
-    lines = []
-    for a, n in zip(axes, counts):
-        if n == 1:
-            lines.append(np.array([region.origin[a] + region.extents[a] / 2.0]))
-        else:
-            lines.append(np.linspace(region.origin[a], region.origin[a] + region.extents[a], n))
-    mesh = np.meshgrid(*lines, indexing="ij")
-    for a, grid in zip(axes, mesh):
-        positions[:, a] = grid.ravel()
-    return positions
+    lines = [np.linspace(region.origin[a], region.upper[a], n) if n > 1 else region.center[a:a + 1]
+             for a, n in zip(axes, counts)]
+    return region.grid_position(lines, np.arange(num_positions))
 
 
 def simulate_measurements(spec: ChannelSpec, positions, noise_var: float, seed=0) -> MeasurementSet:

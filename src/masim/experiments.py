@@ -17,8 +17,8 @@ import time
 import numpy as np
 
 from . import beams, estimation, gainmap, mimo, positioning
-from .channel import (ChannelSpec, PathSpec, Region, angles_from_direction,
-                      direction_from_angles, sample_stochastic_channel)
+from .channel import (MIN_SPACING, ChannelSpec, Region, angles_from_direction,
+                      channel_spec_from_records, sample_stochastic_channel)
 from .util import map_indexed, write_csv_atomic, write_json_atomic
 
 __all__ = ["EXPERIMENT_KINDS", "ENV_OUTPUT_DIR", "ConfigError",
@@ -52,14 +52,14 @@ def _is_num(v) -> bool:
     return isinstance(v, (int, float)) and not isinstance(v, bool) and math.isfinite(v)
 
 
-def _check_positive_int(cfg, key, bad, required=True):
+def _check_positive_int(cfg, key, bad, required=True, minimum=1):
     v = cfg.get(key)
     if v is None:
         if required:
             bad.append(f"{key}: required")
         return
-    if not isinstance(v, int) or isinstance(v, bool) or v < 1:
-        bad.append(f"{key}: must be a positive integer, got {v!r}")
+    if not isinstance(v, int) or isinstance(v, bool) or v < minimum:
+        bad.append(f"{key}: must be an integer >= {minimum}, got {v!r}")
 
 
 def _check_positive_num(cfg, key, bad, required=True):
@@ -96,11 +96,17 @@ def _validate_paths(cfg, bad):
         if not isinstance(rec, dict):
             bad.append(f"paths[{i}]: must be an object")
             continue
-        for key in ("theta", "phi", "coeff_re", "coeff_im"):
+        keys = ("theta", "phi", "coeff_re", "coeff_im")
+        if "tx_theta" in rec or "tx_phi" in rec:
+            keys += ("tx_theta", "tx_phi")
+        for key in keys:
             if not _is_num(rec.get(key)):
                 bad.append(f"paths[{i}].{key}: must be a finite number")
-        if _is_num(rec.get("theta")) and not 0.0 <= rec["theta"] <= math.pi:
-            bad.append(f"paths[{i}].theta: must lie in [0, pi]")
+        for key in ("theta", "tx_theta"):
+            if _is_num(rec.get(key)) and not 0.0 <= rec[key] <= math.pi:
+                bad.append(f"paths[{i}].{key}: must lie in [0, pi]")
+    if len({"tx_theta" in rec for rec in paths if isinstance(rec, dict)}) > 1:
+        bad.append("paths: tx_theta/tx_phi must be given for every path or for none")
 
 
 def validate_config_dict(cfg: dict) -> list[str]:
@@ -123,6 +129,8 @@ def validate_config_dict(cfg: dict) -> list[str]:
         _check_num_list(cfg, "region_sizes", bad, minimum=0)
         _check_positive_int(cfg, "trials", bad)
         _check_positive_num(cfg, "coarse_step", bad, required=False)
+        if not isinstance(cfg.get("refine", True), bool):
+            bad.append(f"refine: must be true or false, got {cfg['refine']!r}")
     elif kind == "beam":
         _check_positive_int(cfg, "num_elements", bad)
         objective = cfg.get("objective")
@@ -132,8 +140,11 @@ def validate_config_dict(cfg: dict) -> list[str]:
             v = cfg.get(key)
             if not _is_num(v) or abs(v) > 1.0:
                 bad.append(f"{key}: must be a number in [-1, 1], got {v!r}")
-        _check_positive_num(cfg, "d_max", bad, required=False)
+        d_max = cfg.get("d_max", 2.0)
+        if not _is_num(d_max) or d_max < MIN_SPACING:
+            bad.append(f"d_max: must be a number >= {MIN_SPACING}, got {d_max!r}")
         _check_positive_num(cfg, "d_step", bad, required=False)
+        _check_positive_int(cfg, "pattern_points", bad, required=False, minimum=2)
     elif kind == "mimo":
         _check_positive_int(cfg, "num_tx", bad)
         _check_positive_int(cfg, "num_rx", bad)
@@ -144,10 +155,10 @@ def validate_config_dict(cfg: dict) -> list[str]:
         _check_positive_num(cfg, "step", bad, required=False)
         num_rx, size = cfg.get("num_rx"), cfg.get("region_size")
         if isinstance(num_rx, int) and _is_num(size) and size > 0:
-            if (num_rx - 1) * mimo.MIN_ANTENNA_SPACING > size + 1e-12:
+            if (num_rx - 1) * MIN_SPACING > size + 1e-12:
                 bad.append(
                     f"region_size: too small to host {num_rx} antennas at the "
-                    f"{mimo.MIN_ANTENNA_SPACING}-wavelength minimum spacing")
+                    f"{MIN_SPACING}-wavelength minimum spacing")
     elif kind == "estimate":
         _check_positive_int(cfg, "num_paths", bad)
         _check_positive_int(cfg, "num_measurements", bad)
@@ -158,24 +169,22 @@ def validate_config_dict(cfg: dict) -> list[str]:
         strategy = cfg.get("strategy", "uniform-random")
         if strategy not in ("uniform-random", "grid"):
             bad.append(f"strategy: must be 'uniform-random' or 'grid', got {strategy!r}")
-        _check_positive_int(cfg, "dict_grid", bad, required=False)
-        np_, nm = cfg.get("num_paths"), cfg.get("num_measurements")
-        if isinstance(np_, int) and isinstance(nm, int) and nm < np_:
-            bad.append("num_measurements: must be at least num_paths")
+        _check_positive_int(cfg, "dict_grid", bad, required=False, minimum=2)
+        _check_positive_int(cfg, "max_paths", bad, required=False)
+        _check_positive_num(cfg, "step", bad, required=False)
+        nm = cfg.get("num_measurements")
+        for key in ("num_paths", "max_paths"):
+            v = cfg.get(key)
+            if isinstance(v, int) and isinstance(nm, int) and nm < v:
+                bad.append(f"num_measurements: must be at least {key}")
     return bad
 
 
-def _spec_from_config(cfg: dict, seed) -> ChannelSpec:
-    if "paths" in cfg:
-        return ChannelSpec(tuple(
-            PathSpec(rx_dir=direction_from_angles(rec["theta"], rec["phi"]),
-                     coeff=complex(rec["coeff_re"], rec["coeff_im"]))
-            for rec in cfg["paths"]))
-    return sample_stochastic_channel(cfg["num_paths"], seed)
-
-
 def _run_gainmap(cfg, seed, outdir, workers):
-    spec = _spec_from_config(cfg, (seed, 0))
+    if "paths" in cfg:
+        spec = channel_spec_from_records(cfg["paths"])
+    else:
+        spec = sample_stochastic_channel(cfg["num_paths"], (seed, 0))
     region = Region.square(float(cfg["region_size"]))
     gm = gainmap.evaluate_map(spec, region, float(cfg["step"]))
     gainmap.write_gain_map_csv(gm, os.path.join(outdir, "gain_map.csv"))
@@ -203,15 +212,11 @@ def _run_level_sweep(cfg, seed, outdir, workers, kind):
     trials = int(cfg["trials"])
     search = positioning.SearchConfig(coarse_step=float(cfg.get("coarse_step", 0.1)),
                                       refine=bool(cfg.get("refine", True)))
+    max_trials = positioning.max_snr_trials if kind == "snr" else positioning.max_sinr_trials
     rows, summary = [], {}
     for num_paths in cfg["path_counts"]:
         for size in cfg["region_sizes"]:
-            if kind == "snr":
-                values = positioning.max_snr_trials(
-                    int(num_paths), float(size), trials, seed, cfg=search, workers=workers)
-            else:
-                values = positioning.max_sinr_trials(
-                    int(num_paths), float(size), trials, seed, cfg=search, workers=workers)
+            values = max_trials(int(num_paths), float(size), trials, seed, cfg=search, workers=workers)
             mean_db, half = _mean_db_and_halfwidth(values)
             rows.append((int(num_paths), float(size), trials, mean_db))
             summary[f"L{int(num_paths)}_A{size:g}"] = {
@@ -225,7 +230,7 @@ def _run_beam(cfg, seed, outdir, workers):
     objective = cfg["objective"]
     u1, u2 = float(cfg["u1"]), float(cfg["u2"])
     d_step = float(cfg.get("d_step", 1.0 / 64.0))
-    d_range = (beams.MIN_SPACING, float(cfg.get("d_max", 2.0)))
+    d_range = (MIN_SPACING, float(cfg.get("d_max", 2.0)))
     grid_points = int(cfg.get("pattern_points", 2001))
 
     scan = beams.optimize_uniform_spacing(n, objective, (u1, u2), d_range, d_step)
@@ -295,9 +300,7 @@ def _run_estimate(cfg, seed, outdir, workers):
     indices = rng.choice(dictionary.size, num_paths, replace=False)
     scale = math.sqrt(1.0 / (2.0 * num_paths))
     coeff = scale * (rng.standard_normal(num_paths) + 1j * rng.standard_normal(num_paths))
-    truth = ChannelSpec(tuple(
-        PathSpec(rx_dir=dictionary.directions[i], coeff=c)
-        for i, c in zip(indices, coeff)))
+    truth = ChannelSpec(dictionary.directions[indices], coeff)
 
     positions = estimation.plan_measurement_positions(
         region, k, cfg.get("strategy", "uniform-random"), seed=(seed, 1))

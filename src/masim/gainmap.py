@@ -9,7 +9,7 @@ import numpy as np
 from .channel import ChannelSpec, Region, field_on_grid
 from .util import write_csv_atomic
 
-__all__ = ["DB_FLOOR", "GainMap", "evaluate_map", "map_extrema", "write_gain_map_csv"]
+__all__ = ["DB_FLOOR", "GainMap", "evaluate_map", "write_gain_map_csv"]
 
 # Exact nulls are floored so exported maps stay finite.
 DB_FLOOR = -120.0
@@ -35,13 +35,6 @@ class GainMap:
     argmin: np.ndarray
 
 
-def _grid_position(region: Region, coords, index) -> np.ndarray:
-    pos = np.array(region.origin, dtype=float)
-    for axis, c, i in zip(region.free_axes, coords, index):
-        pos[axis] = c[i]
-    return pos
-
-
 def evaluate_map(spec: ChannelSpec, region: Region, step: float) -> GainMap:
     """Evaluate the power-gain map of ``spec`` over a planar region.
 
@@ -56,34 +49,17 @@ def evaluate_map(spec: ChannelSpec, region: Region, step: float) -> GainMap:
     power = np.abs(h) ** 2
     with np.errstate(divide="ignore"):
         values = np.where(power > 0.0, 10.0 * np.log10(np.where(power > 0.0, power, 1.0)), DB_FLOOR)
-    imax = np.unravel_index(int(np.argmax(values)), values.shape)
-    imin = np.unravel_index(int(np.argmin(values)), values.shape)
+    imax, imin = int(np.argmax(values)), int(np.argmin(values))
     return GainMap(
         region=region,
         step=step,
         coords0=coords[0],
         coords1=coords[1],
         values=values,
-        max_db=float(values[imax]),
-        min_db=float(values[imin]),
-        argmax=_grid_position(region, coords, imax),
-        argmin=_grid_position(region, coords, imin),
-    )
-
-
-def map_extrema(gain_map: GainMap):
-    """(max_dB, min_dB, argmax, argmin) from a grid scan, row-major tie-break."""
-    values = gain_map.values
-    if values.size == 0:
-        raise ValueError("gain map is empty")
-    coords = [gain_map.coords0, gain_map.coords1]
-    imax = np.unravel_index(int(np.argmax(values)), values.shape)
-    imin = np.unravel_index(int(np.argmin(values)), values.shape)
-    return (
-        float(values[imax]),
-        float(values[imin]),
-        _grid_position(gain_map.region, coords, imax),
-        _grid_position(gain_map.region, coords, imin),
+        max_db=float(values.flat[imax]),
+        min_db=float(values.flat[imin]),
+        argmax=region.grid_position(coords, imax),
+        argmin=region.grid_position(coords, imin),
     )
 
 

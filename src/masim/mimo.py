@@ -13,11 +13,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .channel import ChannelSpec, Region
+from .channel import MIN_SPACING, ChannelSpec, Region
 from .util import write_csv_atomic
 
 __all__ = [
-    "MIN_ANTENNA_SPACING",
     "RxPlacement",
     "tx_ula",
     "build_channel_matrix",
@@ -29,8 +28,6 @@ __all__ = [
     "write_capacity_csv",
 ]
 
-# Minimum pairwise antenna separation in wavelengths (coupling constraint).
-MIN_ANTENNA_SPACING = 0.5
 _SPACING_SLACK = 1e-9
 
 
@@ -38,7 +35,7 @@ def _pairwise_ok(positions: np.ndarray) -> bool:
     m = positions.shape[0]
     for i in range(m - 1):
         d = np.linalg.norm(positions[i + 1:] - positions[i], axis=1)
-        if d.min() < MIN_ANTENNA_SPACING - _SPACING_SLACK:
+        if d.min() < MIN_SPACING - _SPACING_SLACK:
             return False
     return True
 
@@ -58,7 +55,7 @@ class RxPlacement:
             raise ValueError("positions must be finite")
         if p.shape[0] > 1 and not _pairwise_ok(p):
             raise ValueError(
-                f"antenna positions must be at least {MIN_ANTENNA_SPACING} wavelengths apart")
+                f"antenna positions must be at least {MIN_SPACING} wavelengths apart")
         if self.region is not None and not all(self.region.contains(r) for r in p):
             raise ValueError("all positions must lie inside the region")
         p.flags.writeable = False
@@ -87,7 +84,7 @@ def build_channel_matrix(spec: ChannelSpec, tx_positions, rx) -> np.ndarray:
         raise ValueError("tx_positions must have shape (N, 3)")
     if t.shape[0] > 1 and not _pairwise_ok(t):
         raise ValueError(
-            f"tx positions must be at least {MIN_ANTENNA_SPACING} wavelengths apart")
+            f"tx positions must be at least {MIN_SPACING} wavelengths apart")
     if not isinstance(rx, RxPlacement):
         rx = RxPlacement(rx)
     b = np.exp(2j * np.pi * (rx.positions @ spec.rx_directions.T))  # (M, L)
@@ -181,13 +178,13 @@ def _initial_ula_placement(region: Region, num_rx: int) -> np.ndarray:
     if not axes:
         raise ValueError("region has no free axis to host the antennas")
     axis = max(axes, key=lambda a: region.extents[a])
-    needed = (num_rx - 1) * MIN_ANTENNA_SPACING
+    needed = (num_rx - 1) * MIN_SPACING
     if needed > region.extents[axis] + 1e-12:
         raise ValueError(
             f"region too small to host {num_rx} antennas at "
-            f"{MIN_ANTENNA_SPACING} wavelength spacing")
+            f"{MIN_SPACING} wavelength spacing")
     positions = np.tile(region.center, (num_rx, 1))
-    offsets = (np.arange(num_rx) - (num_rx - 1) / 2.0) * MIN_ANTENNA_SPACING
+    offsets = (np.arange(num_rx) - (num_rx - 1) / 2.0) * MIN_SPACING
     positions[:, axis] = region.center[axis] + offsets
     return positions
 
@@ -213,10 +210,7 @@ def sequential_position_search(spec: ChannelSpec, region: Region, num_rx: int,
     initial_capacity = capacity
 
     coords = region.grid_coords(step)
-    mesh = np.meshgrid(*coords, indexing="ij") if coords else []
-    candidates = np.tile(region.origin, (int(np.prod([c.size for c in coords])) or 1, 1))
-    for axis, grid in zip(region.free_axes, mesh):
-        candidates[:, axis] = grid.ravel()
+    candidates = region.grid_position(coords, np.arange(math.prod(c.size for c in coords)))
     b_cand = np.exp(2j * np.pi * (candidates @ spec.rx_directions.T))
     rows_cand = (b_cand * spec.coefficients) @ np.exp(2j * np.pi * (t @ spec.tx_directions.T)).T
 
@@ -225,11 +219,8 @@ def sequential_position_search(spec: ChannelSpec, region: Region, num_rx: int,
         before = capacity
         for m in range(num_rx):
             others = np.delete(positions, m, axis=0)
-            if others.size:
-                dists = np.linalg.norm(candidates[:, None, :] - others[None, :, :], axis=2)
-                ok = dists.min(axis=1) >= MIN_ANTENNA_SPACING - _SPACING_SLACK
-            else:
-                ok = np.ones(candidates.shape[0], dtype=bool)
+            dists = np.linalg.norm(candidates[:, None, :] - others[None, :, :], axis=2)
+            ok = dists.min(axis=1, initial=np.inf) >= MIN_SPACING - _SPACING_SLACK
             if not ok.any():
                 continue
             h_batch = np.broadcast_to(h, (int(ok.sum()),) + h.shape).copy()

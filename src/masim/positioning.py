@@ -105,14 +105,6 @@ def _pattern_search(objective, start: np.ndarray, region: Region, cfg: SearchCon
     return x, fx
 
 
-def _grid_argmax(region: Region, values: np.ndarray, coords) -> np.ndarray:
-    index = np.unravel_index(int(np.argmax(values)), values.shape)
-    pos = np.array(region.origin, dtype=float)
-    for axis, c, i in zip(region.free_axes, coords, index):
-        pos[axis] = c[i]
-    return pos
-
-
 def max_snr_position(spec: ChannelSpec, region: Region, cfg: SearchConfig | None = None,
                      rho: float = 1.0):
     """Position maximizing ``rho * |h(r)|^2`` over the region.
@@ -123,7 +115,7 @@ def max_snr_position(spec: ChannelSpec, region: Region, cfg: SearchConfig | None
     cfg = cfg or SearchConfig()
     h, coords = field_on_grid(spec, region, cfg.coarse_step)
     power = np.abs(h) ** 2
-    pos = _grid_argmax(region, power, coords)
+    pos = region.grid_position(coords, int(np.argmax(power)))
     best = rho * float(np.max(power))
     if cfg.refine and region.free_axes:
         obj = lambda r: rho * np.abs(channel_gain(spec, r)) ** 2
@@ -139,7 +131,7 @@ def max_sinr_position(scenario: InterferenceScenario, region: Region,
     hs, coords = field_on_grid(scenario.signal, region, cfg.coarse_step)
     hi, _ = field_on_grid(scenario.interference, region, cfg.coarse_step)
     sinr = rho_s * np.abs(hs) ** 2 / (rho_i * np.abs(hi) ** 2 + 1.0)
-    pos = _grid_argmax(region, sinr, coords)
+    pos = region.grid_position(coords, int(np.argmax(sinr)))
     best = float(np.max(sinr))
     if cfg.refine and region.free_axes:
         def obj(r):

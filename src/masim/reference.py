@@ -11,14 +11,13 @@ from __future__ import annotations
 
 import numpy as np
 
-from .channel import ChannelSpec, PathSpec, Region, _sample_hemisphere, direction_from_angles
+from .channel import ChannelSpec, _sample_hemisphere, direction_from_angles
 
 __all__ = [
     "TWO_PATH_ANGLES",
     "FOUR_PATH_SEED",
     "two_path_spec",
     "four_path_spec",
-    "demo_region",
 ]
 
 # (theta, phi) in radians, upper hemisphere.
@@ -28,18 +27,11 @@ FOUR_PATH_SEED = 1
 
 def two_path_spec() -> ChannelSpec:
     """Two unit-power paths with distinct arrival angles."""
-    return ChannelSpec(tuple(
-        PathSpec(rx_dir=direction_from_angles(theta, phi), coeff=1.0)
-        for theta, phi in TWO_PATH_ANGLES))
+    rx = [direction_from_angles(theta, phi) for theta, phi in TWO_PATH_ANGLES]
+    return ChannelSpec(rx, np.ones(len(rx)))
 
 
 def four_path_spec(seed: int = FOUR_PATH_SEED) -> ChannelSpec:
     """Four unit-power paths with seed-pinned random arrival angles."""
     rng = np.random.default_rng(seed)
-    return ChannelSpec(tuple(
-        PathSpec(rx_dir=d, coeff=1.0) for d in _sample_hemisphere(rng, 4)))
-
-
-def demo_region(size: float = 4.0) -> Region:
-    """Square Rx region in the xy-plane, centered at the origin."""
-    return Region.square(size)
+    return ChannelSpec(_sample_hemisphere(rng, 4), np.ones(4))

@@ -13,7 +13,7 @@ import pytest
 
 from masim.beams import (array_gain, null_steer_weights, steering_vector,
                          two_beam_weights_fpa, uniform_layout)
-from masim.channel import (ChannelSpec, PathSpec, Region, channel_gain,
+from masim.channel import (ChannelSpec, Region, channel_gain,
                            direction_from_angles, sample_stochastic_channel)
 from masim.estimation import (AngleDictionary, cosine_grid_dictionary,
                               measurement_matrix, omp_estimate,
@@ -170,7 +170,7 @@ def test_criterion_07_fig3_gain_map():
     region = Region.square(4.0)
     gm = evaluate_map(two_path_spec(), region, 1.0 / 50.0)
     spread = gm.max_db - gm.min_db
-    flat = evaluate_map(ChannelSpec((PathSpec(direction_from_angles(0.8, 0.3), 1.0),)),
+    flat = evaluate_map(ChannelSpec([direction_from_angles(0.8, 0.3)], [1.0]),
                         region, 1.0 / 50.0)
     flatness = float(np.abs(flat.values).max())
     ok = spread > 40.0 and flatness < 1e-12
@@ -239,9 +239,7 @@ def test_criterion_09_estimation():
         idx = rng.choice(dictionary.size, num_paths, replace=False)
         coeff = (rng.standard_normal(num_paths) + 1j * rng.standard_normal(num_paths))
         coeff /= math.sqrt(2.0 * num_paths)
-        truth = ChannelSpec(tuple(
-            PathSpec(rx_dir=dictionary.directions[i], coeff=c)
-            for i, c in zip(idx, coeff)))
+        truth = ChannelSpec(dictionary.directions[idx], coeff)
         for size in (2.0, 8.0):
             region = Region.square(size)
             positions = plan_measurement_positions(region, 2 * num_paths,

@@ -96,6 +96,53 @@ def test_two_beam_degenerate_single_direction():
     assert abs(result.min_gain - 8.0) < 1e-12
 
 
+def scanned_two_beam_min_gains(layout, u1, u2, points=4096):
+    """Reference: min(G(u1), G(u2)) of w = a(u1) + exp(j*psi)*a(u2) on a dense psi grid."""
+    a1, a2 = steering_vector(layout, u1), steering_vector(layout, u2)
+    psi = 2.0 * np.pi * np.arange(points) / points
+    w = a1[None, :] + np.exp(1j * psi)[:, None] * a2[None, :]
+    norms = np.einsum("ij,ij->i", w, np.conj(w)).real
+    g1 = np.abs(np.conj(w) @ a1) ** 2 / np.maximum(norms, 1e-300)
+    g2 = np.abs(np.conj(w) @ a2) ** 2 / np.maximum(norms, 1e-300)
+    gains = np.minimum(g1, g2)
+    gains[norms < 1e-12] = 0.0  # the two beams cancel
+    return gains
+
+
+TWO_BEAM_PAIRS = [(0.4, -0.4), (0.35, -0.35), (0.1, 0.7), (-0.9, 0.2), (0.0, 1.0 / 15.0)]
+
+
+def test_two_beam_closed_form_matches_phase_scan():
+    for spacing in 0.5 + np.arange(97) / 64.0:
+        layout = uniform_layout(8, spacing)
+        for u1, u2 in TWO_BEAM_PAIRS:
+            result = two_beam_weights_fpa(layout, u1, u2)
+            scanned = scanned_two_beam_min_gains(layout, u1, u2)
+            assert result.min_gain >= scanned.max() - 1e-12
+            assert abs(result.min_gain - scanned.max()) <= 1e-6 * scanned.max()
+            g1 = array_gain(layout, result.weights, u1)
+            g2 = array_gain(layout, result.weights, u2)
+            assert abs(g1 - g2) < 1e-9
+            assert abs(min(g1, g2) - result.min_gain) < 1e-9
+
+
+def test_optimize_spacing_scan_matches_per_layout_loop():
+    # Reference: one layout at a time, through the single-layout routines.
+    for objective, (u1, u2), d_step in (("two-beam", (0.4, -0.4), 1.0 / 64.0),
+                                        ("null-steer", (0.0, 1.0 / 15.0), 1.0 / 128.0),
+                                        ("two-beam", (0.1, 0.7), 0.01)):
+        result = optimize_uniform_spacing(8, objective, (u1, u2), (0.5, 2.0), d_step)
+        for d, value in result.scan:
+            layout = uniform_layout(8, d)
+            if objective == "two-beam":
+                expected = two_beam_weights_fpa(layout, u1, u2).min_gain
+            else:
+                rho = complex(np.mean(np.exp(2j * np.pi * layout * (u2 - u1))))
+                expected = 8 * (1.0 - abs(rho) ** 2)
+                assert value == expected  # the null-steer scan is bit-identical
+            assert abs(value - expected) <= 1e-12 * max(1.0, abs(expected))
+
+
 def test_null_steer_fpa_loss_matches_dirichlet_oracle():
     layout = uniform_layout(8, 0.5)
     w = null_steer_weights(layout, 0.0, 1.0 / 15.0)

@@ -1,12 +1,14 @@
+import json
 import math
 
 import numpy as np
 import pytest
 
-from masim.channel import (ChannelSpec, PathSpec, Region, angles_from_direction,
+from masim.channel import (ChannelSpec, Region, angles_from_direction,
                            channel_gain, channel_spec_from_json,
-                           channel_spec_to_json, direction_from_angles,
-                           field_on_grid, sample_stochastic_channel)
+                           channel_spec_from_records, channel_spec_to_json,
+                           direction_from_angles, field_on_grid,
+                           sample_stochastic_channel)
 
 
 def test_direction_from_angles_reference_points():
@@ -38,25 +40,53 @@ def test_angle_round_trip():
         assert abs((p2 - phi + np.pi) % (2 * np.pi) - np.pi) < 1e-12
 
 
+INVALID_PATHS = [  # (rx_directions, coefficients, tx_directions)
+    ([[1.0, 1.0, 0.0]], [1.0], None),                       # non-unit arrival direction
+    ([[0.0, 0.0, 1.0]], [1.0], [[0.0, 0.5, 0.5]]),          # non-unit departure direction
+    ([[0.0, 0.0, np.nan]], [1.0], None),                    # non-finite direction
+    ([[0.0, 0.0, 1.0]], [complex(np.nan, 0)], None),        # NaN coefficient
+    ([[0.0, 0.0, 1.0]], [complex(0, np.inf)], None),        # infinite coefficient
+]
+
+INVALID_CHANNELS = [  # (rx_directions, coefficients, tx_directions)
+    ([[0.0, 0.0, 1.0]] * 2, [1.0, 1.0], [[0.0, 0.0, 1.0]]),  # Tx on one path of two
+    (np.zeros((0, 3)), [], None),                           # empty
+    ([], [], None),                                         # empty, flat
+    ([[0.0, 0.0, 1.0]] * 2, [1.0, 1.0, 1.0], None),         # (L,3) against (L+1,)
+    ([[0.0, 0.0, 1.0]] * 2, [[1.0, 1.0]], None),            # (L,3) against (1,L)
+    ([0.0, 0.0, 1.0], [1.0], None),                         # (3,) directions
+    ([[0.0, 1.0]], [1.0], None),                            # (L,2) directions
+]
+
+
 def test_path_spec_validation():
-    with pytest.raises(ValueError):
-        PathSpec(rx_dir=np.array([1.0, 1.0, 0.0]), coeff=1.0)
-    with pytest.raises(ValueError):
-        PathSpec(rx_dir=np.array([0.0, 0.0, 1.0]), coeff=complex(np.nan, 0))
+    # Each path needs unit directions and a finite coefficient.
+    for rx, coeff, tx in INVALID_PATHS:
+        with pytest.raises(ValueError):
+            ChannelSpec(rx, coeff, tx)
 
 
 def test_channel_spec_validation():
-    up = np.array([0.0, 0.0, 1.0])
-    with pytest.raises(ValueError):
-        ChannelSpec(())
-    mixed = (PathSpec(rx_dir=up, coeff=1.0),
-             PathSpec(rx_dir=up, coeff=1.0, tx_dir=up))
-    with pytest.raises(ValueError):
-        ChannelSpec(mixed)
+    for rx, coeff, tx in INVALID_CHANNELS:
+        with pytest.raises(ValueError):
+            ChannelSpec(rx, coeff, tx)
+
+
+def test_channel_spec_copies_and_freezes_arrays():
+    rx = np.array([[0.0, 0.0, 1.0], [1.0, 0.0, 0.0]])
+    coeff = np.array([1.0, 2.0 - 1.0j])
+    spec = ChannelSpec(rx, coeff, rx)
+    rx[0, 2] = 5.0
+    assert spec.rx_directions[0, 2] == 1.0 and spec.tx_directions[0, 2] == 1.0
+    assert spec.coefficients.dtype == complex and spec.coefficients.shape == (2,) and spec.has_tx
+    for arr in (spec.rx_directions, spec.tx_directions, spec.coefficients):
+        with pytest.raises(ValueError):
+            arr[0] = 0.0
+    assert not ChannelSpec(rx[1:], coeff[1:]).has_tx
 
 
 def test_single_unit_path_constant_envelope():
-    spec = ChannelSpec((PathSpec(rx_dir=direction_from_angles(0.7, 1.2), coeff=1.0),))
+    spec = ChannelSpec([direction_from_angles(0.7, 1.2)], [1.0])
     rng = np.random.default_rng(2)
     for _ in range(20):
         r = rng.uniform(-5, 5, 3)
@@ -67,9 +97,9 @@ def test_two_path_coherent_sum_and_cancellation():
     d1 = direction_from_angles(0.9, 0.1)
     d2 = direction_from_angles(1.3, 2.0)
     # At the origin both phases vanish, so the terms add or cancel exactly.
-    add = ChannelSpec((PathSpec(d1, 1.0), PathSpec(d2, 1.0)))
+    add = ChannelSpec([d1, d2], [1.0, 1.0])
     assert abs(abs(channel_gain(add, np.zeros(3))) ** 2 - 4.0) < 1e-12
-    cancel = ChannelSpec((PathSpec(d1, 1.0), PathSpec(d2, -1.0)))
+    cancel = ChannelSpec([d1, d2], [1.0, -1.0])
     assert abs(channel_gain(cancel, np.zeros(3))) < 1e-12
 
 
@@ -79,10 +109,10 @@ def test_phase_linearity_per_path():
     for _ in range(50):
         r = rng.uniform(-3, 3, 3)
         delta = rng.uniform(-1, 1, 3)
-        for path in spec.paths:
-            term = lambda pos: path.coeff * np.exp(2j * np.pi * (path.rx_dir @ pos))
+        for d, c in zip(spec.rx_directions, spec.coefficients):
+            term = lambda pos: c * np.exp(2j * np.pi * (d @ pos))
             diff = np.angle(term(r + delta)) - np.angle(term(r))
-            expected = 2 * np.pi * (path.rx_dir @ delta)
+            expected = 2 * np.pi * (d @ delta)
             assert abs((diff - expected + np.pi) % (2 * np.pi) - np.pi) < 1e-9
 
 
@@ -102,6 +132,42 @@ def test_stochastic_channel_deterministic():
     assert np.array_equal(a.coefficients, b.coefficients)
     c = sample_stochastic_channel(4, 8)
     assert not np.array_equal(a.coefficients, c.coefficients)
+
+
+# sample_stochastic_channel(5, (1, 0), include_tx=True), pinned so that any
+# change to the (seed, index) streams or the draw order shows up bit for bit.
+PINNED_RX = [
+    [-0.7613129612755781, 0.39804673027547854, 0.5118216247002567],
+    [0.14579880292586994, -0.27452043827704997, 0.9504636963259353],
+    [-0.832829785063304, 0.5344273151439176, 0.14415961271963373],
+    [-0.3010956143632675, -0.09698276886853739, 0.9486494471372439],
+    [0.9359285101654858, 0.16370390770059906, 0.31183145201048545],
+]
+PINNED_TX = [
+    [-0.6295694479770509, 0.1893681737491821, 0.7535131086748066],
+    [0.5611855971999138, 0.6288660429159408, 0.5381433132192782],
+    [-0.7744794786086133, 0.5398689955430787, 0.32973171649909216],
+    [0.17733990780494152, 0.5890082654003593, 0.7884287034284043],
+    [-0.07365169897026357, 0.9500780613873809, 0.303194829291645],
+]
+PINNED_COEFF = [
+    complex(0.002574783555821587, -0.5973584387485728),
+    complex(-0.08715329105057006, -0.055267788232693016),
+    complex(0.4092189091103731, -0.13350833068651966),
+    complex(0.3183541812239821, 0.06755984782412669),
+    complex(-0.8573448540320806, 0.06872322875373063),
+]
+
+
+def test_stochastic_channel_pinned_draw():
+    spec = sample_stochastic_channel(5, (1, 0), include_tx=True)
+    assert np.array_equal(spec.rx_directions, np.array(PINNED_RX))
+    assert np.array_equal(spec.tx_directions, np.array(PINNED_TX))
+    assert np.array_equal(spec.coefficients, np.array(PINNED_COEFF))
+    # The Rx-only draw shares the Rx stream prefix.
+    rx_only = sample_stochastic_channel(5, (1, 0))
+    assert np.array_equal(rx_only.rx_directions, np.array(PINNED_RX))
+    assert rx_only.tx_directions is None
 
 
 def test_stochastic_channel_rejects_zero_paths():
@@ -145,9 +211,8 @@ def test_translation_covariance():
     # fixed unit-modulus factor.
     spec = sample_stochastic_channel(4, 21)
     delta = np.array([0.37, -1.21, 0.0])
-    rotated = ChannelSpec(tuple(
-        PathSpec(p.rx_dir, p.coeff * np.exp(2j * np.pi * (p.rx_dir @ delta)))
-        for p in spec.paths))
+    rotated = ChannelSpec(spec.rx_directions,
+                          spec.coefficients * np.exp(2j * np.pi * (spec.rx_directions @ delta)))
     region = Region.square(2.0)
     shifted = Region(origin=region.origin + delta, extents=region.extents)
     h_shifted, _ = field_on_grid(spec, shifted, 0.25)
@@ -181,9 +246,49 @@ def test_grid_coords_dimensions():
     assert [c.size for c in coords] == [81, 81]
 
 
+def test_region_lattice_points_match_meshgrid():
+    for region in (Region(origin=[-1.0, 0.5, 0.25], extents=[2.0, 1.5, 0.0]),
+                   Region(origin=[0.0, -1.0, 2.0], extents=[0.0, 1.0, 0.5]),
+                   Region(origin=[1.0, 2.0, 3.0], extents=[0.4, 0.6, 0.2])):
+        coords = region.grid_coords(0.2)
+        # Reference: fill the free axes of origin copies from an "ij" meshgrid.
+        mesh = np.meshgrid(*coords, indexing="ij")
+        expected = np.tile(region.origin, (mesh[0].size, 1))
+        for axis, grid in zip(region.free_axes, mesh):
+            expected[:, axis] = grid.ravel()
+        points = region.grid_position(coords, np.arange(mesh[0].size))
+        assert np.array_equal(points, expected)
+        for k in (0, 7, mesh[0].size - 1):
+            assert np.array_equal(region.grid_position(coords, k), expected[k])
+    point = Region(origin=[1.0, 2.0, 3.0], extents=[0.0, 0.0, 0.0])
+    assert np.array_equal(point.grid_position(point.grid_coords(0.1), 0), point.origin)
+
+
 def test_json_round_trip():
     spec = sample_stochastic_channel(3, 17, include_tx=True)
-    back = channel_spec_from_json(channel_spec_to_json(spec))
+    text = channel_spec_to_json(spec)
+    records = json.loads(text)["paths"]
+    assert [sorted(rec) for rec in records] == [sorted(
+        ["theta", "phi", "coeff_re", "coeff_im", "tx_theta", "tx_phi"])] * 3
+    back = channel_spec_from_json(text)
     np.testing.assert_allclose(back.rx_directions, spec.rx_directions, atol=1e-12)
     np.testing.assert_allclose(back.tx_directions, spec.tx_directions, atol=1e-12)
     np.testing.assert_allclose(back.coefficients, spec.coefficients, atol=1e-15)
+    rx_only = channel_spec_from_json(channel_spec_to_json(sample_stochastic_channel(2, 18)))
+    assert not rx_only.has_tx
+
+
+def test_path_records_schema():
+    # The config ``paths`` field and the JSON format share one record schema.
+    spec = channel_spec_from_records([
+        {"theta": 1.1, "phi": 0.7, "coeff_re": 1.0, "coeff_im": -0.5},
+        {"theta": 0.5, "phi": 3.9, "coeff_re": 0.25, "coeff_im": 0.0}])
+    np.testing.assert_array_equal(spec.rx_directions[1], direction_from_angles(0.5, 3.9))
+    np.testing.assert_array_equal(spec.coefficients, [1.0 - 0.5j, 0.25])
+    assert not spec.has_tx
+    mixed = [{"theta": 1.0, "phi": 0.0, "coeff_re": 1.0, "coeff_im": 0.0, "tx_theta": 0.2, "tx_phi": 0.1},
+             {"theta": 1.0, "phi": 0.0, "coeff_re": 1.0, "coeff_im": 0.0}]
+    with pytest.raises(ValueError):
+        channel_spec_from_records(mixed)
+    with pytest.raises(ValueError):
+        channel_spec_from_records([])

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from masim.channel import ChannelSpec, PathSpec, Region, channel_gain
+from masim.channel import ChannelSpec, Region, channel_gain
 from masim.estimation import (AngleDictionary, cosine_grid_dictionary,
                               measurement_matrix, mutual_coherence, omp_estimate,
                               plan_measurement_positions, reconstruct_and_score,
@@ -17,12 +17,11 @@ def on_grid_truth(dictionary, num_paths, seed):
     idx = list(map(int, rng.choice(dictionary.size, num_paths, replace=False)))
     coeff = (rng.standard_normal(num_paths) + 1j * rng.standard_normal(num_paths))
     coeff /= np.sqrt(2.0 * num_paths)
-    spec = ChannelSpec(tuple(
-        PathSpec(rx_dir=dictionary.directions[i], coeff=c) for i, c in zip(idx, coeff)))
+    spec = ChannelSpec(dictionary.directions[idx], coeff)
     return spec, idx, coeff
 
 
-def test_grid_positions_k9_is_3x3_lattice_with_corners():
+def test_grid_strategy_k9_is_3x3_lattice_with_corners():
     region = Region.square(2.0)
     pos = plan_measurement_positions(region, 9, strategy="grid")
     assert pos.shape == (9, 3)
@@ -156,7 +155,7 @@ def test_refit_exact_on_true_directions(two_path):
 
 def test_refit_single_direction_single_measurement(two_path):
     direction = two_path.rx_directions[:1]
-    single = ChannelSpec((two_path.paths[0],))
+    single = ChannelSpec(two_path.rx_directions[:1], two_path.coefficients[:1])
     pos = np.array([[0.4, -0.2, 0.0]])
     meas = simulate_measurements(single, pos, 0.0)
     coeff = refit_coefficients(meas, direction)
@@ -202,7 +201,7 @@ def test_refit_noise_averaging_improves_with_more_measurements(two_path):
 def test_refit_rejects_rank_deficient():
     direction = np.array([[0.0, 0.0, 1.0], [0.0, 0.0, 1.0]])
     pos = plan_measurement_positions(Region.square(2.0), 6, "uniform-random", seed=9)
-    spec = ChannelSpec((PathSpec(np.array([0.0, 0.0, 1.0]), 1.0),))
+    spec = ChannelSpec([[0.0, 0.0, 1.0]], [1.0])
     meas = simulate_measurements(spec, pos, 0.0)
     with pytest.raises(ValueError, match="condition number"):
         refit_coefficients(meas, direction)
@@ -218,7 +217,7 @@ def test_reconstruct_score_zero_for_truth(two_path):
 def test_reconstruct_score_rejects_zero_energy_truth():
     from masim.estimation import FriEstimate
     d = np.array([0.0, 0.0, 1.0])
-    silent = ChannelSpec((PathSpec(d, 0.0),))
+    silent = ChannelSpec([d], [0.0])
     est = FriEstimate(indices=(), directions=np.zeros((0, 3)),
                       coefficients=np.zeros(0, dtype=complex), residual_norm=0.0)
     with pytest.raises(ValueError):

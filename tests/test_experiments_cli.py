@@ -122,6 +122,41 @@ def test_cli_run_invalid_config_exits_2(tmp_path):
     assert main(["run", "-c", cfg, "-o", str(tmp_path / "x")]) == 2
 
 
+def estimate_config(**changes):
+    return {"kind": "estimate", "seed": 0, "num_paths": 2, "num_measurements": 4,
+            "region_size": 2.0, "noise_var": 0.0, "dict_grid": 8} | changes
+
+
+def gainmap_config(*paths):
+    return {"kind": "gainmap", "seed": 0, "region_size": 1.0, "step": 0.5, "paths": list(paths)}
+
+
+PATH_RECORD = {"theta": 1.1, "phi": 0.7, "coeff_re": 1.0, "coeff_im": 0.0}
+
+
+@pytest.mark.parametrize("cfg", [
+    small_snr_config() | {"refine": "false"},
+    estimate_config(max_paths=9),
+    estimate_config(step=-1),
+    {"kind": "beam", "seed": 0, "num_elements": 4, "objective": "two-beam",
+     "u1": 0.4, "u2": -0.4, "pattern_points": 1},
+    {"kind": "beam", "seed": 0, "num_elements": 4, "objective": "two-beam",
+     "u1": 0.4, "u2": -0.4, "d_max": 0.3},
+    estimate_config(dict_grid=1),
+    gainmap_config(PATH_RECORD | {"tx_theta": 0.2, "tx_phi": 0.1}, PATH_RECORD),
+    gainmap_config(PATH_RECORD | {"tx_theta": 4.0, "tx_phi": 0.1}),
+], ids=["refine-string", "max-paths-over-measurements", "estimate-negative-step",
+        "one-pattern-point", "d-max-below-min-spacing", "one-point-dictionary",
+        "mixed-tx-angles", "tx-theta-out-of-range"])
+def test_invalid_config_exits_2_before_any_output(tmp_path, cfg):
+    path = write_config(tmp_path, cfg)
+    out = tmp_path / "out"
+    out.mkdir()
+    assert main(["validate", "-c", path]) == 2
+    assert main(["run", "-c", path, "-o", str(out)]) == 2
+    assert list(out.iterdir()) == []
+
+
 def test_cli_runtime_failure_exits_3(tmp_path, monkeypatch):
     cfg = write_config(tmp_path, small_snr_config())
 

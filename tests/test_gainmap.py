@@ -2,12 +2,12 @@ import numpy as np
 import pytest
 
 from conftest import brute_force_power_scan
-from masim.channel import ChannelSpec, PathSpec, Region, channel_gain, direction_from_angles
-from masim.gainmap import DB_FLOOR, evaluate_map, map_extrema, write_gain_map_csv
+from masim.channel import ChannelSpec, Region, channel_gain, direction_from_angles
+from masim.gainmap import DB_FLOOR, evaluate_map, write_gain_map_csv
 
 
 def test_single_path_flat_map(region4):
-    spec = ChannelSpec((PathSpec(direction_from_angles(0.8, 0.3), 1.0),))
+    spec = ChannelSpec([direction_from_angles(0.8, 0.3)], [1.0])
     gm = evaluate_map(spec, region4, 0.1)
     assert np.abs(gm.values).max() < 1e-12
 
@@ -67,7 +67,7 @@ def test_refinement_monotonicity(four_path, region4):
 
 def test_scaling_shifts_db_and_preserves_argmax(four_path, region4):
     scale = 3.7
-    scaled = ChannelSpec(tuple(PathSpec(p.rx_dir, scale * p.coeff) for p in four_path.paths))
+    scaled = ChannelSpec(four_path.rx_directions, scale * four_path.coefficients)
     a = evaluate_map(four_path, region4, 0.1)
     b = evaluate_map(scaled, region4, 0.1)
     np.testing.assert_allclose(b.values - a.values, 20 * np.log10(scale), atol=1e-9)
@@ -79,27 +79,31 @@ def test_exact_null_floor():
     # Broadside arrival keeps in-plane phases exactly zero, so the two
     # opposite coefficients cancel to an exact float zero.
     d = direction_from_angles(0.0, 0.0)
-    spec = ChannelSpec((PathSpec(d, 1.0), PathSpec(d, -1.0)))
+    spec = ChannelSpec([d, d], [1.0, -1.0])
     gm = evaluate_map(spec, Region.square(1.0), 0.5)
     assert (gm.values == DB_FLOOR).all()
 
 
-def test_map_extrema_flat_tie_break():
-    spec = ChannelSpec((PathSpec(direction_from_angles(0.0, 0.0), 2.0),))
+def test_flat_map_ties_break_to_first_grid_point():
+    spec = ChannelSpec([direction_from_angles(0.0, 0.0)], [2.0])
     region = Region.square(1.0)
     gm = evaluate_map(spec, region, 0.25)
-    max_db, min_db, argmax, argmin = map_extrema(gm)
-    assert max_db == min_db
-    np.testing.assert_allclose(argmax, region.origin)
-    np.testing.assert_allclose(argmin, region.origin)
+    assert gm.max_db == gm.min_db
+    np.testing.assert_allclose(gm.argmax, region.origin)
+    np.testing.assert_allclose(gm.argmin, region.origin)
 
 
 def test_extrema_consistent_with_values(four_path, region4):
     gm = evaluate_map(four_path, region4, 0.1)
-    max_db, min_db, argmax, argmin = map_extrema(gm)
-    assert max_db == gm.values.max()
-    assert min_db == gm.values.min()
-    assert region4.contains(argmax) and region4.contains(argmin)
+    assert gm.max_db == gm.values.max()
+    assert gm.min_db == gm.values.min()
+    assert region4.contains(gm.argmax) and region4.contains(gm.argmin)
+    # Each extremum's position is the grid point holding its value.
+    for pos, value in ((gm.argmax, gm.max_db), (gm.argmin, gm.min_db)):
+        i = int(np.argmin(np.abs(gm.coords0 - pos[0])))
+        j = int(np.argmin(np.abs(gm.coords1 - pos[1])))
+        assert (gm.coords0[i], gm.coords1[j], region4.origin[2]) == tuple(pos)
+        assert gm.values[i, j] == value
 
 
 def test_grid_dimensions_follow_floor_rule(two_path):

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from masim.channel import (ChannelSpec, PathSpec, Region, channel_gain,
+from masim.channel import (ChannelSpec, Region, channel_gain,
                            direction_from_angles, sample_stochastic_channel)
 from masim.mimo import (RxPlacement, build_channel_matrix, capacity_identity_cov,
                         capacity_waterfilling, sequential_position_search, tx_ula)
@@ -15,9 +15,10 @@ def explicit_channel_matrix(spec, tx, rx_positions):
     h = np.zeros((m, n), dtype=complex)
     for i in range(m):
         for j in range(n):
-            for p in spec.paths:
-                h[i, j] += p.coeff * np.exp(2j * np.pi * (p.rx_dir @ rx_positions[i])) \
-                    * np.exp(2j * np.pi * (p.tx_dir @ tx[j]))
+            for rx_dir, tx_dir, coeff in zip(spec.rx_directions, spec.tx_directions,
+                                             spec.coefficients):
+                h[i, j] += coeff * np.exp(2j * np.pi * (rx_dir @ rx_positions[i])) \
+                    * np.exp(2j * np.pi * (tx_dir @ tx[j]))
     return h
 
 
@@ -44,7 +45,7 @@ def random_mimo_spec(num_paths, seed):
 def test_single_path_rank_one_unit_entries():
     rx_dir = direction_from_angles(0.6, 1.0)
     tx_dir = direction_from_angles(1.1, 4.0)
-    spec = ChannelSpec((PathSpec(rx_dir, 1.0, tx_dir=tx_dir),))
+    spec = ChannelSpec([rx_dir], [1.0], [tx_dir])
     rx = RxPlacement(np.array([[0, 0, 0], [0.6, 0, 0], [1.2, 0, 0]], dtype=float))
     h = build_channel_matrix(spec, tx_ula(4), rx)
     np.testing.assert_allclose(np.abs(h), 1.0, atol=1e-12)
@@ -58,9 +59,8 @@ def test_single_pair_reduces_to_channel_gain():
     r = np.array([[1.0, -0.4, 0.2]])
     h = build_channel_matrix(spec, t, RxPlacement(r))
     # Fold the tx-side phase of each path into its coefficient.
-    folded = ChannelSpec(tuple(
-        PathSpec(p.rx_dir, p.coeff * np.exp(2j * np.pi * (p.tx_dir @ t[0])))
-        for p in spec.paths))
+    folded = ChannelSpec(spec.rx_directions,
+                         spec.coefficients * np.exp(2j * np.pi * (spec.tx_directions @ t[0])))
     assert abs(h[0, 0] - channel_gain(folded, r[0])) < 1e-12
 
 
@@ -83,7 +83,7 @@ def test_spacing_violations_rejected():
     with pytest.raises(ValueError):
         build_channel_matrix(spec, bad_tx, RxPlacement(np.array([[0.0, 0, 0]])))
     with pytest.raises(ValueError):
-        build_channel_matrix(ChannelSpec((PathSpec(direction_from_angles(0.1, 0), 1.0),)),
+        build_channel_matrix(ChannelSpec([direction_from_angles(0.1, 0)], [1.0]),
                              tx_ula(2), RxPlacement(np.array([[0.0, 0, 0]])))
 
 
@@ -173,6 +173,19 @@ def test_sequential_search_improves_and_respects_spacing():
         diffs = result.placement.positions[:, None, :] - result.placement.positions[None, :, :]
         dist = np.linalg.norm(diffs, axis=2) + 10 * np.eye(4)
         assert dist.min() >= 0.5 - 1e-9
+
+
+def test_sequential_search_single_antenna_reaches_grid_maximum():
+    # One Rx antenna has no spacing constraint: the first pass moves it to
+    # the candidate grid point with the largest capacity.
+    region = Region.square(1.0)
+    tx = tx_ula(2)
+    spec = random_mimo_spec(6, 93)
+    result = sequential_position_search(spec, region, 1, tx, rho=10.0, step=0.25)
+    coords = region.grid_coords(0.25)
+    best = max(capacity_identity_cov(build_channel_matrix(spec, tx, [[x, y, 0.0]]), 10.0)
+               for x in coords[0] for y in coords[1])
+    assert result.capacity == pytest.approx(best, rel=1e-12)
 
 
 def test_sequential_search_rejects_tiny_region():

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from conftest import brute_force_power_scan
-from masim.channel import (ChannelSpec, PathSpec, Region, channel_gain,
+from masim.channel import (ChannelSpec, Region, channel_gain,
                            direction_from_angles, sample_stochastic_channel)
 from masim.positioning import (InterferenceScenario, SearchConfig,
                                expected_max_snr, gradient_ascent_refine,
@@ -20,7 +20,7 @@ def test_search_config_validation():
 
 
 def test_flat_objective_returns_first_grid_point():
-    spec = ChannelSpec((PathSpec(direction_from_angles(0.0, 0.0), 0.5),))
+    spec = ChannelSpec([direction_from_angles(0.0, 0.0)], [0.5])
     region = Region.square(2.0)
     pos, snr = max_snr_position(spec, region, SearchConfig(coarse_step=0.5, refine=False), rho=8.0)
     np.testing.assert_allclose(pos, region.origin)
@@ -50,7 +50,7 @@ def test_nested_regions_monotone(four_path):
 
 
 def test_sinr_degenerates_to_snr_with_zero_interference(two_path, region4):
-    silent = ChannelSpec((PathSpec(direction_from_angles(0.3, 0.1), 0.0),))
+    silent = ChannelSpec([direction_from_angles(0.3, 0.1)], [0.0])
     scenario = InterferenceScenario(two_path, silent, snr_ref_db=20.0, inr_ref_db=20.0)
     cfg = SearchConfig(coarse_step=0.1)
     pos_sinr, sinr = max_sinr_position(scenario, region4, cfg)
@@ -71,7 +71,7 @@ def test_max_sinr_never_exceeds_max_snr(region4):
 
 
 def test_sinr_matches_brute_force(two_path, region4):
-    interference = ChannelSpec((PathSpec(direction_from_angles(1.2, 5.0), 1.0),))
+    interference = ChannelSpec([direction_from_angles(1.2, 5.0)], [1.0])
     scenario = InterferenceScenario(two_path, interference, snr_ref_db=10.0, inr_ref_db=10.0)
     _, sinr = max_sinr_position(scenario, region4, SearchConfig(coarse_step=0.02))
     ps, _, _ = brute_force_power_scan(two_path, region4, 1.0 / 500.0)
@@ -81,7 +81,7 @@ def test_sinr_matches_brute_force(two_path, region4):
 
 
 def test_gradient_zero_for_single_path():
-    spec = ChannelSpec((PathSpec(direction_from_angles(0.9, 0.4), 2.0),))
+    spec = ChannelSpec([direction_from_angles(0.9, 0.4)], [2.0])
     g = snr_gradient(spec, np.array([0.3, -0.7, 0.0]))
     np.testing.assert_allclose(g, [0.0, 0.0], atol=1e-12)
 
