@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .channel import MIN_SPACING
+from .channel import MIN_SPACING, grid_count
 from .gainmap import DB_FLOOR
 from .util import write_csv_atomic
 
@@ -165,8 +165,7 @@ def optimize_uniform_spacing(num_elements: int, objective: str, u_params,
         raise ValueError("d_step must be positive")
     if objective not in ("two-beam", "null-steer"):
         raise ValueError("objective must be 'two-beam' or 'null-steer'")
-    count = int(math.floor((hi - lo) / d_step + 1e-9)) + 1
-    spacings = lo + np.arange(count) * d_step
+    spacings = lo + np.arange(grid_count(hi - lo, d_step)) * d_step
     u1, u2 = float(u_params[0]), float(u_params[1])
     # Row i is the unit-spacing layout scaled to spacings[i].
     layouts = np.outer(spacings, uniform_layout(num_elements, 1.0))

@@ -19,6 +19,7 @@ __all__ = [
     "MIN_SPACING",
     "ChannelSpec",
     "Region",
+    "grid_count",
     "direction_from_angles",
     "angles_from_direction",
     "channel_gain",
@@ -32,6 +33,11 @@ __all__ = [
 UNIT_NORM_TOL = 1e-12
 # Minimum antenna separation in wavelengths (coupling constraint).
 MIN_SPACING = 0.5
+
+
+def grid_count(extent: float, step: float) -> int:
+    """floor(extent/step) + 1 grid points; the 1e-9 slack keeps an endpoint lost to rounding."""
+    return int(math.floor(extent / step + 1e-9)) + 1
 
 
 def direction_from_angles(theta: float, phi: float) -> np.ndarray:
@@ -147,14 +153,11 @@ class Region:
         return bool((r >= self.origin - tol).all() and (r <= self.upper + tol).all())
 
     def grid_coords(self, step: float) -> list[np.ndarray]:
-        """Per-free-axis grid coordinates with floor(extent/step)+1 points."""
+        """Per-free-axis grid coordinates, :func:`grid_count` points each."""
         if step <= 0:
             raise ValueError("grid step must be positive")
-        coords = []
-        for a in self.free_axes:
-            n = int(math.floor(self.extents[a] / step + 1e-9)) + 1
-            coords.append(self.origin[a] + np.arange(n) * step)
-        return coords
+        return [self.origin[a] + np.arange(grid_count(self.extents[a], step)) * step
+                for a in self.free_axes]
 
     def grid_position(self, coords, flat_index) -> np.ndarray:
         """Position of the grid point(s) at row-major ``flat_index``.

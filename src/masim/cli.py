@@ -59,7 +59,7 @@ def main(argv=None) -> int:
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
-    except Exception as exc:  # runtime failure, artifacts cleaned up by writers
+    except Exception as exc:  # runtime failure, staged artifacts discarded
         print(f"runtime failure: {exc}", file=sys.stderr)
         return EXIT_RUNTIME
     print(f"{summary['kind']}: done in {summary['wall_time_s']:.2f}s")

@@ -1,4 +1,5 @@
 import json
+import math
 import os
 from pathlib import Path
 
@@ -120,6 +121,8 @@ def test_cli_run_invalid_config_exits_2(tmp_path):
     cfg = write_config(tmp_path, {"kind": "snr", "seed": 0, "path_counts": [2],
                                   "region_sizes": [1.0], "trials": 0})
     assert main(["run", "-c", cfg, "-o", str(tmp_path / "x")]) == 2
+    unhashable_kind = write_config(tmp_path, {"kind": ["snr"], "seed": 0}, name="kind.json")
+    assert main(["run", "-c", unhashable_kind, "-o", str(tmp_path / "x"), "--trials", "2"]) == 2
 
 
 def estimate_config(**changes):
@@ -127,8 +130,18 @@ def estimate_config(**changes):
             "region_size": 2.0, "noise_var": 0.0, "dict_grid": 8} | changes
 
 
-def gainmap_config(*paths):
-    return {"kind": "gainmap", "seed": 0, "region_size": 1.0, "step": 0.5, "paths": list(paths)}
+def gainmap_config(*paths, **changes):
+    return {"kind": "gainmap", "seed": 0, "region_size": 1.0, "step": 0.5, "paths": list(paths)} | changes
+
+
+def beam_config(**changes):
+    return {"kind": "beam", "seed": 0, "num_elements": 4, "objective": "two-beam",
+            "u1": 0.4, "u2": -0.4} | changes
+
+
+def mimo_config(**changes):
+    return {"kind": "mimo", "seed": 5, "num_tx": 2, "num_rx": 2, "path_counts": [4],
+            "snr_db_list": [10.0], "seeds": 2, "region_size": 2.0, "step": 0.2} | changes
 
 
 PATH_RECORD = {"theta": 1.1, "phi": 0.7, "coeff_re": 1.0, "coeff_im": 0.0}
@@ -138,16 +151,35 @@ PATH_RECORD = {"theta": 1.1, "phi": 0.7, "coeff_re": 1.0, "coeff_im": 0.0}
     small_snr_config() | {"refine": "false"},
     estimate_config(max_paths=9),
     estimate_config(step=-1),
-    {"kind": "beam", "seed": 0, "num_elements": 4, "objective": "two-beam",
-     "u1": 0.4, "u2": -0.4, "pattern_points": 1},
-    {"kind": "beam", "seed": 0, "num_elements": 4, "objective": "two-beam",
-     "u1": 0.4, "u2": -0.4, "d_max": 0.3},
+    beam_config(pattern_points=1),
+    beam_config(d_max=0.3),
     estimate_config(dict_grid=1),
     gainmap_config(PATH_RECORD | {"tx_theta": 0.2, "tx_phi": 0.1}, PATH_RECORD),
     gainmap_config(PATH_RECORD | {"tx_theta": 4.0, "tx_phi": 0.1}),
+    small_snr_config() | {"path_counts": [2.5]},
+    mimo_config(path_counts=[2.7]),
+    estimate_config(dict_grid=2),
+    estimate_config(dict_grid=3, num_paths=6, num_measurements=8),
+    beam_config(objective="null-steer", num_elements=1),
+    beam_config(objective="null-steer", u1=0.3, u2=0.3),
+    beam_config(objective="null-steer", u1=1.0, u2=-1.0),
+    mimo_config(snr_db_list=[10.0, 5000.0]),
+    mimo_config(snr_db_list=[3080.0]),
+    small_snr_config() | {"region_sizes": [1e300]},
+    beam_config(d_step=1e-300),
+    gainmap_config(PATH_RECORD, region_size=2048.0, step=1.0),
+    small_snr_config() | {"coarse_stp": 0.5},
+    gainmap_config(PATH_RECORD, num_paths=3),
+    small_snr_config() | {"region_sizes": [0.0], "coarse_step": 1e-4},
+    small_snr_config() | {"output_dir": 7},
 ], ids=["refine-string", "max-paths-over-measurements", "estimate-negative-step",
         "one-pattern-point", "d-max-below-min-spacing", "one-point-dictionary",
-        "mixed-tx-angles", "tx-theta-out-of-range"])
+        "mixed-tx-angles", "tx-theta-out-of-range", "snr-fractional-path-count",
+        "mimo-fractional-path-count", "empty-dictionary", "more-paths-than-atoms",
+        "null-steer-one-element", "null-steer-same-direction", "null-steer-opposite-endfire",
+        "mimo-snr-overflow", "mimo-snr-nan-capacity", "huge-region", "tiny-d-step",
+        "grid-just-over-cap", "unknown-key", "paths-and-num-paths", "coarse-step-below-refine-tol",
+        "output-dir-not-string"])
 def test_invalid_config_exits_2_before_any_output(tmp_path, cfg):
     path = write_config(tmp_path, cfg)
     out = tmp_path / "out"
@@ -169,8 +201,9 @@ def test_cli_runtime_failure_exits_3(tmp_path, monkeypatch):
 
 def test_failed_run_leaves_no_partial_csv(tmp_path, monkeypatch):
     out = tmp_path / "partial"
+    cfg = write_config(tmp_path, small_snr_config())
 
-    def failing_runner(cfg, seed, outdir, workers):
+    def failing_runner(cfg, outdir, workers):
         from masim.util import write_csv_atomic
 
         def rows():
@@ -180,9 +213,29 @@ def test_failed_run_leaves_no_partial_csv(tmp_path, monkeypatch):
         write_csv_atomic(os.path.join(outdir, "doomed.csv"), "a,b", rows())
 
     monkeypatch.setitem(experiments._RUNNERS, "snr", failing_runner)
-    cfg = write_config(tmp_path, small_snr_config())
     assert main(["run", "-c", cfg, "-o", str(out)]) == 3
     assert list(out.glob("*")) == []
+
+    # A runner that completes two files before failing leaves an earlier
+    # successful run's files exactly as they were.
+    monkeypatch.undo()
+    assert main(["run", "-c", cfg, "-o", str(out)]) == 0
+    before = {p.name: p.read_bytes() for p in out.iterdir()}
+    assert sorted(before) == ["snr_sweep.csv", "summary.json"]
+
+    written = []
+
+    def two_files_then_fail(cfg, outdir, workers):
+        from masim.util import write_csv_atomic
+        for name in ("snr_sweep.csv", "extra.csv"):
+            write_csv_atomic(os.path.join(outdir, name), "a,b", [(1, 2.0)])
+            written.append(name)
+        raise RuntimeError("failure after two files")
+
+    monkeypatch.setitem(experiments._RUNNERS, "snr", two_files_then_fail)
+    assert main(["run", "-c", cfg, "-o", str(out)]) == 3
+    assert written == ["snr_sweep.csv", "extra.csv"]
+    assert {p.name: p.read_bytes() for p in out.iterdir()} == before
 
 
 def test_output_dir_env_variable(tmp_path, monkeypatch):
@@ -197,3 +250,31 @@ def test_trials_override_applies_to_kind_field(tmp_path):
     summary = run_experiment(cfg, output_dir=str(tmp_path / "t"), trials=5)
     csv = (tmp_path / "t" / "snr_sweep.csv").read_text().splitlines()
     assert csv[1].split(",")[2] == "5"
+
+
+def test_grid_cap_boundary():
+    side = math.isqrt(experiments.MAX_GRID_POINTS)
+    assert validate_config_dict(gainmap_config(PATH_RECORD, region_size=side - 1.0, step=1.0)) == []
+    violations = validate_config_dict(gainmap_config(PATH_RECORD, region_size=float(side), step=1.0))
+    assert violations == [f"step: implies {(side + 1) ** 2} grid points, more than "
+                          f"MAX_GRID_POINTS={experiments.MAX_GRID_POINTS}"]
+    points = experiments.MAX_GRID_POINTS // 4
+    assert validate_config_dict(beam_config(pattern_points=points)) == []
+    assert validate_config_dict(beam_config(pattern_points=points + 1))[0].startswith("pattern_points:")
+
+
+def test_resolved_config_fills_defaults_and_types():
+    cfg, violations = experiments._resolve(beam_config(u1=0, u2=-1))
+    assert violations == []
+    assert cfg == {"kind": "beam", "seed": 0, "output_dir": None, "num_elements": 4,
+                   "objective": "two-beam", "u1": 0.0, "u2": -1.0, "d_max": 2.0,
+                   "d_step": 1.0 / 64.0, "pattern_points": 2001}
+    assert type(cfg["u1"]) is float and type(cfg["u2"]) is float
+    nulls = dict.fromkeys(("d_max", "d_step", "pattern_points"))
+    assert experiments._resolve(beam_config(u1=0, u2=-1) | nulls) == (cfg, [])
+    cfg, _ = experiments._resolve(estimate_config(noise_var=0))
+    assert cfg["max_paths"] == 2 and cfg["strategy"] == "uniform-random" and cfg["step"] == 0.1
+    assert type(cfg["noise_var"]) is float
+    cfg, _ = experiments._resolve(mimo_config(region_size=3, snr_db_list=[0, 10]))
+    assert cfg["snr_db_list"] == [0.0, 10.0] and all(type(x) is float for x in cfg["snr_db_list"])
+    assert type(cfg["region_size"]) is float and cfg["path_counts"] == [4]
