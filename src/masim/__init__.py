@@ -5,8 +5,7 @@ from .channel import (ChannelSpec, Region, channel_gain,
                       direction_from_angles, field_on_grid,
                       sample_stochastic_channel)
 from .gainmap import GainMap, evaluate_map
-from .positioning import (InterferenceScenario, SearchConfig, expected_max_snr,
-                          expected_max_sinr, gradient_ascent_refine,
+from .positioning import (InterferenceScenario, SearchConfig, gradient_ascent_refine,
                           max_sinr_position, max_snr_position, snr_gradient)
 from .beams import (array_gain, beam_pattern, null_steer_weights,
                     optimize_uniform_spacing, steering_vector,

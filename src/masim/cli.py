@@ -29,7 +29,8 @@ def _build_parser() -> argparse.ArgumentParser:
                      help="override the trial/seed count where the kind supports it")
     run.add_argument("-o", "--output-dir", default=None,
                      help="output directory (default: config, then $MASIM_OUTPUT_DIR, then cwd)")
-    run.add_argument("--workers", type=int, default=1, help="worker thread count")
+    run.add_argument("--workers", type=int, choices=(1,), default=1,
+                     help="worker count; runs are serial, so only 1 is accepted")
 
     val = sub.add_parser("validate", help="check a config and list violations")
     val.add_argument("-c", "--config", required=True, help="path to the config file")
@@ -55,7 +56,7 @@ def main(argv=None) -> int:
     try:
         cfg = load_config(args.config)
         summary = run_experiment(cfg, output_dir=args.output_dir, seed=args.seed,
-                                 trials=args.trials, workers=args.workers)
+                                 trials=args.trials)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG

@@ -4,7 +4,7 @@ Configs are JSON files with a ``kind`` field selecting the experiment and a
 flat set of kind-specific parameters (``_SCHEMA`` below, listed in README).
 Every runner is deterministic for a fixed config and seed: per-trial RNG
 streams are derived from (seed, indices) and results are aggregated in index
-order, so CSV outputs are byte-identical regardless of worker count.
+order, so CSV outputs are byte-identical across runs.
 """
 
 from __future__ import annotations
@@ -21,7 +21,7 @@ import numpy as np
 from . import beams, estimation, gainmap, mimo, positioning
 from .channel import (MIN_SPACING, ChannelSpec, Region, angles_from_direction,
                       channel_spec_from_records, grid_count, sample_stochastic_channel)
-from .util import map_indexed, write_csv_atomic, write_json_atomic
+from .util import write_csv_atomic, write_json_atomic
 
 __all__ = ["EXPERIMENT_KINDS", "ENV_OUTPUT_DIR", "MAX_GRID_POINTS", "ConfigError",
            "load_config", "validate_config_dict", "run_experiment"]
@@ -145,20 +145,44 @@ _COMMON = {"seed": (_int(0), _REQUIRED),
            "output_dir": (_check("a string", lambda v: isinstance(v, str)), None)}
 
 
-# (field, points) of every grid a kind builds, checked before any is
-# allocated; beam arrays count scan or pattern points x elements.  _side
+# (field, points) of every grid a kind builds and of every array a field
+# scales with a grid, checked before anything is allocated: path counts x
+# grid side (the field_on_grid phase factors); mimo candidates x paths, x
+# num_rx x num_tx (candidate channel matrices) and x num_rx^2 (their gram
+# matrices); estimate measurements x dict_grid^2, which bounds the atoms of
+# the measurement matrix; beam scan or pattern points x elements.  _side
 # saturates just past the cap, so a huge extent/step ratio stays finite.
 _side = lambda extent, step: grid_count(min(extent, step * MAX_GRID_POINTS), step)
-_region_grid = lambda c: [("step", _side(c["region_size"], c["step"]) ** 2)]
-_sweep_grid = lambda c: [("coarse_step", _side(max(c["region_sizes"]), c["coarse_step"]) ** 2)]
+
+
+def _square_grid(step_key, side, path_counts):
+    """A ``side`` x ``side`` grid and the phase factors of each ``(field, path count)``."""
+    return [(step_key, side ** 2)] + [(key, count * side) for key, count in path_counts]
+
+
+def _mimo_grids(c):
+    points = _side(c["region_size"], c["step"]) ** 2
+    return [("step", points), ("path_counts", points * max(c["path_counts"])),
+            ("num_rx", points * c["num_rx"] ** 2), ("num_tx", points * c["num_rx"] * c["num_tx"])]
+
+
+def _estimate_grids(c):
+    side, lattice = _side(c["region_size"], c["step"]), c["dict_grid"] ** 2
+    return _square_grid("step", side, [("num_paths", c["num_paths"]), ("max_paths", c["max_paths"])]) + [
+        ("dict_grid", lattice), ("num_measurements", c["num_measurements"] * lattice)]
+
+
+_sweep_grid = lambda c: _square_grid("coarse_step", _side(max(c["region_sizes"]), c["coarse_step"]),
+                                     [("path_counts", max(c["path_counts"]))])
 _GRIDS = {
-    "gainmap": _region_grid,
+    "gainmap": lambda c: _square_grid("step", _side(c["region_size"], c["step"]),
+                                      [("paths", len(c["paths"] or ())), ("num_paths", c["num_paths"] or 0)]),
     "snr": _sweep_grid,
     "sinr": _sweep_grid,
     "beam": lambda c: [("d_step", _side(c["d_max"] - MIN_SPACING, c["d_step"]) * c["num_elements"]),
                        ("pattern_points", c["pattern_points"] * c["num_elements"])],
-    "mimo": _region_grid,
-    "estimate": lambda c: _region_grid(c) + [("dict_grid", c["dict_grid"] ** 2)],
+    "mimo": _mimo_grids,
+    "estimate": _estimate_grids,
 }
 
 # Cross-field rules (kinds, field, message, ok), run once the grids fit.
@@ -215,7 +239,7 @@ def validate_config_dict(cfg: dict) -> list[str]:
     return _resolve(cfg)[1]
 
 
-def _run_gainmap(cfg, outdir, workers):
+def _run_gainmap(cfg, outdir):
     spec = (sample_stochastic_channel(cfg["num_paths"], (cfg["seed"], 0)) if cfg["paths"] is None
             else channel_spec_from_records(cfg["paths"]))
     gm = gainmap.evaluate_map(spec, Region.square(cfg["region_size"]), cfg["step"])
@@ -224,25 +248,25 @@ def _run_gainmap(cfg, outdir, workers):
             "argmin": list(gm.argmin), "spread_db": gm.max_db - gm.min_db}
 
 
-def _mean_db_and_halfwidth(values: np.ndarray) -> tuple[float, float]:
+def _halfwidth(values: np.ndarray, scale: float = 1.96) -> float | None:
+    """``scale`` standard errors of the mean (95% by default); None (JSON null) for one value."""
+    return scale * (float(values.std(ddof=1)) / math.sqrt(values.size)) if values.size > 1 else None
+
+
+def _mean_db_and_halfwidth(values: np.ndarray) -> tuple[float, float | None]:
     """Mean in dB with a delta-method 95% half-width."""
-    mean = float(values.mean())
-    if values.size > 1:
-        sem = float(values.std(ddof=1)) / math.sqrt(values.size)
-        half = 10.0 / math.log(10.0) * 1.96 * sem / mean
-    else:
-        half = float("nan")
-    return 10.0 * math.log10(mean), half
+    mean, half = float(values.mean()), _halfwidth(values, 10.0 / math.log(10.0) * 1.96)
+    return 10.0 * math.log10(mean), None if half is None else half / mean
 
 
-def _run_level_sweep(cfg, outdir, workers):
+def _run_level_sweep(cfg, outdir):
     kind, trials = cfg["kind"], cfg["trials"]
     search = positioning.SearchConfig(coarse_step=cfg["coarse_step"], refine=cfg["refine"])
     max_trials = positioning.max_snr_trials if kind == "snr" else positioning.max_sinr_trials
     rows, summary = [], {}
     for num_paths in cfg["path_counts"]:
         for size in cfg["region_sizes"]:
-            values = max_trials(num_paths, size, trials, cfg["seed"], cfg=search, workers=workers)
+            values = max_trials(num_paths, size, trials, cfg["seed"], cfg=search)
             mean_db, half = _mean_db_and_halfwidth(values)
             rows.append((num_paths, size, trials, mean_db))
             summary[f"L{num_paths}_A{size:g}"] = {"metric_db": mean_db, "halfwidth_db": half}
@@ -250,7 +274,7 @@ def _run_level_sweep(cfg, outdir, workers):
     return summary
 
 
-def _run_beam(cfg, outdir, workers):
+def _run_beam(cfg, outdir):
     n, objective, u1, u2 = cfg["num_elements"], cfg["objective"], cfg["u1"], cfg["u2"]
     scan = beams.optimize_uniform_spacing(n, objective, (u1, u2), (MIN_SPACING, cfg["d_max"]),
                                           cfg["d_step"])
@@ -273,35 +297,29 @@ def _run_beam(cfg, outdir, workers):
     return summary
 
 
-def _run_mimo(cfg, outdir, workers):
+def _run_mimo(cfg, outdir):
     region = Region.square(cfg["region_size"])
     tx = mimo.tx_ula(cfg["num_tx"])
-    tasks = [(l, s) for l in cfg["path_counts"] for s in range(cfg["seeds"])]
-
-    def one(task):
-        num_paths, s = task
-        spec = sample_stochastic_channel(num_paths, (cfg["seed"], num_paths, s), include_tx=True)
-        out = []
-        for snr_db in cfg["snr_db_list"]:
-            rho = 10.0 ** (snr_db / 10.0)
-            res = mimo.sequential_position_search(spec, region, cfg["num_rx"], tx, rho, step=cfg["step"])
-            out.append((snr_db, num_paths, s, res.initial_capacity, res.capacity))
-        return out
-
-    rows = [row for chunk in map_indexed(one, tasks, workers) for row in chunk]
+    rows = []
+    for num_paths in cfg["path_counts"]:
+        for s in range(cfg["seeds"]):
+            spec = sample_stochastic_channel(num_paths, (cfg["seed"], num_paths, s), include_tx=True)
+            for snr_db in cfg["snr_db_list"]:
+                rho = 10.0 ** (snr_db / 10.0)
+                res = mimo.sequential_position_search(spec, region, cfg["num_rx"], tx, rho, step=cfg["step"])
+                rows.append((snr_db, num_paths, s, res.initial_capacity, res.capacity))
     rows.sort(key=lambda r: (r[0], r[1], r[2]))
     mimo.write_capacity_csv(rows, os.path.join(outdir, "capacity_sweep.csv"))
     summary = {"ma_ge_fpa_all_seeds": all(r[4] >= r[3] - 1e-12 for r in rows), "mean_gain_bits": {}}
     for snr_db in cfg["snr_db_list"]:
         for num_paths in cfg["path_counts"]:
             sel = np.array([r[4] - r[3] for r in rows if r[0] == snr_db and r[1] == num_paths])
-            half = 1.96 * float(sel.std(ddof=1)) / math.sqrt(sel.size) if sel.size > 1 else float("nan")
             summary["mean_gain_bits"][f"snr{snr_db:g}_L{num_paths}"] = {
-                "mean": float(sel.mean()), "halfwidth": half}
+                "mean": float(sel.mean()), "halfwidth": _halfwidth(sel)}
     return summary
 
 
-def _run_estimate(cfg, outdir, workers):
+def _run_estimate(cfg, outdir):
     seed, num_paths = cfg["seed"], cfg["num_paths"]
     region = Region.square(cfg["region_size"])
     dictionary = estimation.cosine_grid_dictionary(cfg["dict_grid"])
@@ -337,7 +355,7 @@ _RUNNERS = {
 
 
 def run_experiment(cfg: dict, output_dir: str | None = None, seed: int | None = None,
-                   trials: int | None = None, workers: int = 1) -> dict:
+                   trials: int | None = None) -> dict:
     """Validate and run a config, writing CSV artifacts plus ``summary.json``.
 
     Returns the summary payload.  Raises :class:`ConfigError` for invalid
@@ -358,7 +376,7 @@ def run_experiment(cfg: dict, output_dir: str | None = None, seed: int | None = 
     stage = tempfile.mkdtemp(prefix=".masim-", dir=outdir)
     try:
         start = time.monotonic()
-        results = _RUNNERS[cfg["kind"]](cfg, stage, workers)
+        results = _RUNNERS[cfg["kind"]](cfg, stage)
         payload = {"kind": cfg["kind"], "seed": cfg["seed"], "results": results,
                    "wall_time_s": time.monotonic() - start}
         write_json_atomic(os.path.join(stage, "summary.json"), payload)

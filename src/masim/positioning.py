@@ -9,13 +9,12 @@ studies.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .channel import ChannelSpec, Region, channel_gain, field_on_grid, sample_stochastic_channel
-from .util import map_indexed, write_csv_atomic
+from .util import write_csv_atomic
 
 __all__ = [
     "SearchConfig",
@@ -25,11 +24,16 @@ __all__ = [
     "snr_gradient",
     "gradient_ascent_refine",
     "max_snr_trials",
-    "expected_max_snr",
     "max_sinr_trials",
-    "expected_max_sinr",
     "write_sweep_csv",
 ]
+
+
+# The local refine starts at coarse_step / 2 and halves its step on every
+# failed move until the step drops below _REFINE_MIN_STEP, in at most
+# _REFINE_ITERS iterations.
+_REFINE_MIN_STEP = 1e-4
+_REFINE_ITERS = 120
 
 
 @dataclass
@@ -38,19 +42,10 @@ class SearchConfig:
 
     coarse_step: float = 0.1
     refine: bool = True
-    refine_step_init: float | None = None  # defaults to coarse_step / 2
-    refine_tol: float = 1e-4
-    max_refine_iters: int = 120
 
     def __post_init__(self):
-        if self.coarse_step <= 0:
-            raise ValueError("coarse_step must be positive")
-        if self.refine_step_init is None:
-            self.refine_step_init = self.coarse_step / 2.0
-        if not self.refine_tol < self.refine_step_init:
-            raise ValueError("refine_tol must be smaller than refine_step_init")
-        if self.max_refine_iters < 1:
-            raise ValueError("max_refine_iters must be positive")
+        if not _REFINE_MIN_STEP < self.coarse_step / 2.0:
+            raise ValueError(f"coarse_step must exceed {2 * _REFINE_MIN_STEP:g} to leave room to refine")
 
 
 @dataclass(eq=False)
@@ -76,20 +71,23 @@ class InterferenceScenario:
         return 10.0 ** (self.inr_ref_db / 10.0)
 
 
-def _pattern_search(objective, start: np.ndarray, region: Region, cfg: SearchConfig):
-    """Compass search over the region's free axes; monotone and deterministic.
+def _grid_then_refine(values, coords, region: Region, cfg: SearchConfig, objective):
+    """Best point of the coarse grid, then (with ``cfg.refine``) a compass search from it.
 
-    ``objective`` must accept a (B, 3) batch of positions.
+    ``values`` holds the objective on the grid ``coords`` and ``objective``
+    evaluates it on a (B, 3) batch of positions.  The search moves along
+    the region's free axes and halves its step after every failed move, so
+    it is monotone and deterministic.  Returns ``(position, value)``.
     """
+    x = region.grid_position(coords, int(np.argmax(values)))
     axes = region.free_axes
-    x = np.array(start, dtype=float)
+    if not (cfg.refine and axes):
+        return x, float(np.max(values))
     fx = float(objective(x[None, :])[0])
-    if not axes:
-        return x, fx
     lo, hi = region.origin, region.upper
-    step = cfg.refine_step_init
-    for _ in range(cfg.max_refine_iters):
-        if step < cfg.refine_tol:
+    step = cfg.coarse_step / 2.0
+    for _ in range(_REFINE_ITERS):
+        if step < _REFINE_MIN_STEP:
             break
         cands = np.repeat(x[None, :], 2 * len(axes), axis=0)
         for k, a in enumerate(axes):
@@ -114,13 +112,8 @@ def max_snr_position(spec: ChannelSpec, region: Region, cfg: SearchConfig | None
     """
     cfg = cfg or SearchConfig()
     h, coords = field_on_grid(spec, region, cfg.coarse_step)
-    power = np.abs(h) ** 2
-    pos = region.grid_position(coords, int(np.argmax(power)))
-    best = rho * float(np.max(power))
-    if cfg.refine and region.free_axes:
-        obj = lambda r: rho * np.abs(channel_gain(spec, r)) ** 2
-        pos, best = _pattern_search(obj, pos, region, cfg)
-    return pos, best
+    return _grid_then_refine(rho * np.abs(h) ** 2, coords, region, cfg,
+                             lambda r: rho * np.abs(channel_gain(spec, r)) ** 2)
 
 
 def max_sinr_position(scenario: InterferenceScenario, region: Region,
@@ -128,18 +121,12 @@ def max_sinr_position(scenario: InterferenceScenario, region: Region,
     """Position maximizing SINR against the scenario's interference field."""
     cfg = cfg or SearchConfig()
     rho_s, rho_i = scenario.rho_signal, scenario.rho_interference
+    sinr = lambda hs, hi: rho_s * np.abs(hs) ** 2 / (rho_i * np.abs(hi) ** 2 + 1.0)
     hs, coords = field_on_grid(scenario.signal, region, cfg.coarse_step)
     hi, _ = field_on_grid(scenario.interference, region, cfg.coarse_step)
-    sinr = rho_s * np.abs(hs) ** 2 / (rho_i * np.abs(hi) ** 2 + 1.0)
-    pos = region.grid_position(coords, int(np.argmax(sinr)))
-    best = float(np.max(sinr))
-    if cfg.refine and region.free_axes:
-        def obj(r):
-            ps = rho_s * np.abs(channel_gain(scenario.signal, r)) ** 2
-            pi = rho_i * np.abs(channel_gain(scenario.interference, r)) ** 2
-            return ps / (pi + 1.0)
-        pos, best = _pattern_search(obj, pos, region, cfg)
-    return pos, best
+    return _grid_then_refine(
+        sinr(hs, hi), coords, region, cfg,
+        lambda r: sinr(channel_gain(scenario.signal, r), channel_gain(scenario.interference, r)))
 
 
 def snr_gradient(spec: ChannelSpec, r, axes=(0, 1)) -> np.ndarray:
@@ -203,39 +190,36 @@ def gradient_ascent_refine(spec: ChannelSpec, r0, region: Region,
     return x
 
 
-def max_snr_trials(num_paths: int, region_size: float, trials: int, seed: int,
-                   cfg: SearchConfig | None = None, snr_ref_db: float = 20.0,
-                   workers: int = 1) -> np.ndarray:
-    """Per-trial maximum SNR (linear) over a square region, stochastic channels.
+def _trial_maxima(search, num_paths: int, trials: int, seed: int, streams) -> np.ndarray:
+    """``search(*channels)``'s value for each trial, in trial order.
 
-    Trial ``t`` draws its channel from the RNG stream ``(seed, t)``; results
-    are independent of worker count and execution order.
+    Trial ``t`` draws one ``num_paths``-path channel per entry of
+    ``streams``, from the RNG stream ``(seed, t, *entry)``.
     """
     if trials < 1:
         raise ValueError("trials must be at least 1")
-    cfg = cfg or SearchConfig()
+    values = np.empty(trials)
+    for t in range(trials):
+        channels = [sample_stochastic_channel(num_paths, (seed, t, *s)) for s in streams]
+        values[t] = search(*channels)[1]
+    return values
+
+
+def max_snr_trials(num_paths: int, region_size: float, trials: int, seed: int,
+                   cfg: SearchConfig | None = None, snr_ref_db: float = 20.0) -> np.ndarray:
+    """Per-trial maximum SNR (linear) over a square region, stochastic channels.
+
+    Trial ``t`` draws its channel from the RNG stream ``(seed, t)``.
+    """
     region = Region.square(region_size)
     rho = 10.0 ** (snr_ref_db / 10.0)
-
-    def one(t: int) -> float:
-        spec = sample_stochastic_channel(num_paths, (seed, t))
-        _, value = max_snr_position(spec, region, cfg, rho=rho)
-        return value
-
-    return np.array(map_indexed(one, range(trials), workers))
-
-
-def expected_max_snr(num_paths: int, region_size: float, trials: int, seed: int,
-                     cfg: SearchConfig | None = None, snr_ref_db: float = 20.0,
-                     workers: int = 1) -> float:
-    """Expected maximum SNR in dB (mean taken in the linear domain)."""
-    values = max_snr_trials(num_paths, region_size, trials, seed, cfg, snr_ref_db, workers)
-    return 10.0 * math.log10(float(values.mean()))
+    return _trial_maxima(lambda spec: max_snr_position(spec, region, cfg, rho=rho),
+                         num_paths, trials, seed, [()])
 
 
 def max_sinr_trials(num_paths: int, region_size: float, trials: int, seed: int,
                     cfg: SearchConfig | None = None, snr_ref_db: float = 20.0,
-                    inr_ref_db: float = 20.0, workers: int = 1) -> np.ndarray:
+                    inr_ref_db: float = 20.0) -> np.ndarray:
     """Per-trial maximum SINR (linear) with an independent interference channel.
 
     The signal channel of trial ``t`` uses stream ``(seed, t)`` — the same
@@ -243,28 +227,10 @@ def max_sinr_trials(num_paths: int, region_size: float, trials: int, seed: int,
     realizations; interference uses ``(seed, t, 1)``.  The interference
     channel carries the same number of paths as the signal channel.
     """
-    if trials < 1:
-        raise ValueError("trials must be at least 1")
-    cfg = cfg or SearchConfig()
     region = Region.square(region_size)
-
-    def one(t: int) -> float:
-        signal = sample_stochastic_channel(num_paths, (seed, t))
-        interference = sample_stochastic_channel(num_paths, (seed, t, 1))
-        scenario = InterferenceScenario(signal, interference, snr_ref_db, inr_ref_db)
-        _, value = max_sinr_position(scenario, region, cfg)
-        return value
-
-    return np.array(map_indexed(one, range(trials), workers))
-
-
-def expected_max_sinr(num_paths: int, region_size: float, trials: int, seed: int,
-                      cfg: SearchConfig | None = None, snr_ref_db: float = 20.0,
-                      inr_ref_db: float = 20.0, workers: int = 1) -> float:
-    """Expected maximum SINR in dB (mean taken in the linear domain)."""
-    values = max_sinr_trials(num_paths, region_size, trials, seed, cfg,
-                             snr_ref_db, inr_ref_db, workers)
-    return 10.0 * math.log10(float(values.mean()))
+    search = lambda signal, interference: max_sinr_position(
+        InterferenceScenario(signal, interference, snr_ref_db, inr_ref_db), region, cfg)
+    return _trial_maxima(search, num_paths, trials, seed, [(), (1,)])
 
 
 def write_sweep_csv(rows, path: str) -> None:

@@ -1,24 +1,9 @@
-"""Small shared helpers: deterministic parallel mapping and atomic file output."""
+"""Small shared helpers: atomic file output."""
 
 from __future__ import annotations
 
 import json
 import os
-from concurrent.futures import ThreadPoolExecutor
-
-
-def map_indexed(fn, items, workers: int = 1) -> list:
-    """Apply ``fn`` over ``items`` preserving order.
-
-    Results are identical for any worker count: each item carries its own
-    derived state (e.g. a per-trial RNG), and outputs land in indexed slots
-    rather than arrival order.
-    """
-    items = list(items)
-    if workers <= 1 or len(items) <= 1:
-        return [fn(x) for x in items]
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(fn, items))
 
 
 def _format_cell(value) -> str:

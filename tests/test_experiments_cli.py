@@ -85,12 +85,30 @@ def test_run_rerun_byte_identical(tmp_path):
     assert (out1 / "snr_sweep.csv").read_bytes() == (out2 / "snr_sweep.csv").read_bytes()
 
 
-def test_run_worker_count_does_not_change_csv(tmp_path):
-    cfg = small_snr_config()
-    out1, out2 = tmp_path / "w1", tmp_path / "w4"
-    run_experiment(cfg, output_dir=str(out1), workers=1)
-    run_experiment(cfg, output_dir=str(out2), workers=4)
-    assert (out1 / "snr_sweep.csv").read_bytes() == (out2 / "snr_sweep.csv").read_bytes()
+def test_cli_workers_accepts_only_one(tmp_path):
+    cfg = write_config(tmp_path, small_snr_config())
+    out = tmp_path / "w"
+    with pytest.raises(SystemExit) as exc:
+        main(["run", "-c", cfg, "-o", str(out), "--workers", "2"])
+    assert exc.value.code == 2
+    assert not out.exists()
+    assert main(["run", "-c", cfg, "-o", str(out), "--workers", "1"]) == 0
+
+
+def test_single_trial_summary_is_strict_json(tmp_path):
+    def reject(constant):
+        raise ValueError(f"{constant} is not JSON")
+
+    for cfg, key in ((small_snr_config(), "halfwidth_db"), (mimo_config(), "halfwidth")):
+        halfwidths = []
+        for trials in (1, 2):
+            out = tmp_path / f"{cfg['kind']}{trials}"
+            run_experiment(cfg, output_dir=str(out), trials=trials)
+            results = json.loads((out / "summary.json").read_text(), parse_constant=reject)["results"]
+            cells = results["mean_gain_bits"] if cfg["kind"] == "mimo" else results
+            halfwidths.append([cell[key] for cell in cells.values()])
+        assert halfwidths[0] == [None] * len(halfwidths[0])
+        assert all(isinstance(h, float) and h >= 0 for h in halfwidths[1])
 
 
 def test_mimo_summary_reports_per_seed_dominance(tmp_path):
@@ -203,7 +221,7 @@ def test_failed_run_leaves_no_partial_csv(tmp_path, monkeypatch):
     out = tmp_path / "partial"
     cfg = write_config(tmp_path, small_snr_config())
 
-    def failing_runner(cfg, outdir, workers):
+    def failing_runner(cfg, outdir):
         from masim.util import write_csv_atomic
 
         def rows():
@@ -225,7 +243,7 @@ def test_failed_run_leaves_no_partial_csv(tmp_path, monkeypatch):
 
     written = []
 
-    def two_files_then_fail(cfg, outdir, workers):
+    def two_files_then_fail(cfg, outdir):
         from masim.util import write_csv_atomic
         for name in ("snr_sweep.csv", "extra.csv"):
             write_csv_atomic(os.path.join(outdir, name), "a,b", [(1, 2.0)])
@@ -261,6 +279,32 @@ def test_grid_cap_boundary():
     points = experiments.MAX_GRID_POINTS // 4
     assert validate_config_dict(beam_config(pattern_points=points)) == []
     assert validate_config_dict(beam_config(pattern_points=points + 1))[0].startswith("pattern_points:")
+
+
+def test_size_cap_boundary():
+    cap = experiments.MAX_GRID_POINTS
+    capped = lambda cfg: [v.split(":")[0] for v in validate_config_dict(cfg)]
+    # A region of 99 at step 1 has a grid side of 100 and 100^2 points.
+    snr = small_snr_config() | {"region_sizes": [99.0, 2.0], "coarse_step": 1.0}
+    assert capped(snr | {"path_counts": [cap // 100]}) == []
+    assert capped(snr | {"path_counts": [2, cap // 100 + 1]}) == ["path_counts"]
+    gainmap = gainmap_config(paths=None, region_size=99.0, step=1.0)
+    assert capped(gainmap | {"num_paths": cap // 100}) == []
+    assert capped(gainmap | {"num_paths": cap // 100 + 1}) == ["num_paths"]
+    mimo = mimo_config(num_rx=1, region_size=99.0, step=1.0)
+    assert capped(mimo | {"num_tx": cap // 100 ** 2}) == []
+    assert capped(mimo | {"num_tx": cap // 100 ** 2 + 1}) == ["num_tx"]
+    assert capped(mimo | {"path_counts": [cap // 100 ** 2]}) == []
+    assert capped(mimo | {"path_counts": [cap // 100 ** 2 + 1]}) == ["path_counts"]
+    # 101^2 candidates: 20 receive antennas fit, 21 overflow the gram matrices.
+    mimo = mimo_config(num_tx=1, region_size=100.0, step=1.0)
+    assert capped(mimo | {"num_rx": 20}) == []
+    assert capped(mimo | {"num_rx": 21}) == ["num_rx"]
+    estimate = estimate_config(dict_grid=64)  # 64^2 lattice points bound the atoms
+    assert capped(estimate | {"num_measurements": cap // 64 ** 2}) == []
+    assert capped(estimate | {"num_measurements": cap // 64 ** 2 + 1}) == ["num_measurements"]
+    estimate |= {"region_size": 99.0, "step": 1.0, "num_paths": cap // 100 + 1}
+    assert capped(estimate) == ["num_paths", "max_paths"]
 
 
 def test_resolved_config_fills_defaults_and_types():
