@@ -2,7 +2,7 @@
 
 from .channel import (ChannelSpec, Region, channel_gain,
                       channel_spec_from_json, channel_spec_to_json,
-                      direction_from_angles, field_on_grid,
+                      direction_from_angles, field_on_grid, field_response,
                       sample_stochastic_channel)
 from .gainmap import GainMap, evaluate_map
 from .positioning import (InterferenceScenario, SearchConfig, gradient_ascent_refine,
@@ -12,7 +12,7 @@ from .beams import (array_gain, beam_pattern, null_steer_weights,
                     two_beam_weights_fpa, uniform_layout)
 from .mimo import (RxPlacement, build_channel_matrix, capacity_identity_cov,
                    capacity_waterfilling, sequential_position_search, tx_ula)
-from .estimation import (AngleDictionary, FriEstimate, MeasurementSet,
+from .estimation import (FriEstimate, MeasurementSet,
                          cosine_grid_dictionary, omp_estimate,
                          plan_measurement_positions, reconstruct_and_score,
                          refit_coefficients, simulate_measurements)

@@ -3,7 +3,8 @@
 All positions and region sizes are expressed in wavelength units, so the
 carrier wavelength never appears in a phase formula: a path with arrival
 direction d contributes ``coeff * exp(+1j * 2*pi * <d, r>)`` at position
-``r``.  The ``+j`` sign convention applies identically on the Tx side.
+``r``.  The ``+j`` sign convention applies identically on the Tx side and
+is written in one place, :func:`field_response`.
 """
 
 from __future__ import annotations
@@ -22,6 +23,7 @@ __all__ = [
     "grid_count",
     "direction_from_angles",
     "angles_from_direction",
+    "field_response",
     "channel_gain",
     "field_on_grid",
     "sample_stochastic_channel",
@@ -174,6 +176,16 @@ class Region:
         return pos
 
 
+def field_response(positions, directions) -> np.ndarray:
+    """Field response ``exp(j 2 pi <d_l, r>)`` of every direction at every position.
+
+    ``positions`` (..., 3) in wavelengths and ``directions`` (L, 3) give an
+    array of shape (..., L).
+    """
+    phases = np.asarray(positions, dtype=float) @ np.asarray(directions, dtype=float).T
+    return np.exp(2j * np.pi * phases)
+
+
 def channel_gain(spec: ChannelSpec, r) -> complex | np.ndarray:
     """Complex channel response ``h(r) = sum_l c_l exp(j 2 pi <d_l, r>)``.
 
@@ -192,8 +204,7 @@ def channel_gain(spec: ChannelSpec, r) -> complex | np.ndarray:
         raise ValueError("positions must have a trailing dimension of 3")
     if not np.isfinite(r).all():
         raise ValueError("positions must be finite")
-    phases = r @ spec.rx_directions.T
-    values = np.exp(2j * np.pi * phases) @ spec.coefficients
+    values = field_response(r, spec.rx_directions) @ spec.coefficients
     if r.ndim == 1:
         return complex(values)
     return values
@@ -215,10 +226,10 @@ def field_on_grid(spec: ChannelSpec, region: Region, step: float):
     fixed = region.origin.copy()
     for a in axes:
         fixed[a] = 0.0
-    base = spec.coefficients * np.exp(2j * np.pi * (dirs @ fixed))
+    base = spec.coefficients * field_response(fixed, dirs)
     if len(axes) == 0:
         return np.asarray(complex(base.sum())), coords
-    factors = [np.exp(2j * np.pi * np.outer(c, dirs[:, a])) for c, a in zip(coords, axes)]
+    factors = [field_response(c[:, None], dirs[:, [a]]) for c, a in zip(coords, axes)]
     if len(axes) == 1:
         return factors[0] @ base, coords
     if len(axes) == 2:

@@ -4,6 +4,7 @@ The channel response sampled at chosen MA positions is a linear combination
 of angle-domain atoms exp(j*2*pi*<dir_g, r_k>), so path angles and
 coefficients can be recovered by sparse regression (orthogonal matching
 pursuit here) with a measurement matrix set by the visited positions.  A
+dictionary is a (G, 3) array of candidate arrival directions.  A
 separate least-squares refit supports the two-time-scale strategy where
 angles are reused and only coefficients are re-estimated.
 """
@@ -15,13 +16,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .channel import ChannelSpec, Region, channel_gain, field_on_grid
+from .channel import ChannelSpec, Region, channel_gain, field_on_grid, field_response
 
 __all__ = [
     "MeasurementSet",
-    "AngleDictionary",
     "cosine_grid_dictionary",
-    "measurement_matrix",
     "FriEstimate",
     "plan_measurement_positions",
     "simulate_measurements",
@@ -57,28 +56,20 @@ class MeasurementSet:
         return self.positions.shape[0]
 
 
-@dataclass(eq=False)
-class AngleDictionary:
-    """Candidate arrival directions for sparse recovery."""
-
-    directions: np.ndarray
-
-    def __post_init__(self):
-        d = np.asarray(self.directions, dtype=float)
-        if d.ndim != 2 or d.shape[1] != 3 or d.shape[0] < 1:
-            raise ValueError("directions must have shape (G, 3) with G >= 1")
-        self.directions = d
-
-    @property
-    def size(self) -> int:
-        return self.directions.shape[0]
+def _directions(directions) -> np.ndarray:
+    """``directions`` as a float (G, 3) array with G >= 1."""
+    d = np.asarray(directions, dtype=float)
+    if d.ndim != 2 or d.shape[1] != 3 or d.shape[0] < 1:
+        raise ValueError(f"directions must have shape (G, 3) with G >= 1, got {d.shape}")
+    return d
 
 
-def cosine_grid_dictionary(grid_size: int = 64) -> AngleDictionary:
+def cosine_grid_dictionary(grid_size: int = 64) -> np.ndarray:
     """Upper-hemisphere dictionary on a grid over the 2D cosine disk.
 
     ``grid_size`` points per cosine axis; points outside the unit disk are
-    dropped, the rest lifted to unit vectors (u, v, sqrt(1-u^2-v^2)).
+    dropped, the rest lifted to unit vectors (u, v, sqrt(1-u^2-v^2)) and
+    returned as a (G, 3) array.
     """
     if grid_size < 2:
         raise ValueError("grid_size must be at least 2")
@@ -88,13 +79,7 @@ def cosine_grid_dictionary(grid_size: int = 64) -> AngleDictionary:
     keep = uu ** 2 + vv ** 2 <= 1.0 + 1e-12
     uu, vv = uu[keep], vv[keep]
     ww = np.sqrt(np.maximum(0.0, 1.0 - uu ** 2 - vv ** 2))
-    return AngleDictionary(np.column_stack([uu, vv, ww]))
-
-
-def measurement_matrix(dictionary: AngleDictionary, positions) -> np.ndarray:
-    """(K, G) matrix of atoms exp(j*2*pi*<dir_g, r_k>)."""
-    p = np.asarray(positions, dtype=float)
-    return np.exp(2j * np.pi * (p @ dictionary.directions.T))
+    return _directions(np.column_stack([uu, vv, ww]))
 
 
 def mutual_coherence(matrix: np.ndarray) -> float:
@@ -181,22 +166,21 @@ def simulate_measurements(spec: ChannelSpec, positions, noise_var: float, seed=0
     return MeasurementSet(positions=p, samples=clean, noise_var=noise_var)
 
 
-def omp_estimate(measurements: MeasurementSet, dictionary: AngleDictionary,
-                 max_paths: int, eps_residual: float = 1e-12) -> FriEstimate:
-    """Orthogonal matching pursuit over the angle dictionary.
+def omp_estimate(measurements: MeasurementSet, dictionary, max_paths: int,
+                 eps_residual: float = 1e-12) -> FriEstimate:
+    """Orthogonal matching pursuit over a (G, 3) dictionary of directions.
 
     Greedily selects the atom most correlated with the residual and
     least-squares refits the coefficients on the selected support each
     iteration; stops after ``max_paths`` atoms or when the residual norm
-    drops below ``eps_residual``.
+    drops below ``eps_residual``.  Each atom is selected at most once.
     """
-    if dictionary.size < 1:
-        raise ValueError("dictionary is empty")
-    if max_paths < 1:
-        raise ValueError("max_paths must be at least 1")
+    dictionary = _directions(dictionary)
+    if not 1 <= max_paths <= len(dictionary):
+        raise ValueError(f"max_paths must lie in [1, {len(dictionary)}] (the atom count), got {max_paths}")
     if measurements.count < max_paths:
         raise ValueError("need at least as many measurements as paths sought")
-    a = measurement_matrix(dictionary, measurements.positions)
+    a = field_response(measurements.positions, dictionary)
     y = measurements.samples
     support: list[int] = []
     coeffs = np.zeros(0, dtype=complex)
@@ -212,7 +196,7 @@ def omp_estimate(measurements: MeasurementSet, dictionary: AngleDictionary,
         residual = y - sub @ coeffs
     return FriEstimate(
         indices=tuple(support),
-        directions=dictionary.directions[support].copy(),
+        directions=dictionary[support],
         coefficients=np.asarray(coeffs, dtype=complex),
         residual_norm=float(np.linalg.norm(residual)),
     )
@@ -226,12 +210,10 @@ def refit_coefficients(measurements: MeasurementSet, directions) -> np.ndarray:
     to the span of the atoms; a rank-deficient atom matrix is rejected with
     a conditioning diagnostic.
     """
-    d = np.asarray(directions, dtype=float)
-    if d.ndim != 2 or d.shape[1] != 3 or d.shape[0] < 1:
-        raise ValueError("directions must have shape (k, 3)")
+    d = _directions(directions)
     if measurements.count < d.shape[0]:
         raise ValueError("need at least as many measurements as directions")
-    a = measurement_matrix(AngleDictionary(d), measurements.positions)
+    a = field_response(measurements.positions, d)
     coeffs, _, rank, _ = np.linalg.lstsq(a, measurements.samples, rcond=None)
     if rank < d.shape[0]:
         raise ValueError(

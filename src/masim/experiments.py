@@ -74,8 +74,13 @@ _is_num = lambda v: isinstance(v, (int, float)) and not isinstance(v, bool) and 
 _is_int = lambda v: isinstance(v, int) and not isinstance(v, bool)
 _int = lambda lo: _check(f"an integer >= {lo}", lambda v: _is_int(v) and v >= lo)
 _num = lambda what, ok: _check(what, lambda v: _is_num(v) and ok(v), float)
+# Summary keys format list entries as f"{x:g}" (floats) or str(x) (integers),
+# so entries that repeat under that formatting would overwrite each other.
+_key = lambda x: f"{x:g}" if isinstance(x, float) else str(x)
 _list = lambda what, ok, cast=int: _check(
-    f"a nonempty list of {what}", lambda v: isinstance(v, list) and v != [] and all(ok(x) for x in v),
+    f"a nonempty list of distinct {what}",
+    lambda v: isinstance(v, list) and v != [] and all(ok(x) for x in v)
+    and len({_key(cast(x)) for x in v}) == len(v),
     lambda v: [cast(x) for x in v])
 _one_of = lambda *options: _check(f"one of {options}", lambda v: isinstance(v, str) and v in options)
 _POSITIVE = _num("a positive number", lambda x: x > 0)
@@ -202,7 +207,7 @@ _RULES = [
     # A dict_grid whose points all fall outside the cosine disk raises: 0 atoms.
     (("estimate",), "dict_grid", "must give a dictionary of at least num_paths and max_paths atoms",
      lambda c: max(c["num_paths"], c["max_paths"]) <= getattr(
-         _attempt(estimation.cosine_grid_dictionary, c["dict_grid"]), "size", 0)),
+         _attempt(estimation.cosine_grid_dictionary, c["dict_grid"]), "shape", (0,))[0]),
 ]
 
 
@@ -324,10 +329,10 @@ def _run_estimate(cfg, outdir):
     region = Region.square(cfg["region_size"])
     dictionary = estimation.cosine_grid_dictionary(cfg["dict_grid"])
     rng = np.random.default_rng((seed, 0))
-    indices = rng.choice(dictionary.size, num_paths, replace=False)
+    indices = rng.choice(len(dictionary), num_paths, replace=False)
     scale = math.sqrt(1.0 / (2.0 * num_paths))
     coeff = scale * (rng.standard_normal(num_paths) + 1j * rng.standard_normal(num_paths))
-    truth = ChannelSpec(dictionary.directions[indices], coeff)
+    truth = ChannelSpec(dictionary[indices], coeff)
 
     positions = estimation.plan_measurement_positions(
         region, cfg["num_measurements"], cfg["strategy"], seed=(seed, 1))

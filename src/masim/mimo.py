@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .channel import MIN_SPACING, ChannelSpec, Region
+from .channel import MIN_SPACING, ChannelSpec, Region, field_response
 from .util import write_csv_atomic
 
 __all__ = [
@@ -31,13 +31,22 @@ __all__ = [
 _SPACING_SLACK = 1e-9
 
 
-def _pairwise_ok(positions: np.ndarray) -> bool:
-    m = positions.shape[0]
-    for i in range(m - 1):
-        d = np.linalg.norm(positions[i + 1:] - positions[i], axis=1)
-        if d.min() < MIN_SPACING - _SPACING_SLACK:
-            return False
-    return True
+def _spaced(points: np.ndarray, others: np.ndarray) -> np.ndarray:
+    """Per point of ``points`` (P, 3), whether it lies at least MIN_SPACING from all ``others``."""
+    gaps = np.linalg.norm(points[:, None, :] - others[None, :, :], axis=2)
+    return gaps.min(axis=1, initial=np.inf) >= MIN_SPACING - _SPACING_SLACK
+
+
+def _antenna_positions(positions, side: str) -> np.ndarray:
+    """``positions`` as a float (K, 3) array of finite points pairwise MIN_SPACING apart."""
+    p = np.array(positions, dtype=float)
+    if p.ndim != 2 or p.shape[1] != 3 or p.shape[0] < 1:
+        raise ValueError(f"{side} positions must have shape (K, 3) with K >= 1, got {p.shape}")
+    if not np.isfinite(p).all():
+        raise ValueError(f"{side} positions must be finite")
+    if not all(_spaced(p[k:k + 1], p[:k])[0] for k in range(1, len(p))):
+        raise ValueError(f"{side} antenna positions must be at least {MIN_SPACING} wavelengths apart")
+    return p
 
 
 @dataclass(eq=False)
@@ -48,14 +57,7 @@ class RxPlacement:
     region: Region | None = None
 
     def __post_init__(self):
-        p = np.array(self.positions, dtype=float)
-        if p.ndim != 2 or p.shape[1] != 3 or p.shape[0] < 1:
-            raise ValueError("positions must have shape (M, 3)")
-        if not np.isfinite(p).all():
-            raise ValueError("positions must be finite")
-        if p.shape[0] > 1 and not _pairwise_ok(p):
-            raise ValueError(
-                f"antenna positions must be at least {MIN_SPACING} wavelengths apart")
+        p = _antenna_positions(self.positions, "rx")
         if self.region is not None and not all(self.region.contains(r) for r in p):
             raise ValueError("all positions must lie inside the region")
         p.flags.writeable = False
@@ -75,21 +77,20 @@ def tx_ula(num_elements: int, spacing: float = 0.5) -> np.ndarray:
     return t
 
 
+def _channel_rows(spec: ChannelSpec, t: np.ndarray, r: np.ndarray) -> np.ndarray:
+    """Channel-matrix rows (M, N) of the Rx positions ``r`` (M, 3) for the Tx positions ``t`` (N, 3)."""
+    rx_side = field_response(r, spec.rx_directions) * spec.coefficients
+    return rx_side @ field_response(t, spec.tx_directions).T
+
+
 def build_channel_matrix(spec: ChannelSpec, tx_positions, rx) -> np.ndarray:
     """M x N channel matrix for the given Tx/Rx antenna positions."""
     if not spec.has_tx:
         raise ValueError("every path needs a departure direction for MIMO channels")
-    t = np.asarray(tx_positions, dtype=float)
-    if t.ndim != 2 or t.shape[1] != 3:
-        raise ValueError("tx_positions must have shape (N, 3)")
-    if t.shape[0] > 1 and not _pairwise_ok(t):
-        raise ValueError(
-            f"tx positions must be at least {MIN_SPACING} wavelengths apart")
+    t = _antenna_positions(tx_positions, "tx")
     if not isinstance(rx, RxPlacement):
         rx = RxPlacement(rx)
-    b = np.exp(2j * np.pi * (rx.positions @ spec.rx_directions.T))  # (M, L)
-    a = np.exp(2j * np.pi * (t @ spec.tx_directions.T))             # (N, L)
-    return (b * spec.coefficients) @ a.T
+    return _channel_rows(spec, t, rx.positions)
 
 
 def _capacity_batch(h_batch: np.ndarray, rho: float, num_tx: int) -> np.ndarray:
@@ -107,12 +108,14 @@ def capacity_identity_cov(h_matrix, rho: float, num_tx: int | None = None) -> fl
     total transmit SNR and ``N`` the number of transmit antennas (defaults
     to the column count of H).
     """
-    if rho < 0:
-        raise ValueError("rho must be nonnegative")
+    if not rho >= 0:
+        raise ValueError(f"rho must be nonnegative, got {rho}")
     h = np.asarray(h_matrix, dtype=complex)
     if h.ndim != 2:
         raise ValueError("H must be a matrix")
     n = h.shape[1] if num_tx is None else int(num_tx)
+    if n < 1:
+        raise ValueError(f"num_tx must be at least 1, got {n}")
     return float(_capacity_batch(h, rho, n))
 
 
@@ -211,16 +214,13 @@ def sequential_position_search(spec: ChannelSpec, region: Region, num_rx: int,
 
     coords = region.grid_coords(step)
     candidates = region.grid_position(coords, np.arange(math.prod(c.size for c in coords)))
-    b_cand = np.exp(2j * np.pi * (candidates @ spec.rx_directions.T))
-    rows_cand = (b_cand * spec.coefficients) @ np.exp(2j * np.pi * (t @ spec.tx_directions.T)).T
+    rows_cand = _channel_rows(spec, t, candidates)
 
     pass_capacities = []
     for _ in range(max_passes):
         before = capacity
         for m in range(num_rx):
-            others = np.delete(positions, m, axis=0)
-            dists = np.linalg.norm(candidates[:, None, :] - others[None, :, :], axis=2)
-            ok = dists.min(axis=1, initial=np.inf) >= MIN_SPACING - _SPACING_SLACK
+            ok = _spaced(candidates, np.delete(positions, m, axis=0))
             if not ok.any():
                 continue
             h_batch = np.broadcast_to(h, (int(ok.sum()),) + h.shape).copy()

@@ -13,7 +13,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .channel import ChannelSpec, Region, channel_gain, field_on_grid, sample_stochastic_channel
+from .channel import (ChannelSpec, Region, channel_gain, field_on_grid, field_response,
+                      sample_stochastic_channel)
 from .util import write_csv_atomic
 
 __all__ = [
@@ -132,14 +133,13 @@ def max_sinr_position(scenario: InterferenceScenario, region: Region,
 def snr_gradient(spec: ChannelSpec, r, axes=(0, 1)) -> np.ndarray:
     """Analytic in-plane gradient of the power gain ``|h(r)|^2``.
 
-    grad |h|^2 = 2 Re[ conj(h) * sum_l c_l * j*2*pi*d_l * exp(j*2*pi*<d_l, r>) ],
+    grad |h|^2 = 2 Re[ conj(h) * sum_l c_l * j*2*pi*d_l * exp(j*2*pi*<d_l, r>) ]
+               = -4 pi Im[ conj(h) * sum_l c_l * d_l * exp(j*2*pi*<d_l, r>) ],
     restricted to the given axes.
     """
-    r = np.asarray(r, dtype=float)
     dirs = spec.rx_directions
-    terms = spec.coefficients * np.exp(2j * np.pi * (dirs @ r))
-    h = terms.sum()
-    full = 2.0 * np.real(np.conj(h) * (2j * np.pi) * (dirs.T @ terms))
+    terms = spec.coefficients * field_response(r, dirs)
+    full = -4.0 * np.pi * np.imag(np.conj(terms.sum()) * (dirs.T @ terms))
     return full[list(axes)]
 
 

@@ -13,10 +13,9 @@ import pytest
 
 from masim.beams import (array_gain, null_steer_weights, steering_vector,
                          two_beam_weights_fpa, uniform_layout)
-from masim.channel import (ChannelSpec, Region, channel_gain,
-                           direction_from_angles, sample_stochastic_channel)
-from masim.estimation import (AngleDictionary, cosine_grid_dictionary,
-                              measurement_matrix, omp_estimate,
+from masim.channel import (ChannelSpec, Region, channel_gain, direction_from_angles,
+                           field_response, sample_stochastic_channel)
+from masim.estimation import (cosine_grid_dictionary, omp_estimate,
                               plan_measurement_positions, reconstruct_and_score,
                               refit_coefficients, simulate_measurements)
 from masim.experiments import load_config, run_experiment
@@ -236,10 +235,10 @@ def test_criterion_09_estimation():
     details = []
     for num_paths, (spec_seed, pos_seed) in OMP_FIXTURES.items():
         rng = np.random.default_rng(spec_seed)
-        idx = rng.choice(dictionary.size, num_paths, replace=False)
+        idx = rng.choice(len(dictionary), num_paths, replace=False)
         coeff = (rng.standard_normal(num_paths) + 1j * rng.standard_normal(num_paths))
         coeff /= math.sqrt(2.0 * num_paths)
-        truth = ChannelSpec(dictionary.directions[idx], coeff)
+        truth = ChannelSpec(dictionary[idx], coeff)
         for size in (2.0, 8.0):
             region = Region.square(size)
             positions = plan_measurement_positions(region, 2 * num_paths,
@@ -256,7 +255,7 @@ def test_criterion_09_estimation():
     positions = plan_measurement_positions(region, 24, "uniform-random", seed=78)
     meas = simulate_measurements(truth, positions, 0.05, seed=79)
     coeffs = refit_coefficients(meas, truth.rx_directions)
-    atoms = measurement_matrix(AngleDictionary(truth.rx_directions), positions)
+    atoms = field_response(positions, truth.rx_directions)
     residual = meas.samples - atoms @ coeffs
     orth = float(np.abs(np.conj(atoms.T) @ residual).max())
     ok &= orth < 1e-9

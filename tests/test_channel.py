@@ -1,3 +1,4 @@
+import cmath
 import json
 import math
 
@@ -7,7 +8,7 @@ import pytest
 from masim.channel import (ChannelSpec, Region, angles_from_direction,
                            channel_gain, channel_spec_from_json,
                            channel_spec_from_records, channel_spec_to_json,
-                           direction_from_angles, field_on_grid,
+                           direction_from_angles, field_on_grid, field_response,
                            sample_stochastic_channel)
 
 
@@ -220,14 +221,28 @@ def test_translation_covariance():
     np.testing.assert_allclose(h_shifted, h_rotated, atol=1e-12)
 
 
-def test_field_on_grid_matches_pointwise():
+@pytest.mark.parametrize("extents", [[0.0, 0.0, 0.0], [0.0, 1.5, 0.0], [2.0, 1.5, 0.0], [2.0, 1.5, 0.9]],
+                         ids=["0-axes", "1-axis", "2-axes", "3-axes"])
+def test_field_on_grid_matches_pointwise(extents):
     spec = sample_stochastic_channel(6, 31)
-    region = Region(origin=[-1.0, 0.5, 0.25], extents=[2.0, 1.5, 0.0])
+    region = Region(origin=[-1.0, 0.5, 0.25], extents=extents)
     values, coords = field_on_grid(spec, region, 0.3)
-    for i in (0, 3, values.shape[0] - 1):
-        for j in (0, 2, values.shape[1] - 1):
-            r = np.array([coords[0][i], coords[1][j], 0.25])
-            assert abs(values[i, j] - channel_gain(spec, r)) < 1e-12
+    assert values.shape == tuple(len(c) for c in coords)
+    for index in np.ndindex(values.shape):
+        r = region.origin.copy()
+        for axis, c, i in zip(region.free_axes, coords, index):
+            r[axis] = c[i]
+        assert abs(values[index] - channel_gain(spec, r)) < 1e-12
+
+
+def test_field_response_matches_explicit_loop():
+    rng = np.random.default_rng(32)
+    positions = rng.uniform(-3.0, 3.0, (5, 3))
+    directions = sample_stochastic_channel(4, 33).rx_directions
+    expected = [[cmath.exp(2j * math.pi * sum(p * d for p, d in zip(r, dl))) for dl in directions]
+                for r in positions]
+    np.testing.assert_allclose(field_response(positions, directions), expected, rtol=0, atol=1e-12)
+    assert field_response(positions[0], directions).shape == (4,)
 
 
 def test_region_validation_and_reference_default():

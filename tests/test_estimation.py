@@ -1,9 +1,8 @@
 import numpy as np
 import pytest
 
-from masim.channel import ChannelSpec, Region, channel_gain
-from masim.estimation import (AngleDictionary, cosine_grid_dictionary,
-                              measurement_matrix, mutual_coherence, omp_estimate,
+from masim.channel import ChannelSpec, Region, channel_gain, field_response
+from masim.estimation import (cosine_grid_dictionary, mutual_coherence, omp_estimate,
                               plan_measurement_positions, reconstruct_and_score,
                               refit_coefficients, simulate_measurements)
 
@@ -14,10 +13,10 @@ OMP_EXAMPLE_SEEDS = {"L1_K8": (50_000, 60_000), "L2_K16": (30_000, 40_000)}
 
 def on_grid_truth(dictionary, num_paths, seed):
     rng = np.random.default_rng(seed)
-    idx = list(map(int, rng.choice(dictionary.size, num_paths, replace=False)))
+    idx = list(map(int, rng.choice(len(dictionary), num_paths, replace=False)))
     coeff = (rng.standard_normal(num_paths) + 1j * rng.standard_normal(num_paths))
     coeff /= np.sqrt(2.0 * num_paths)
-    spec = ChannelSpec(dictionary.directions[idx], coeff)
+    spec = ChannelSpec(dictionary[idx], coeff)
     return spec, idx, coeff
 
 
@@ -56,8 +55,8 @@ def test_random_positions_beat_grid_coherence():
     region = Region.square(4.0)
     random_pos = plan_measurement_positions(region, 32, "uniform-random", seed=11)
     grid_pos = plan_measurement_positions(region, 32, "grid")
-    c_random = mutual_coherence(measurement_matrix(dictionary, random_pos))
-    c_grid = mutual_coherence(measurement_matrix(dictionary, grid_pos))
+    c_random = mutual_coherence(field_response(random_pos, dictionary))
+    c_grid = mutual_coherence(field_response(grid_pos, dictionary))
     assert c_random < c_grid
 
 
@@ -93,7 +92,7 @@ def test_omp_single_path_matched_filter_first_pick():
     pos = plan_measurement_positions(region, 8, "uniform-random", seed=pos_seed)
     meas = simulate_measurements(truth, pos, 0.0)
     # Independent oracle: the matched-filter argmax over all atoms.
-    a = measurement_matrix(dictionary, pos)
+    a = field_response(pos, dictionary)
     oracle = int(np.argmax(np.abs(np.conj(a.T) @ meas.samples)))
     est = omp_estimate(meas, dictionary, 1)
     assert est.indices == (oracle,) == (idx[0],)
@@ -110,7 +109,7 @@ def test_omp_two_paths_exact_support_k16():
     est = omp_estimate(meas, dictionary, 2)
     assert sorted(est.indices) == sorted(idx)
     # Oracle: least squares on the known support.
-    a = measurement_matrix(dictionary, pos)[:, idx]
+    a = field_response(pos, dictionary)[:, idx]
     oracle, *_ = np.linalg.lstsq(a, meas.samples, rcond=None)
     order = [est.indices.index(i) for i in idx]
     nmse = np.abs(est.coefficients[order] - oracle).sum() / np.abs(oracle).sum()
@@ -143,7 +142,17 @@ def test_omp_preconditions(two_path):
     with pytest.raises(ValueError):
         omp_estimate(meas, dictionary, 4)
     with pytest.raises(ValueError):
-        AngleDictionary(np.zeros((0, 3)))
+        omp_estimate(meas, np.zeros((0, 3)), 1)
+
+
+def test_omp_rejects_more_paths_than_atoms(two_path):
+    # With every atom taken, the next argmax would pick atom 0 a second time.
+    dictionary = cosine_grid_dictionary(16)[:3]
+    pos = plan_measurement_positions(Region.square(2.0), 6, "uniform-random", seed=4)
+    meas = simulate_measurements(two_path, pos, 0.0)
+    assert len(set(omp_estimate(meas, dictionary, 3).indices)) == 3
+    with pytest.raises(ValueError):
+        omp_estimate(meas, dictionary, 5)
 
 
 def test_refit_exact_on_true_directions(two_path):
@@ -167,7 +176,7 @@ def test_refit_residual_orthogonal(four_path):
     pos = plan_measurement_positions(Region.square(4.0), 20, "uniform-random", seed=7)
     meas = simulate_measurements(four_path, pos, 0.05, seed=3)
     coeff = refit_coefficients(meas, four_path.rx_directions)
-    a = measurement_matrix(AngleDictionary(four_path.rx_directions), pos)
+    a = field_response(pos, four_path.rx_directions)
     residual = meas.samples - a @ coeff
     assert np.abs(np.conj(a.T) @ residual).max() < 1e-9
 
@@ -176,7 +185,7 @@ def test_refit_optimality_against_perturbations(four_path):
     pos = plan_measurement_positions(Region.square(4.0), 20, "uniform-random", seed=7)
     meas = simulate_measurements(four_path, pos, 0.05, seed=3)
     coeff = refit_coefficients(meas, four_path.rx_directions)
-    a = measurement_matrix(AngleDictionary(four_path.rx_directions), pos)
+    a = field_response(pos, four_path.rx_directions)
     base = np.linalg.norm(meas.samples - a @ coeff)
     rng = np.random.default_rng(44)
     for _ in range(50):

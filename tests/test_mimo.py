@@ -79,9 +79,9 @@ def test_spacing_violations_rejected():
     with pytest.raises(ValueError):
         RxPlacement(np.array([[0, 0, 0], [0.3, 0, 0]], dtype=float))
     spec = random_mimo_spec(2, 79)
-    bad_tx = np.array([[0, 0, 0], [0.2, 0, 0]], dtype=float)
-    with pytest.raises(ValueError):
-        build_channel_matrix(spec, bad_tx, RxPlacement(np.array([[0.0, 0, 0]])))
+    for bad_tx in ([[0, 0, 0], [0.2, 0, 0]], [[0, 0, 0], [np.nan, 0, 0]], [[0, 0, 0], [np.inf, 0, 0]]):
+        with pytest.raises(ValueError):
+            build_channel_matrix(spec, bad_tx, RxPlacement(np.array([[0.0, 0, 0]])))
     with pytest.raises(ValueError):
         build_channel_matrix(ChannelSpec([direction_from_angles(0.1, 0)], [1.0]),
                              tx_ula(2), RxPlacement(np.array([[0.0, 0, 0]])))
@@ -90,8 +90,9 @@ def test_spacing_violations_rejected():
 def test_capacity_identity_reference_values():
     assert abs(capacity_identity_cov(np.eye(4, dtype=complex), 4.0) - 4.0) < 1e-12
     assert capacity_identity_cov(np.eye(4, dtype=complex), 0.0) == 0.0
-    with pytest.raises(ValueError):
-        capacity_identity_cov(np.eye(4, dtype=complex), -1.0)
+    for rho, num_tx in ((-1.0, None), (np.nan, None), (4.0, 0)):
+        with pytest.raises(ValueError):
+            capacity_identity_cov(np.eye(4, dtype=complex), rho, num_tx)
 
 
 def test_capacity_identity_matches_singular_value_formula():

@@ -1,0 +1,83 @@
+"""Compare the artifacts of every shipped config between the working tree and a git revision.
+
+Usage, from anywhere inside the repository:
+
+    python3 tools/artifact_diff.py <git-rev>
+
+Runs ``masim run`` on each ``configs/*.json`` (``--trials 2`` for the
+``snr``, ``sinr`` and ``mimo`` kinds) twice: once with the working tree's
+sources and configs, once with those of ``<git-rev>``, checked out in a
+temporary ``git worktree``.  Prints ``same`` or ``DIFF`` for every CSV and
+every ``summary.json`` (compared without its ``wall_time_s``) and exits 1
+on any difference, 2 when a run fails.  BLAS runs on one thread on both
+sides.  Needs only the standard library, git and the Python that runs it
+(with numpy).
+"""
+
+from __future__ import annotations
+
+import json
+import os
+import subprocess
+import sys
+import tempfile
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+TRIAL_KINDS = ("snr", "sinr", "mimo")
+ONE_THREAD = {name: "1" for name in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS")}
+
+
+def run_configs(tree: Path, out: Path) -> None:
+    """Run every ``tree/configs/*.json`` with ``tree``'s sources into ``out/<config name>/``."""
+    env = dict(os.environ, PYTHONPATH=str(tree / "src"), **ONE_THREAD)
+    env.pop("MASIM_OUTPUT_DIR", None)
+    for config in sorted((tree / "configs").glob("*.json")):
+        command = [sys.executable, "-m", "masim.cli", "run", "-c", str(config),
+                   "-o", str(out / config.stem)]
+        if json.loads(config.read_text()).get("kind") in TRIAL_KINDS:
+            command += ["--trials", "2"]
+        done = subprocess.run(command, cwd=tree, env=env, capture_output=True, text=True)
+        if done.returncode != 0:
+            print(f"{tree}: {config.name} exited {done.returncode}\n{done.stderr}", file=sys.stderr)
+            sys.exit(2)
+
+
+def comparable(path: Path) -> bytes | str:
+    """The file's bytes, or for ``summary.json`` its canonical JSON without ``wall_time_s``."""
+    if path.name != "summary.json":
+        return path.read_bytes()
+    summary = json.loads(path.read_text())
+    summary.pop("wall_time_s", None)
+    return json.dumps(summary, sort_keys=True)
+
+
+def main(argv: list[str]) -> int:
+    if len(argv) != 1:
+        print(__doc__, file=sys.stderr)
+        return 2
+    with tempfile.TemporaryDirectory(prefix="artifact-diff-") as tmp:
+        tmp = Path(tmp)
+        checkout = tmp / "rev"
+        subprocess.run(["git", "-C", str(ROOT), "worktree", "add", "--quiet", "--detach",
+                        str(checkout), argv[0]], check=True)
+        try:
+            run_configs(ROOT, tmp / "tree")
+            run_configs(checkout, tmp / "base")
+        finally:
+            subprocess.run(["git", "-C", str(ROOT), "worktree", "remove", "--force", str(checkout)],
+                           check=True)
+        files = sorted({p.relative_to(side) for side in (tmp / "tree", tmp / "base")
+                        for p in side.rglob("*") if p.is_file()})
+        differ = 0
+        for rel in files:
+            a, b = tmp / "tree" / rel, tmp / "base" / rel
+            same = a.is_file() and b.is_file() and comparable(a) == comparable(b)
+            differ += not same
+            print(f"{'same' if same else 'DIFF'}  {rel}")
+    print(f"{len(files) - differ} same, {differ} differ (working tree against {argv[0]})")
+    return 1 if differ else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main(sys.argv[1:]))
