@@ -46,8 +46,8 @@ class MeasurementSet:
             raise ValueError("positions must have shape (K, 3) with K >= 1")
         if y.shape != (p.shape[0],):
             raise ValueError("need one complex sample per position")
-        if self.noise_var < 0:
-            raise ValueError("noise variance must be nonnegative")
+        if not (np.isfinite(p).all() and np.isfinite(y).all() and self.noise_var >= 0):
+            raise ValueError(f"positions and samples must be finite and noise_var >= 0, got {self.noise_var}")
         self.positions = p
         self.samples = y
 

@@ -101,6 +101,18 @@ def _capacity_batch(h_batch: np.ndarray, rho: float, num_tx: int) -> np.ndarray:
     return logdet / math.log(2.0)
 
 
+def _row_replacement_capacities(h: np.ndarray, m: int, rows: np.ndarray, a: float) -> np.ndarray:
+    """log2 det(I + a H'^H H') for each H' = ``h`` with row ``m`` replaced by a row r of ``rows``, as
+    det(I + a H_^H H_) (1 + a r Q r^H), H_ = ``h`` without row m, Q = (I + a H_^H H_)^-1 applied through
+    the full SVD of H_.  An inverse or solve would lose the null space once a s^2 swamps 1.
+    """
+    _, s, vh = np.linalg.svd(np.delete(h, m, axis=0))
+    gains = a * s ** 2
+    weights = 1.0 / (1.0 + np.concatenate((gains, np.zeros(len(vh) - s.size))))  # 1 on the null space
+    quad = np.abs(rows @ np.conj(vh.T)) ** 2 @ weights
+    return (np.log1p(gains).sum() + np.log1p(a * quad)) / math.log(2.0)
+
+
 def capacity_identity_cov(h_matrix, rho: float, num_tx: int | None = None) -> float:
     """Capacity with an identity transmit covariance scaled by 1/N.
 
@@ -141,9 +153,9 @@ def capacity_waterfilling(h_matrix, rho_total: float) -> WaterfillingResult:
     Solves max sum log2(1 + p_k s_k^2) subject to sum p_k = rho_total,
     p_k >= 0 by the active-set water-filling rule.
     """
-    if rho_total <= 0:
-        raise ValueError("rho_total must be positive")
     h = np.asarray(h_matrix, dtype=complex)
+    if not (rho_total > 0 and h.ndim == 2 and np.isfinite(h).all()):
+        raise ValueError(f"need rho_total > 0 and a finite matrix H, got {rho_total} and shape {h.shape}")
     s = np.linalg.svd(h, compute_uv=False)
     gains = s ** 2
     active = gains > gains.max() * 1e-15 if gains.size and gains.max() > 0 else np.zeros_like(gains, bool)
@@ -205,39 +217,37 @@ def sequential_position_search(spec: ChannelSpec, region: Region, num_rx: int,
     ``tol_bits`` or ``max_passes`` is reached, so the returned capacity
     never falls below the baseline.
     """
+    if not (math.isfinite(rho) and rho >= 0):
+        raise ValueError(f"rho must be finite and nonnegative, got {rho}")
     t = np.asarray(tx_positions, dtype=float)
     num_tx = t.shape[0]
     positions = _initial_ula_placement(region, num_rx)
     h = build_channel_matrix(spec, t, RxPlacement(positions, region))
-    capacity = float(_capacity_batch(h, rho, num_tx))
-    initial_capacity = capacity
+    capacity = initial_capacity = float(_capacity_batch(h, rho, num_tx))
 
     coords = region.grid_coords(step)
     candidates = region.grid_position(coords, np.arange(math.prod(c.size for c in coords)))
     rows_cand = _channel_rows(spec, t, candidates)
+    near = np.column_stack([~_spaced(candidates, p[None]) for p in positions])  # candidate c too near antenna k
 
     pass_capacities = []
     for _ in range(max_passes):
         before = capacity
         for m in range(num_rx):
-            ok = _spaced(candidates, np.delete(positions, m, axis=0))
-            if not ok.any():
-                continue
-            h_batch = np.broadcast_to(h, (int(ok.sum()),) + h.shape).copy()
-            h_batch[:, m, :] = rows_cand[ok]
-            caps = _capacity_batch(h_batch, rho, num_tx)
+            caps = _row_replacement_capacities(h, m, rows_cand, rho / num_tx)
+            caps[np.delete(near, m, axis=1).any(axis=1)] = -np.inf
             best = int(np.argmax(caps))
             if caps[best] > capacity:
                 capacity = float(caps[best])
-                idx = np.nonzero(ok)[0][best]
-                positions[m] = candidates[idx]
-                h[m, :] = rows_cand[idx]
+                positions[m] = candidates[best]
+                h[m, :] = rows_cand[best]
+                near[:, m] = ~_spaced(candidates, positions[m:m + 1])
         pass_capacities.append(capacity)
         if capacity - before < tol_bits:
             break
     return SequentialSearchResult(
         placement=RxPlacement(positions, region),
-        capacity=capacity,
+        capacity=float(_capacity_batch(h, rho, num_tx)),
         initial_capacity=initial_capacity,
         pass_capacities=pass_capacities,
     )

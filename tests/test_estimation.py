@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from masim.channel import ChannelSpec, Region, channel_gain, field_response
-from masim.estimation import (cosine_grid_dictionary, mutual_coherence, omp_estimate,
+from masim.estimation import (MeasurementSet, cosine_grid_dictionary, mutual_coherence, omp_estimate,
                               plan_measurement_positions, reconstruct_and_score,
                               refit_coefficients, simulate_measurements)
 
@@ -143,6 +143,16 @@ def test_omp_preconditions(two_path):
         omp_estimate(meas, dictionary, 4)
     with pytest.raises(ValueError):
         omp_estimate(meas, np.zeros((0, 3)), 1)
+
+
+def test_measurement_set_rejects_non_finite_inputs():
+    positions, samples = np.zeros((2, 3)), np.ones(2, dtype=complex)
+    bad_positions, bad_samples = positions.copy(), samples.copy()
+    bad_positions[1, 0], bad_samples[0] = np.nan, np.inf
+    for p, y, noise_var in ((bad_positions, samples, 0.0), (positions, bad_samples, 0.0),
+                            (positions, samples, np.nan), (positions, samples, -1.0)):
+        with pytest.raises(ValueError):
+            MeasurementSet(p, y, noise_var)
 
 
 def test_omp_rejects_more_paths_than_atoms(two_path):

@@ -3,9 +3,10 @@ import math
 import numpy as np
 import pytest
 
-from masim.channel import (ChannelSpec, Region, channel_gain,
+from masim.channel import (MIN_SPACING, ChannelSpec, Region, channel_gain,
                            direction_from_angles, sample_stochastic_channel)
-from masim.mimo import (RxPlacement, build_channel_matrix, capacity_identity_cov,
+from masim.mimo import (RxPlacement, _capacity_batch, _channel_rows, _initial_ula_placement,
+                        _row_replacement_capacities, build_channel_matrix, capacity_identity_cov,
                         capacity_waterfilling, sequential_position_search, tx_ula)
 
 
@@ -208,3 +209,108 @@ def test_ma_beats_fpa_more_with_richer_multipath():
         assert min(g) >= 0.0
         gains[num_paths] = float(np.mean(g))
     assert gains[15] > gains[5]
+
+
+def reference_greedy_search(spec, region, num_rx, tx, rho, step, tol_bits=1e-6, max_passes=10):
+    """The greedy loop as it was before rank-one scoring: every antenna step copies the
+    (C, M, N) candidate batch and runs one M x M slogdet per candidate still far enough
+    from the other antennas.  Returns the placement, the final and per-pass capacities and
+    the number of steps in which every candidate was too near another antenna."""
+    num_tx = len(tx)
+    positions = _initial_ula_placement(region, num_rx)
+    h = build_channel_matrix(spec, tx, RxPlacement(positions, region))
+    capacity = float(_capacity_batch(h, rho, num_tx))
+    coords = region.grid_coords(step)
+    candidates = region.grid_position(coords, np.arange(math.prod(c.size for c in coords)))
+    rows_cand = _channel_rows(spec, tx, candidates)
+    pass_capacities, fully_blocked = [], 0
+    for _ in range(max_passes):
+        before = capacity
+        for m in range(num_rx):
+            others = np.delete(positions, m, axis=0)
+            gaps = np.linalg.norm(candidates[:, None, :] - others[None, :, :], axis=2)
+            ok = gaps.min(axis=1, initial=np.inf) >= MIN_SPACING - 1e-9
+            if not ok.any():
+                fully_blocked += 1
+                continue
+            h_batch = np.broadcast_to(h, (int(ok.sum()),) + h.shape).copy()
+            h_batch[:, m, :] = rows_cand[ok]
+            caps = _capacity_batch(h_batch, rho, num_tx)
+            best = int(np.argmax(caps))
+            if caps[best] > capacity:
+                capacity = float(caps[best])
+                idx = np.nonzero(ok)[0][best]
+                positions[m] = candidates[idx]
+                h[m, :] = rows_cand[idx]
+        pass_capacities.append(capacity)
+        if capacity - before < tol_bits:
+            break
+    return positions, capacity, pass_capacities, fully_blocked
+
+
+@pytest.mark.parametrize("num_tx", (1, 4))
+@pytest.mark.parametrize("num_rx", (1, 2, 4, 6))
+def test_row_replacement_capacities_match_log_det(num_rx, num_tx):
+    rng = np.random.default_rng((34, num_rx, num_tx))
+    for snr_db in (-10.0, 20.0, 100.0, 300.0, 1000.0):
+        rho = 10.0 ** (snr_db / 10.0)
+        for _ in range(4):
+            h = rng.standard_normal((num_rx, num_tx)) + 1j * rng.standard_normal((num_rx, num_tx))
+            rows = rng.standard_normal((40, num_tx)) + 1j * rng.standard_normal((40, num_tx))
+            m = int(rng.integers(num_rx))
+            batch = np.broadcast_to(h, (40,) + h.shape).copy()
+            batch[:, m, :] = rows
+            # det(I_M + a H H^H) = det(I_N + a H^H H); the slogdet of the M x M gram is accurate
+            # only while M <= N, since for M > N the rank-N gram loses its identity part at
+            # high SNR, so the oracle takes the gram on the smaller side.
+            if num_rx > num_tx:
+                batch = np.conj(np.swapaxes(batch, 1, 2))
+            oracle = _capacity_batch(batch, rho, num_tx)
+            scores = _row_replacement_capacities(h, m, rows, rho / num_tx)
+            np.testing.assert_allclose(scores, oracle, rtol=1e-10, atol=0.0)
+            assert int(np.argmax(scores)) == int(np.argmax(oracle))
+
+
+@pytest.mark.parametrize("case", [
+    # (num paths, region, num_rx, num_tx, rho, step, seeds, some step has every candidate blocked)
+    (8, Region.square(3.0), 4, 4, 10.0, 0.2, range(4), False),
+    (15, Region.square(3.0), 4, 4, 0.1, 0.25, range(2), False),
+    (15, Region.square(3.0), 4, 4, 100.0, 0.25, range(2), False),
+    (6, Region.square(1.5), 1, 2, 10.0, 0.1, range(3), False),
+    (10, Region.square(2.0), 3, 2, 10.0, 0.2, range(3), False),
+    (10, Region.square(2.0), 4, 1, 1.0, 0.2, range(2), False),
+    # Line of length 1 with three antennas at -0.5, 0, 0.5 and candidates at -0.5, -0.2, 0.1,
+    # 0.4: every candidate of the middle antenna is too near one of the others.
+    (6, Region([-0.5, 0.0, 0.0], [1.0, 0.0, 0.0]), 3, 2, 10.0, 0.3, range(3), True),
+], ids=["4x4", "4x4-low-snr", "4x4-high-snr", "1-rx", "3x2", "4x1", "all-blocked"])
+def test_sequential_search_matches_slogdet_reference(case):
+    num_paths, region, num_rx, num_tx, rho, step, seeds, blocked = case
+    tx = tx_ula(num_tx)
+    blocked_steps = 0
+    for seed in seeds:
+        spec = random_mimo_spec(num_paths, (94, num_paths, seed))
+        positions, capacity, passes, fully_blocked = reference_greedy_search(
+            spec, region, num_rx, tx, rho, step)
+        result = sequential_position_search(spec, region, num_rx, tx, rho, step=step)
+        np.testing.assert_array_equal(result.placement.positions, positions)
+        assert len(result.pass_capacities) == len(passes)
+        np.testing.assert_allclose(result.pass_capacities, passes, rtol=1e-12, atol=0.0)
+        assert result.capacity == pytest.approx(capacity, rel=1e-12, abs=0.0)
+        blocked_steps += fully_blocked
+    assert (blocked_steps > 0) == blocked
+
+
+def test_sequential_search_rejects_bad_rho():
+    spec = random_mimo_spec(3, 95)
+    for rho in (np.nan, np.inf, -1.0):
+        with pytest.raises(ValueError):
+            sequential_position_search(spec, Region.square(2.0), 2, tx_ula(2), rho=rho)
+
+
+def test_waterfilling_rejects_bad_inputs():
+    h = np.eye(3, dtype=complex)
+    h_nan = h.copy()
+    h_nan[1, 2] = np.nan
+    for matrix, rho in ((h, np.nan), (np.ones(3, dtype=complex), 1.0), (h_nan, 1.0)):
+        with pytest.raises(ValueError):
+            capacity_waterfilling(matrix, rho)
