@@ -169,7 +169,7 @@ class Region:
         An integer index gives a (3,) position, an index array of shape (P,)
         gives (P, 3) positions.
         """
-        index = np.unravel_index(flat_index, tuple(len(c) for c in coords))
+        index = np.unravel_index(flat_index, tuple(len(c) for c in coords)) if coords else ()
         pos = np.tile(self.origin, np.shape(flat_index) + (1,))
         for axis, c, i in zip(self.free_axes, coords, index):
             pos[..., axis] = c[i]
@@ -180,9 +180,10 @@ def field_response(positions, directions) -> np.ndarray:
     """Field response ``exp(j 2 pi <d_l, r>)`` of every direction at every position.
 
     ``positions`` (..., 3) in wavelengths and ``directions`` (L, 3) give an
-    array of shape (..., L).
+    array of shape (..., L); a stack of directions (T, L, 3) broadcasts
+    against the positions' leading axes.
     """
-    phases = np.asarray(positions, dtype=float) @ np.asarray(directions, dtype=float).T
+    phases = np.asarray(positions, dtype=float) @ np.swapaxes(np.asarray(directions, dtype=float), -1, -2)
     return np.exp(2j * np.pi * phases)
 
 
@@ -219,22 +220,27 @@ def field_on_grid(spec: ChannelSpec, region: Region, step: float):
     plane-wave phase across axes, so cost scales with the grid perimeter
     rather than its area.
     """
+    values, coords = _fields_on_grid(spec.rx_directions[None], spec.coefficients[None], region, step)
+    return values[0, ...], coords
+
+
+def _fields_on_grid(directions, coefficients, region: Region, step: float):
+    """:func:`field_on_grid` of T channels stacked as (T, L, 3) directions and (T, L) coefficients,
+    with a leading trial axis; each trial's values equal its own channel's, bit for bit."""
     coords = region.grid_coords(step)
     axes = region.free_axes
-    dirs = spec.rx_directions
     # Phase contribution of the collapsed coordinates is constant per path.
     fixed = region.origin.copy()
-    for a in axes:
-        fixed[a] = 0.0
-    base = spec.coefficients * field_response(fixed, dirs)
+    fixed[list(axes)] = 0.0
+    base = coefficients * field_response(fixed, directions)
     if len(axes) == 0:
-        return np.asarray(complex(base.sum())), coords
-    factors = [field_response(c[:, None], dirs[:, [a]]) for c, a in zip(coords, axes)]
+        return base.sum(axis=-1), coords
+    factors = [field_response(c[:, None], directions[..., [a]]) for c, a in zip(coords, axes)]
     if len(axes) == 1:
-        return factors[0] @ base, coords
+        return (factors[0] @ base[..., None])[..., 0], coords
     if len(axes) == 2:
-        return (factors[0] * base) @ factors[1].T, coords
-    return np.einsum("il,jl,kl->ijk", factors[0] * base, factors[1], factors[2]), coords
+        return (factors[0] * base[:, None]) @ np.swapaxes(factors[1], -1, -2), coords
+    return np.einsum("til,tjl,tkl->tijk", factors[0] * base[:, None], factors[1], factors[2]), coords
 
 
 def _sample_hemisphere(rng: np.random.Generator, count: int) -> np.ndarray:

@@ -152,10 +152,10 @@ _COMMON = {"seed": (_int(0), _REQUIRED),
 
 # (field, points) of every grid a kind builds and of every array a field
 # scales with a grid, checked before anything is allocated: path counts x
-# grid side (the field_on_grid phase factors); mimo candidates x paths, x
-# num_rx x num_tx (candidate channel matrices) and x num_rx^2 (their gram
-# matrices); estimate measurements x dict_grid^2, which bounds the atoms of
-# the measurement matrix; beam scan or pattern points x elements.  _side
+# grid side (the field_on_grid phase factors); mimo candidates x paths (their
+# phases), x num_tx (their channel rows) and x num_rx (the too-near mask);
+# estimate measurements x dict_grid^2, which bounds the atoms of the
+# measurement matrix; beam scan or pattern points x elements.  _side
 # saturates just past the cap, so a huge extent/step ratio stays finite.
 _side = lambda extent, step: grid_count(min(extent, step * MAX_GRID_POINTS), step)
 
@@ -168,7 +168,7 @@ def _square_grid(step_key, side, path_counts):
 def _mimo_grids(c):
     points = _side(c["region_size"], c["step"]) ** 2
     return [("step", points), ("path_counts", points * max(c["path_counts"])),
-            ("num_rx", points * c["num_rx"] ** 2), ("num_tx", points * c["num_rx"] * c["num_tx"])]
+            ("num_rx", points * c["num_rx"]), ("num_tx", points * c["num_tx"])]
 
 
 def _estimate_grids(c):
@@ -267,11 +267,11 @@ def _mean_db_and_halfwidth(values: np.ndarray) -> tuple[float, float | None]:
 def _run_level_sweep(cfg, outdir):
     kind, trials = cfg["kind"], cfg["trials"]
     search = positioning.SearchConfig(coarse_step=cfg["coarse_step"], refine=cfg["refine"])
-    max_trials = positioning.max_snr_trials if kind == "snr" else positioning.max_sinr_trials
     rows, summary = [], {}
     for num_paths in cfg["path_counts"]:
-        for size in cfg["region_sizes"]:
-            values = max_trials(num_paths, size, trials, cfg["seed"], cfg=search)
+        regions = [Region.square(size) for size in cfg["region_sizes"]]
+        sweep = positioning._level_trials(kind, num_paths, regions, trials, cfg["seed"], search)
+        for size, values in zip(cfg["region_sizes"], sweep):
             mean_db, half = _mean_db_and_halfwidth(values)
             rows.append((num_paths, size, trials, mean_db))
             summary[f"L{num_paths}_A{size:g}"] = {"metric_db": mean_db, "halfwidth_db": half}

@@ -94,7 +94,10 @@ def build_channel_matrix(spec: ChannelSpec, tx_positions, rx) -> np.ndarray:
 
 
 def _capacity_batch(h_batch: np.ndarray, rho: float, num_tx: int) -> np.ndarray:
-    """log2 det(I + rho/N * H H^H) for a (..., M, N) batch."""
+    """log2 det(I + rho/N * H H^H) for a (..., M, N) batch, as log2 det(I + rho/N * H^H H) when
+    M > N: at high SNR the M x M gram, of rank N, loses its identity part."""
+    if h_batch.shape[-2] > h_batch.shape[-1]:
+        h_batch = np.conj(np.swapaxes(h_batch, -1, -2))
     m = h_batch.shape[-2]
     gram = np.eye(m) + (rho / num_tx) * (h_batch @ np.conj(np.swapaxes(h_batch, -1, -2)))
     _, logdet = np.linalg.slogdet(gram)

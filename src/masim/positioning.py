@@ -2,18 +2,20 @@
 
 The coarse stage scans the region grid; local refinement is an axis-aligned
 pattern search with halving steps, so returned objectives dominate every
-coarse grid point by construction.  An analytic power gradient and a
-projected gradient-ascent refiner are provided for local optimization
-studies.
+coarse grid point by construction.  Monte Carlo trials run as a batch: one
+draw per trial serves every region size, one kernel computes the coarse
+fields of a block of trials, and the refine moves them in lockstep.  An
+analytic power gradient is provided for local optimization studies.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .channel import (ChannelSpec, Region, channel_gain, field_on_grid, field_response,
+from .channel import (ChannelSpec, Region, _fields_on_grid, field_on_grid, field_response,
                       sample_stochastic_channel)
 from .util import write_csv_atomic
 
@@ -23,7 +25,6 @@ __all__ = [
     "max_snr_position",
     "max_sinr_position",
     "snr_gradient",
-    "gradient_ascent_refine",
     "max_snr_trials",
     "max_sinr_trials",
     "write_sweep_csv",
@@ -35,6 +36,9 @@ __all__ = [
 # _REFINE_ITERS iterations.
 _REFINE_MIN_STEP = 1e-4
 _REFINE_ITERS = 120
+# Trials are processed in blocks whose arrays hold at most this many
+# elements, or one trial's array where that is larger.
+_BLOCK_ELEMENTS = 2 ** 15
 
 
 @dataclass
@@ -72,36 +76,73 @@ class InterferenceScenario:
         return 10.0 ** (self.inr_ref_db / 10.0)
 
 
-def _grid_then_refine(values, coords, region: Region, cfg: SearchConfig, objective):
-    """Best point of the coarse grid, then (with ``cfg.refine``) a compass search from it.
+def _blocks(trials: int, per_trial: int) -> list[slice]:
+    """Consecutive slices of ``range(trials)``, each of at most max(1, _BLOCK_ELEMENTS // per_trial)."""
+    size = max(1, _BLOCK_ELEMENTS // per_trial)
+    return [slice(i, min(i + size, trials)) for i in range(0, trials, size)]
 
-    ``values`` holds the objective on the grid ``coords`` and ``objective``
-    evaluates it on a (B, 3) batch of positions.  The search moves along
-    the region's free axes and halves its step after every failed move, so
-    it is monotone and deterministic.  Returns ``(position, value)``.
+
+# The objectives, as functions of the channels' responses: the SNR of one
+# channel, and the SINR of a signal channel against an interference channel.
+_snr_level = lambda rho: lambda h: rho * np.abs(h) ** 2
+_sinr_level = lambda rho_s, rho_i: lambda hs, hi: rho_s * np.abs(hs) ** 2 / (rho_i * np.abs(hi) ** 2 + 1.0)
+
+
+def _search(channels, level, region: Region, cfg: SearchConfig, coarse):
+    """Best position (T, 3) and value (T,) of ``level`` for each of T trials.
+
+    ``channels`` holds one ``(directions (T, L, 3), coefficients (T, L))``
+    pair per argument of ``level``, which maps those channels' responses to
+    the objective.  ``coarse(block)`` returns the channels' fields on the
+    coarse grid for a slice of trials, each (Tb, *grid).  Each trial starts
+    from its first best grid point; with ``cfg.refine`` a compass search
+    then moves along the free axes and halves that trial's step after every
+    failed move, so it is monotone and deterministic.  All trials take the
+    same iterations in lockstep until their steps run out.
     """
-    x = region.grid_position(coords, int(np.argmax(values)))
+    coords = region.grid_coords(cfg.coarse_step)
+    trials, num_paths = channels[0][1].shape
+    sides = [len(c) for c in coords]
+    start, best = np.empty(trials, dtype=int), np.empty(trials)
+    for blk in _blocks(trials, max([math.prod(sides), num_paths] + [n * num_paths for n in sides])):
+        values = level(*coarse(blk)).reshape(blk.stop - blk.start, -1)
+        start[blk], best[blk] = values.argmax(axis=1), values.max(axis=1)
+    x = region.grid_position(coords, start)
     axes = region.free_axes
     if not (cfg.refine and axes):
-        return x, float(np.max(values))
-    fx = float(objective(x[None, :])[0])
+        return x, best
     lo, hi = region.origin, region.upper
-    step = cfg.coarse_step / 2.0
-    for _ in range(_REFINE_ITERS):
-        if step < _REFINE_MIN_STEP:
-            break
-        cands = np.repeat(x[None, :], 2 * len(axes), axis=0)
-        for k, a in enumerate(axes):
-            cands[2 * k, a] = min(x[a] + step, hi[a])
-            cands[2 * k + 1, a] = max(x[a] - step, lo[a])
-        fc = objective(cands)
-        best = int(np.argmax(fc))
-        if fc[best] > fx:
-            x = cands[best]
-            fx = float(fc[best])
-        else:
-            step /= 2.0
-    return x, fx
+    objective = lambda r, t: level(*[(field_response(r, d[t]) @ c[t, :, None])[..., 0] for d, c in channels])
+    for blk in _blocks(trials, 2 * len(axes) * num_paths):
+        fx = objective(x[blk, None], blk)[:, 0]
+        step = np.full(fx.size, cfg.coarse_step / 2.0)
+        for _ in range(_REFINE_ITERS):
+            act = np.flatnonzero(step >= _REFINE_MIN_STEP)
+            if act.size == 0:
+                break
+            t = blk.start + act
+            cands = np.repeat(x[t, None], 2 * len(axes), axis=1)
+            for k, a in enumerate(axes):
+                cands[:, 2 * k, a] = np.minimum(x[t, a] + step[act], hi[a])
+                cands[:, 2 * k + 1, a] = np.maximum(x[t, a] - step[act], lo[a])
+            fc = objective(cands, t)
+            j = fc.argmax(axis=1)
+            fj = fc[np.arange(act.size), j]
+            up = fj > fx[act]
+            x[t[up]] = cands[up, j[up]]
+            fx[act[up]] = fj[up]
+            step[act[~up]] /= 2.0
+        best[blk] = fx
+    return x, best
+
+
+def _position(specs, level, region: Region, cfg: SearchConfig | None):
+    """:func:`_search` as one trial over the channels ``specs``: ``(position, value)``."""
+    cfg = cfg or SearchConfig()
+    channels = [(s.rx_directions[None], s.coefficients[None]) for s in specs]
+    coarse = lambda blk: [field_on_grid(s, region, cfg.coarse_step)[0][None] for s in specs]
+    x, value = _search(channels, level, region, cfg, coarse)
+    return x[0], float(value[0])
 
 
 def max_snr_position(spec: ChannelSpec, region: Region, cfg: SearchConfig | None = None,
@@ -111,23 +152,14 @@ def max_snr_position(spec: ChannelSpec, region: Region, cfg: SearchConfig | None
     Returns ``(position, snr_linear)``; the value dominates every coarse
     grid point and the position lies inside the region.
     """
-    cfg = cfg or SearchConfig()
-    h, coords = field_on_grid(spec, region, cfg.coarse_step)
-    return _grid_then_refine(rho * np.abs(h) ** 2, coords, region, cfg,
-                             lambda r: rho * np.abs(channel_gain(spec, r)) ** 2)
+    return _position([spec], _snr_level(rho), region, cfg)
 
 
 def max_sinr_position(scenario: InterferenceScenario, region: Region,
                       cfg: SearchConfig | None = None):
     """Position maximizing SINR against the scenario's interference field."""
-    cfg = cfg or SearchConfig()
-    rho_s, rho_i = scenario.rho_signal, scenario.rho_interference
-    sinr = lambda hs, hi: rho_s * np.abs(hs) ** 2 / (rho_i * np.abs(hi) ** 2 + 1.0)
-    hs, coords = field_on_grid(scenario.signal, region, cfg.coarse_step)
-    hi, _ = field_on_grid(scenario.interference, region, cfg.coarse_step)
-    return _grid_then_refine(
-        sinr(hs, hi), coords, region, cfg,
-        lambda r: sinr(channel_gain(scenario.signal, r), channel_gain(scenario.interference, r)))
+    return _position([scenario.signal, scenario.interference],
+                     _sinr_level(scenario.rho_signal, scenario.rho_interference), region, cfg)
 
 
 def snr_gradient(spec: ChannelSpec, r, axes=(0, 1)) -> np.ndarray:
@@ -143,65 +175,29 @@ def snr_gradient(spec: ChannelSpec, r, axes=(0, 1)) -> np.ndarray:
     return full[list(axes)]
 
 
-def gradient_ascent_refine(spec: ChannelSpec, r0, region: Region,
-                           max_iters: int = 200, trace: list | None = None) -> np.ndarray:
-    """Projected gradient ascent on ``|h(r)|^2`` from ``r0``.
+def _level_trials(kind: str, num_paths: int, regions, trials: int, seed: int,
+                  cfg: SearchConfig | None = None, snr_ref_db: float = 20.0,
+                  inr_ref_db: float = 20.0) -> np.ndarray:
+    """Per-trial maximum SNR or SINR (``kind``), linear, over each region: (regions, trials).
 
-    Backtracking step sizes keep the objective nondecreasing; iterates are
-    clipped to the region box.  Returns a position with
-    ``|h(result)|^2 >= |h(r0)|^2``.  When ``trace`` is a list, the objective
-    value of every accepted iterate is appended to it.
-    """
-    axes = list(region.free_axes)
-    x = np.array(r0, dtype=float)
-    if not region.contains(x):
-        raise ValueError("start position must lie inside the region")
-    if trace is not None:
-        trace.append(abs(channel_gain(spec, x)) ** 2)
-    if not axes:
-        return x
-    lo, hi = region.origin, region.upper
-    fx = abs(channel_gain(spec, x)) ** 2
-    scale = 0.02  # initial move length in wavelengths
-    for _ in range(max_iters):
-        g = np.zeros(3)
-        g[axes] = snr_gradient(spec, x, axes=axes)
-        gnorm = float(np.linalg.norm(g))
-        if gnorm < 1e-12:
-            break
-        t = scale / gnorm
-        accepted = False
-        for _ in range(40):
-            cand = np.clip(x + t * g, lo, hi)
-            move = cand - x
-            if np.linalg.norm(move) < 1e-14:
-                break
-            fc = abs(channel_gain(spec, cand)) ** 2
-            if fc >= fx + 1e-4 * float(g @ move):
-                x, fx = cand, fc
-                accepted = True
-                scale = min(2.0 * t * gnorm, 0.05)
-                if trace is not None:
-                    trace.append(fx)
-                break
-            t /= 2.0
-        if not accepted:
-            break
-    return x
-
-
-def _trial_maxima(search, num_paths: int, trials: int, seed: int, streams) -> np.ndarray:
-    """``search(*channels)``'s value for each trial, in trial order.
-
-    Trial ``t`` draws one ``num_paths``-path channel per entry of
-    ``streams``, from the RNG stream ``(seed, t, *entry)``.
+    Trial ``t`` draws its signal channel from the RNG stream ``(seed, t)``
+    and, for SINR, its interference channel from ``(seed, t, 1)``; one draw
+    serves every region.
     """
     if trials < 1:
         raise ValueError("trials must be at least 1")
-    values = np.empty(trials)
-    for t in range(trials):
-        channels = [sample_stochastic_channel(num_paths, (seed, t, *s)) for s in streams]
-        values[t] = search(*channels)[1]
+    cfg = cfg or SearchConfig()
+    rho_s, rho_i = 10.0 ** (snr_ref_db / 10.0), 10.0 ** (inr_ref_db / 10.0)
+    level, streams = (_snr_level(rho_s), [()]) if kind == "snr" else (_sinr_level(rho_s, rho_i), [(), (1,)])
+    values = np.empty((len(regions), trials))
+    for blk in _blocks(trials, 3 * num_paths):
+        draws = [[sample_stochastic_channel(num_paths, (seed, t, *s)) for t in range(blk.start, blk.stop)]
+                 for s in streams]
+        channels = [(np.stack([c.rx_directions for c in d]), np.stack([c.coefficients for c in d]))
+                    for d in draws]
+        for i, region in enumerate(regions):
+            coarse = lambda b: [_fields_on_grid(d[b], c[b], region, cfg.coarse_step)[0] for d, c in channels]
+            values[i, blk] = _search(channels, level, region, cfg, coarse)[1]
     return values
 
 
@@ -211,10 +207,7 @@ def max_snr_trials(num_paths: int, region_size: float, trials: int, seed: int,
 
     Trial ``t`` draws its channel from the RNG stream ``(seed, t)``.
     """
-    region = Region.square(region_size)
-    rho = 10.0 ** (snr_ref_db / 10.0)
-    return _trial_maxima(lambda spec: max_snr_position(spec, region, cfg, rho=rho),
-                         num_paths, trials, seed, [()])
+    return _level_trials("snr", num_paths, [Region.square(region_size)], trials, seed, cfg, snr_ref_db)[0]
 
 
 def max_sinr_trials(num_paths: int, region_size: float, trials: int, seed: int,
@@ -227,10 +220,8 @@ def max_sinr_trials(num_paths: int, region_size: float, trials: int, seed: int,
     realizations; interference uses ``(seed, t, 1)``.  The interference
     channel carries the same number of paths as the signal channel.
     """
-    region = Region.square(region_size)
-    search = lambda signal, interference: max_sinr_position(
-        InterferenceScenario(signal, interference, snr_ref_db, inr_ref_db), region, cfg)
-    return _trial_maxima(search, num_paths, trials, seed, [(), (1,)])
+    return _level_trials("sinr", num_paths, [Region.square(region_size)], trials, seed, cfg,
+                         snr_ref_db, inr_ref_db)[0]
 
 
 def write_sweep_csv(rows, path: str) -> None:

@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from masim.channel import (ChannelSpec, Region, angles_from_direction,
+from masim.channel import (ChannelSpec, Region, _fields_on_grid, angles_from_direction,
                            channel_gain, channel_spec_from_json,
                            channel_spec_from_records, channel_spec_to_json,
                            direction_from_angles, field_on_grid, field_response,
@@ -243,6 +243,32 @@ def test_field_response_matches_explicit_loop():
                 for r in positions]
     np.testing.assert_allclose(field_response(positions, directions), expected, rtol=0, atol=1e-12)
     assert field_response(positions[0], directions).shape == (4,)
+
+
+def test_field_response_broadcasts_over_stacked_directions():
+    rng = np.random.default_rng(34)
+    directions = np.stack([sample_stochastic_channel(3, (35, t)).rx_directions for t in range(4)])
+    positions = rng.uniform(-3.0, 3.0, (4, 5, 3))
+    expected = [[[cmath.exp(2j * math.pi * sum(p * d for p, d in zip(r, dl))) for dl in directions[t]]
+                 for r in positions[t]] for t in range(4)]
+    batched = field_response(positions, directions)
+    np.testing.assert_allclose(batched, expected, rtol=0, atol=1e-12)
+    for t in range(4):  # each trial's block is its own call's, bit for bit
+        assert batched[t].tobytes() == field_response(positions[t], directions[t]).tobytes()
+    assert field_response(positions[0], directions).shape == (4, 5, 3)
+
+
+@pytest.mark.parametrize("extents", [[0.0, 0.0, 0.0], [0.0, 1.5, 0.0], [2.0, 1.5, 0.0], [2.0, 1.5, 0.9]],
+                         ids=["0-axes", "1-axis", "2-axes", "3-axes"])
+def test_stacked_fields_on_grid_match_one_call_per_channel(extents):
+    specs = [sample_stochastic_channel(5, (36, t)) for t in range(3)]
+    region = Region(origin=[-1.0, 0.5, 0.25], extents=extents)
+    stacked, coords = _fields_on_grid(np.stack([s.rx_directions for s in specs]),
+                                      np.stack([s.coefficients for s in specs]), region, 0.3)
+    assert stacked.shape == (3,) + tuple(len(c) for c in coords)
+    for t, spec in enumerate(specs):
+        values, _ = field_on_grid(spec, region, 0.3)
+        assert isinstance(values, np.ndarray) and values.tobytes() == stacked[t].tobytes()
 
 
 def test_region_validation_and_reference_default():

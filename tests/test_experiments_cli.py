@@ -300,15 +300,23 @@ def test_size_cap_boundary():
     assert capped(mimo | {"num_tx": cap // 100 ** 2 + 1}) == ["num_tx"]
     assert capped(mimo | {"path_counts": [cap // 100 ** 2]}) == []
     assert capped(mimo | {"path_counts": [cap // 100 ** 2 + 1]}) == ["path_counts"]
-    # 101^2 candidates: 20 receive antennas fit, 21 overflow the gram matrices.
-    mimo = mimo_config(num_tx=1, region_size=100.0, step=1.0)
-    assert capped(mimo | {"num_rx": 20}) == []
-    assert capped(mimo | {"num_rx": 21}) == ["num_rx"]
+    # 101^2 candidates: the (candidates, num_rx) too-near mask fits 411 antennas, not 412.
+    mimo = mimo_config(num_tx=1, region_size=300.0, step=3.0)
+    assert capped(mimo | {"num_rx": cap // 101 ** 2}) == []
+    assert capped(mimo | {"num_rx": cap // 101 ** 2 + 1}) == ["num_rx"]
     estimate = estimate_config(dict_grid=64)  # 64^2 lattice points bound the atoms
     assert capped(estimate | {"num_measurements": cap // 64 ** 2}) == []
     assert capped(estimate | {"num_measurements": cap // 64 ** 2 + 1}) == ["num_measurements"]
     estimate |= {"region_size": 99.0, "step": 1.0, "num_paths": cap // 100 + 1}
     assert capped(estimate) == ["num_paths", "max_paths"]
+
+
+def test_mimo_cap_counts_what_the_greedy_search_allocates(tmp_path):
+    # 129^2 candidates: the greedy search keeps C rows of num_tx entries, C x L phases and a
+    # C x num_rx mask, so 64 receive antennas fit and 253 transmit antennas overflow the cap.
+    cfg = mimo_config(num_rx=64, region_size=32.0, step=0.25)
+    assert main(["validate", "-c", write_config(tmp_path, cfg, "fits.json")]) == 0
+    assert main(["validate", "-c", write_config(tmp_path, cfg | {"num_tx": 253}, "over.json")]) == 2
 
 
 def test_resolved_config_fills_defaults_and_types():

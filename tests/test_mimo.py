@@ -107,6 +107,18 @@ def test_capacity_identity_matches_singular_value_formula():
         assert abs(c - oracle) < 1e-9
 
 
+def test_capacity_identity_takes_the_smaller_gram_at_high_snr():
+    rng = np.random.default_rng(37)
+    h = rng.standard_normal((2, 1)) + 1j * rng.standard_normal((2, 1))
+    rho = 1e20  # 200 dB
+    oracle = math.log2(1.0 + rho * np.linalg.norm(h) ** 2)
+    assert abs(capacity_identity_cov(h, rho) - oracle) < 1e-9 * oracle
+    h = rng.standard_normal((6, 4)) + 1j * rng.standard_normal((6, 4))
+    rho = 1e30  # 300 dB
+    oracle = np.log2(1.0 + (rho / 4.0) * np.linalg.svd(h, compute_uv=False) ** 2).sum()
+    assert abs(capacity_identity_cov(h, rho) - oracle) < 1e-9 * oracle
+
+
 def test_capacity_unitary_invariance():
     rng = np.random.default_rng(31)
     h = rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4))

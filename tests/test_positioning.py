@@ -2,10 +2,10 @@ import numpy as np
 import pytest
 
 from conftest import brute_force_power_scan
-from masim.channel import (ChannelSpec, Region, channel_gain,
-                           direction_from_angles, sample_stochastic_channel)
-from masim.positioning import (InterferenceScenario, SearchConfig,
-                               gradient_ascent_refine, max_sinr_position,
+from masim import positioning
+from masim.channel import (ChannelSpec, Region, channel_gain, direction_from_angles,
+                           field_on_grid, sample_stochastic_channel)
+from masim.positioning import (InterferenceScenario, SearchConfig, max_sinr_position,
                                max_sinr_trials, max_snr_position, max_snr_trials,
                                snr_gradient)
 
@@ -110,45 +110,6 @@ def test_gradient_vanishes_at_constructive_peak(two_path):
     assert np.linalg.norm(snr_gradient(two_path, peak)) < 1e-6
 
 
-def test_gradient_ascent_fixed_point(two_path, region4):
-    d = two_path.rx_directions[0] - two_path.rx_directions[1]
-    d_in = np.array([d[0], d[1], 0.0])
-    peak = d_in / (d_in @ d_in)
-    out = gradient_ascent_refine(two_path, peak, region4)
-    f0 = abs(channel_gain(two_path, peak)) ** 2
-    f1 = abs(channel_gain(two_path, out)) ** 2
-    assert abs(f1 - f0) < 1e-9
-
-
-def test_gradient_ascent_monotone_trace(two_path, region4):
-    rng = np.random.default_rng(9)
-    for _ in range(10):
-        r0 = np.array([rng.uniform(-2, 2), rng.uniform(-2, 2), 0.0])
-        trace = []
-        out = gradient_ascent_refine(two_path, r0, region4, trace=trace)
-        assert region4.contains(out)
-        assert all(b >= a - 1e-12 for a, b in zip(trace, trace[1:]))
-        assert abs(channel_gain(two_path, out)) ** 2 >= abs(channel_gain(two_path, r0)) ** 2
-
-
-def test_gradient_ascent_converges_near_global_optimum(four_path, region4):
-    power, xs, ys = brute_force_power_scan(four_path, region4, 1.0 / 500.0)
-    i, j = np.unravel_index(int(np.argmax(power)), power.shape)
-    optimum = np.array([xs[i], ys[j], 0.0])
-    rng = np.random.default_rng(10)
-    for _ in range(5):
-        start = optimum + np.array([rng.uniform(-0.05, 0.05), rng.uniform(-0.05, 0.05), 0.0])
-        start = np.clip(start, region4.origin, region4.upper)
-        out = gradient_ascent_refine(four_path, start, region4)
-        reached = abs(channel_gain(four_path, out)) ** 2
-        assert 10 * np.log10(power[i, j]) - 10 * np.log10(reached) < 0.01
-
-
-def test_gradient_ascent_rejects_outside_start(two_path, region4):
-    with pytest.raises(ValueError):
-        gradient_ascent_refine(two_path, np.array([10.0, 0.0, 0.0]), region4)
-
-
 def test_degenerate_region_forces_reference_snr():
     values = max_snr_trials(num_paths=4, region_size=0.0, trials=2000, seed=3)
     assert abs(10 * np.log10(values.mean()) - 20.0) < 0.2
@@ -222,3 +183,92 @@ def test_trials_reject_zero_trials():
         max_snr_trials(4, 2.0, 0, 1)
     with pytest.raises(ValueError):
         max_sinr_trials(4, 2.0, 0, 1)
+
+
+def reference_search(values, coords, region, cfg, objective):
+    """The one-trial search that the batched one replaced: the grid's first argmax, then a compass
+    search calling ``objective`` on a (B, 3) batch of positions, halving its step on failure."""
+    x = region.grid_position(coords, int(np.argmax(values)))
+    axes = region.free_axes
+    if not (cfg.refine and axes):
+        return x, float(np.max(values))
+    fx = float(objective(x[None, :])[0])
+    lo, hi = region.origin, region.upper
+    step = cfg.coarse_step / 2.0
+    for _ in range(120):
+        if step < 1e-4:
+            break
+        cands = np.repeat(x[None, :], 2 * len(axes), axis=0)
+        for k, a in enumerate(axes):
+            cands[2 * k, a] = min(x[a] + step, hi[a])
+            cands[2 * k + 1, a] = max(x[a] - step, lo[a])
+        fc = objective(cands)
+        best = int(np.argmax(fc))
+        if fc[best] > fx:
+            x, fx = cands[best], float(fc[best])
+        else:
+            step /= 2.0
+    return x, fx
+
+
+def reference_position(kind, signal, interference, region, cfg):
+    """The one-trial SNR or SINR search (20 dB levels) on channel_gain and field_on_grid."""
+    rho = 100.0
+    hs, coords = field_on_grid(signal, region, cfg.coarse_step)
+    if kind == "snr":
+        level = lambda h: rho * np.abs(h) ** 2
+        return reference_search(level(hs), coords, region, cfg, lambda r: level(channel_gain(signal, r)))
+    hi, _ = field_on_grid(interference, region, cfg.coarse_step)
+    sinr = lambda a, b: rho * np.abs(a) ** 2 / (rho * np.abs(b) ** 2 + 1.0)
+    return reference_search(sinr(hs, hi), coords, region, cfg,
+                            lambda r: sinr(channel_gain(signal, r), channel_gain(interference, r)))
+
+
+def reference_trials(kind, num_paths, region, trials, seed, cfg):
+    """The per-trial loop that the batched one replaced: one draw and one search per trial."""
+    return np.array([reference_position(kind, sample_stochastic_channel(num_paths, (seed, t)),
+                                        sample_stochastic_channel(num_paths, (seed, t, 1)), region, cfg)[1]
+                     for t in range(trials)])
+
+
+# (region, path count, coarse step, trials).  With 2^15-element blocks, the
+# 201^2 grid takes one trial per coarse block, and 300 paths split 50 trials
+# into several draw, coarse and refine blocks.
+BATCH_CASES = {
+    "0-axes": (Region.square(0.0), 4, 0.25, 5),
+    "1-axis": (Region(origin=[-1.0, 0.5, 0.0], extents=[2.5, 0.0, 0.0]), 4, 0.25, 5),
+    "2-axes": (Region.square(2.0), 4, 0.25, 5),
+    "3-axes": (Region(origin=[-0.5, -0.5, -0.25], extents=[1.0, 1.0, 0.5]), 3, 0.25, 4),
+    "grid-over-block": (Region.square(20.0), 3, 0.1, 3),
+    "many-blocks": (Region.square(1.0), 300, 0.25, 50),
+}
+
+
+@pytest.mark.parametrize("refine", [True, False], ids=["refine", "coarse"])
+@pytest.mark.parametrize("kind", ["snr", "sinr"])
+@pytest.mark.parametrize("case", sorted(BATCH_CASES))
+def test_batched_trials_match_per_trial_reference(case, kind, refine):
+    region, num_paths, step, trials = BATCH_CASES[case]
+    cfg = SearchConfig(coarse_step=step, refine=refine)
+    values = positioning._level_trials(kind, num_paths, [region], trials, 21, cfg)[0]
+    assert values.tobytes() == reference_trials(kind, num_paths, region, trials, 21, cfg).tobytes()
+
+
+@pytest.mark.parametrize("case", ["1-axis", "2-axes", "3-axes"])
+def test_position_search_matches_one_trial_reference(case):
+    region, num_paths, step, _ = BATCH_CASES[case]
+    signal, interference = (sample_stochastic_channel(num_paths, (22, s)) for s in (0, 1))
+    cfg = SearchConfig(coarse_step=step)
+    searches = {"snr": max_snr_position(signal, region, cfg, rho=100.0),
+                "sinr": max_sinr_position(InterferenceScenario(signal, interference), region, cfg)}
+    for kind, (pos, value) in searches.items():
+        ref_pos, ref_value = reference_position(kind, signal, interference, region, cfg)
+        assert pos.tobytes() == ref_pos.tobytes() and value == ref_value and type(value) is float
+
+
+def test_one_draw_serves_every_region_size():
+    sizes, cfg = (0.0, 1.0, 3.0), SearchConfig(coarse_step=0.2)
+    for kind, trials in (("snr", max_snr_trials), ("sinr", max_sinr_trials)):
+        shared = positioning._level_trials(kind, 5, [Region.square(a) for a in sizes], 12, 23, cfg)
+        separate = np.array([trials(5, a, 12, 23, cfg=cfg) for a in sizes])
+        assert shared.tobytes() == separate.tobytes()
