@@ -1,9 +1,7 @@
 """masim: simulation and optimization toolkit for movable-antenna wireless systems."""
 
-from .channel import (ChannelSpec, Region, channel_gain,
-                      channel_spec_from_json, channel_spec_to_json,
-                      direction_from_angles, field_on_grid, field_response,
-                      sample_stochastic_channel)
+from .channel import (ChannelSpec, Region, channel_gain, direction_from_angles,
+                      field_on_grid, field_response, sample_stochastic_channel)
 from .gainmap import GainMap, evaluate_map
 from .positioning import (InterferenceScenario, SearchConfig,
                           max_sinr_position, max_snr_position, snr_gradient)

@@ -9,9 +9,8 @@ is written in one place, :func:`field_response`.
 
 from __future__ import annotations
 
-import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -28,13 +27,25 @@ __all__ = [
     "field_on_grid",
     "sample_stochastic_channel",
     "channel_spec_from_records",
-    "channel_spec_to_json",
-    "channel_spec_from_json",
 ]
 
 UNIT_NORM_TOL = 1e-12
 # Minimum antenna separation in wavelengths (coupling constraint).
 MIN_SPACING = 0.5
+# Slack of Region.contains, in wavelengths.
+_CONTAINS_TOL = 1e-9
+
+
+def _points(points, name: str, stacked: bool = False) -> np.ndarray:
+    """``points`` as a new float array of finite 3-vectors: shape (K, 3) with K >= 1, or any
+    (..., 3) when ``stacked``.  The one home of this rule; anything else raises ValueError."""
+    p = np.array(points, dtype=float)
+    if p.shape[-1:] != (3,) or not (stacked or (p.ndim == 2 and len(p) >= 1)):
+        raise ValueError(f"{name} must have shape {'(..., 3)' if stacked else '(K, 3) with K >= 1'}, "
+                         f"got {p.shape}")
+    if not np.isfinite(p).all():
+        raise ValueError(f"{name} must be finite")
+    return p
 
 
 def grid_count(extent: float, step: float) -> int:
@@ -77,11 +88,9 @@ class ChannelSpec:
     tx_directions: np.ndarray | None = None
 
     def __post_init__(self):
-        rx = np.array(self.rx_directions, dtype=float)
+        rx = _points(self.rx_directions, "rx_directions")
         tx = rx if self.tx_directions is None else np.array(self.tx_directions, dtype=float)
         coeff = np.array(self.coefficients, dtype=complex)
-        if rx.ndim != 2 or rx.shape[1] != 3 or rx.shape[0] < 1:
-            raise ValueError(f"rx_directions must have shape (L, 3) with L >= 1, got {rx.shape}")
         if coeff.shape != rx.shape[:1] or tx.shape != rx.shape:
             raise ValueError("need one coefficient per path and Tx directions for all paths or none; "
                              f"got shapes {rx.shape}, {coeff.shape}, {tx.shape}")
@@ -103,15 +112,10 @@ class ChannelSpec:
 
 @dataclass(eq=False)
 class Region:
-    """Axis-aligned movement region in wavelength units.
-
-    A zero extent collapses that axis; the reference point defaults to the
-    region center and must lie inside the box.
-    """
+    """Axis-aligned movement region in wavelength units; a zero extent collapses that axis."""
 
     origin: np.ndarray
     extents: np.ndarray
-    reference_point: np.ndarray = field(default=None)
 
     def __post_init__(self):
         self.origin = np.array(self.origin, dtype=float)
@@ -122,20 +126,13 @@ class Region:
             raise ValueError("region must be finite")
         if (self.extents < 0).any():
             raise ValueError("extents must be nonnegative")
-        if self.reference_point is None:
-            self.reference_point = self.origin + self.extents / 2.0
-        else:
-            self.reference_point = np.array(self.reference_point, dtype=float)
-        if not self.contains(self.reference_point):
-            raise ValueError("reference point must lie inside the region")
-        for arr in (self.origin, self.extents, self.reference_point):
+        for arr in (self.origin, self.extents):
             arr.flags.writeable = False
 
     @classmethod
-    def square(cls, size: float, center=(0.0, 0.0, 0.0)) -> "Region":
-        """Square ``size x size`` region in the xy-plane, centered at ``center``."""
-        c = np.asarray(center, dtype=float)
-        return cls(origin=c - [size / 2.0, size / 2.0, 0.0], extents=[size, size, 0.0])
+    def square(cls, size: float) -> "Region":
+        """Square ``size x size`` region in the xy-plane, centered at the origin."""
+        return cls(origin=[-size / 2.0, -size / 2.0, 0.0], extents=[size, size, 0.0])
 
     @property
     def center(self) -> np.ndarray:
@@ -150,9 +147,9 @@ class Region:
         """Axes with nonzero extent, in x, y, z order."""
         return tuple(int(a) for a in np.nonzero(self.extents > 0)[0])
 
-    def contains(self, r, tol: float = 1e-9) -> bool:
+    def contains(self, r) -> bool:
         r = np.asarray(r, dtype=float)
-        return bool((r >= self.origin - tol).all() and (r <= self.upper + tol).all())
+        return bool((r >= self.origin - _CONTAINS_TOL).all() and (r <= self.upper + _CONTAINS_TOL).all())
 
     def grid_coords(self, step: float) -> list[np.ndarray]:
         """Per-free-axis grid coordinates, :func:`grid_count` points each."""
@@ -200,11 +197,7 @@ def channel_gain(spec: ChannelSpec, r) -> complex | np.ndarray:
     -------
     complex scalar for a single position, else ndarray of shape (...).
     """
-    r = np.asarray(r, dtype=float)
-    if r.shape[-1] != 3:
-        raise ValueError("positions must have a trailing dimension of 3")
-    if not np.isfinite(r).all():
-        raise ValueError("positions must be finite")
+    r = _points(r, "positions", stacked=True)
     values = field_response(r, spec.rx_directions) @ spec.coefficients
     if r.ndim == 1:
         return complex(values)
@@ -284,23 +277,3 @@ def channel_spec_from_records(records) -> ChannelSpec:
           for rec in records if "tx_theta" in rec]
     coeff = [complex(rec["coeff_re"], rec["coeff_im"]) for rec in records]
     return ChannelSpec(rx, coeff, tx or None)
-
-
-def channel_spec_to_json(spec: ChannelSpec, indent: int | None = None) -> str:
-    """Serialize a channel as ``{"paths": [record, ...]}``.
-
-    Each record follows the schema read by :func:`channel_spec_from_records`.
-    """
-    records = []
-    for l, c in enumerate(spec.coefficients):
-        theta, phi = angles_from_direction(spec.rx_directions[l])
-        rec = {"theta": theta, "phi": phi, "coeff_re": float(c.real), "coeff_im": float(c.imag)}
-        if spec.has_tx:
-            rec["tx_theta"], rec["tx_phi"] = angles_from_direction(spec.tx_directions[l])
-        records.append(rec)
-    return json.dumps({"paths": records}, indent=indent)
-
-
-def channel_spec_from_json(text: str) -> ChannelSpec:
-    """Parse the JSON format produced by :func:`channel_spec_to_json`."""
-    return channel_spec_from_records(json.loads(text)["paths"])

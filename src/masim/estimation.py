@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .channel import ChannelSpec, Region, channel_gain, field_on_grid, field_response
+from .channel import ChannelSpec, Region, _points, channel_gain, field_on_grid, field_response
 
 __all__ = [
     "MeasurementSet",
@@ -27,8 +27,10 @@ __all__ = [
     "omp_estimate",
     "refit_coefficients",
     "reconstruct_and_score",
-    "mutual_coherence",
 ]
+
+# OMP stops early once the residual norm falls to this.
+_EPS_RESIDUAL = 1e-12
 
 
 @dataclass(eq=False)
@@ -40,28 +42,18 @@ class MeasurementSet:
     noise_var: float
 
     def __post_init__(self):
-        p = np.asarray(self.positions, dtype=float)
+        p = _points(self.positions, "positions")
         y = np.asarray(self.samples, dtype=complex)
-        if p.ndim != 2 or p.shape[1] != 3 or p.shape[0] < 1:
-            raise ValueError("positions must have shape (K, 3) with K >= 1")
         if y.shape != (p.shape[0],):
             raise ValueError("need one complex sample per position")
-        if not (np.isfinite(p).all() and np.isfinite(y).all() and self.noise_var >= 0):
-            raise ValueError(f"positions and samples must be finite and noise_var >= 0, got {self.noise_var}")
+        if not (np.isfinite(y).all() and self.noise_var >= 0):
+            raise ValueError(f"samples must be finite and noise_var >= 0, got {self.noise_var}")
         self.positions = p
         self.samples = y
 
     @property
     def count(self) -> int:
         return self.positions.shape[0]
-
-
-def _directions(directions) -> np.ndarray:
-    """``directions`` as a float (G, 3) array with G >= 1."""
-    d = np.asarray(directions, dtype=float)
-    if d.ndim != 2 or d.shape[1] != 3 or d.shape[0] < 1:
-        raise ValueError(f"directions must have shape (G, 3) with G >= 1, got {d.shape}")
-    return d
 
 
 def cosine_grid_dictionary(grid_size: int = 64) -> np.ndarray:
@@ -79,16 +71,7 @@ def cosine_grid_dictionary(grid_size: int = 64) -> np.ndarray:
     keep = uu ** 2 + vv ** 2 <= 1.0 + 1e-12
     uu, vv = uu[keep], vv[keep]
     ww = np.sqrt(np.maximum(0.0, 1.0 - uu ** 2 - vv ** 2))
-    return _directions(np.column_stack([uu, vv, ww]))
-
-
-def mutual_coherence(matrix: np.ndarray) -> float:
-    """Largest normalized off-diagonal column correlation."""
-    a = np.asarray(matrix)
-    norms = np.linalg.norm(a, axis=0)
-    gram = np.abs(np.conj(a.T) @ a) / np.outer(norms, norms)
-    np.fill_diagonal(gram, 0.0)
-    return float(gram.max())
+    return _points(np.column_stack([uu, vv, ww]), "dictionary")
 
 
 @dataclass(eq=False)
@@ -99,10 +82,6 @@ class FriEstimate:
     directions: np.ndarray
     coefficients: np.ndarray
     residual_norm: float
-
-    @property
-    def num_paths(self) -> int:
-        return len(self.indices)
 
     def to_channel_spec(self) -> ChannelSpec | None:
         """Equivalent channel spec, or None for an empty estimate."""
@@ -166,16 +145,15 @@ def simulate_measurements(spec: ChannelSpec, positions, noise_var: float, seed=0
     return MeasurementSet(positions=p, samples=clean, noise_var=noise_var)
 
 
-def omp_estimate(measurements: MeasurementSet, dictionary, max_paths: int,
-                 eps_residual: float = 1e-12) -> FriEstimate:
+def omp_estimate(measurements: MeasurementSet, dictionary, max_paths: int) -> FriEstimate:
     """Orthogonal matching pursuit over a (G, 3) dictionary of directions.
 
     Greedily selects the atom most correlated with the residual and
     least-squares refits the coefficients on the selected support each
     iteration; stops after ``max_paths`` atoms or when the residual norm
-    drops below ``eps_residual``.  Each atom is selected at most once.
+    drops to ``_EPS_RESIDUAL``.  Each atom is selected at most once.
     """
-    dictionary = _directions(dictionary)
+    dictionary = _points(dictionary, "dictionary")
     if not 1 <= max_paths <= len(dictionary):
         raise ValueError(f"max_paths must lie in [1, {len(dictionary)}] (the atom count), got {max_paths}")
     if measurements.count < max_paths:
@@ -186,7 +164,7 @@ def omp_estimate(measurements: MeasurementSet, dictionary, max_paths: int,
     coeffs = np.zeros(0, dtype=complex)
     residual = y.copy()
     for _ in range(max_paths):
-        if np.linalg.norm(residual) <= eps_residual:
+        if np.linalg.norm(residual) <= _EPS_RESIDUAL:
             break
         corr = np.abs(np.conj(a.T) @ residual)
         corr[support] = -1.0
@@ -210,7 +188,7 @@ def refit_coefficients(measurements: MeasurementSet, directions) -> np.ndarray:
     to the span of the atoms; a rank-deficient atom matrix is rejected with
     a conditioning diagnostic.
     """
-    d = _directions(directions)
+    d = _points(directions, "directions")
     if measurements.count < d.shape[0]:
         raise ValueError("need at least as many measurements as directions")
     a = field_response(measurements.positions, d)

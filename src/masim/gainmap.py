@@ -24,8 +24,6 @@ class GainMap:
     index.
     """
 
-    region: Region
-    step: float
     coords0: np.ndarray
     coords1: np.ndarray
     values: np.ndarray
@@ -51,8 +49,6 @@ def evaluate_map(spec: ChannelSpec, region: Region, step: float) -> GainMap:
         values = np.where(power > 0.0, 10.0 * np.log10(np.where(power > 0.0, power, 1.0)), DB_FLOOR)
     imax, imin = int(np.argmax(values)), int(np.argmin(values))
     return GainMap(
-        region=region,
-        step=step,
         coords0=coords[0],
         coords1=coords[1],
         values=values,

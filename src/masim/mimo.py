@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .channel import MIN_SPACING, ChannelSpec, Region, field_response
+from .channel import MIN_SPACING, ChannelSpec, Region, _points, field_response
 from .util import write_csv_atomic
 
 __all__ = [
@@ -29,6 +29,9 @@ __all__ = [
 ]
 
 _SPACING_SLACK = 1e-9
+# Stopping rule of the greedy search: a pass gaining under _TOL_BITS, or _MAX_PASSES passes.
+_TOL_BITS = 1e-6
+_MAX_PASSES = 10
 
 
 def _spaced(points: np.ndarray, others: np.ndarray) -> np.ndarray:
@@ -39,11 +42,7 @@ def _spaced(points: np.ndarray, others: np.ndarray) -> np.ndarray:
 
 def _antenna_positions(positions, side: str) -> np.ndarray:
     """``positions`` as a float (K, 3) array of finite points pairwise MIN_SPACING apart."""
-    p = np.array(positions, dtype=float)
-    if p.ndim != 2 or p.shape[1] != 3 or p.shape[0] < 1:
-        raise ValueError(f"{side} positions must have shape (K, 3) with K >= 1, got {p.shape}")
-    if not np.isfinite(p).all():
-        raise ValueError(f"{side} positions must be finite")
+    p = _points(positions, f"{side} positions")
     if not all(_spaced(p[k:k + 1], p[:k])[0] for k in range(1, len(p))):
         raise ValueError(f"{side} antenna positions must be at least {MIN_SPACING} wavelengths apart")
     return p
@@ -62,10 +61,6 @@ class RxPlacement:
             raise ValueError("all positions must lie inside the region")
         p.flags.writeable = False
         self.positions = p
-
-    @property
-    def count(self) -> int:
-        return self.positions.shape[0]
 
 
 def tx_ula(num_elements: int, spacing: float = 0.5) -> np.ndarray:
@@ -94,14 +89,10 @@ def build_channel_matrix(spec: ChannelSpec, tx_positions, rx) -> np.ndarray:
 
 
 def _capacity_batch(h_batch: np.ndarray, rho: float, num_tx: int) -> np.ndarray:
-    """log2 det(I + rho/N * H H^H) for a (..., M, N) batch, as log2 det(I + rho/N * H^H H) when
-    M > N: at high SNR the M x M gram, of rank N, loses its identity part."""
-    if h_batch.shape[-2] > h_batch.shape[-1]:
-        h_batch = np.conj(np.swapaxes(h_batch, -1, -2))
-    m = h_batch.shape[-2]
-    gram = np.eye(m) + (rho / num_tx) * (h_batch @ np.conj(np.swapaxes(h_batch, -1, -2)))
-    _, logdet = np.linalg.slogdet(gram)
-    return logdet / math.log(2.0)
+    """log2 det(I + rho/N * H H^H) for a (..., M, N) batch, as sum_k log2(1 + rho/N * s_k^2) over the
+    singular values s_k of H, which stays exact at high SNR for every rank of H, unlike a gram's log-det."""
+    s = np.linalg.svd(h_batch, compute_uv=False)
+    return np.log1p((rho / num_tx) * s ** 2).sum(axis=-1) / math.log(2.0)
 
 
 def _row_replacement_capacities(h: np.ndarray, m: int, rows: np.ndarray, a: float) -> np.ndarray:
@@ -208,8 +199,7 @@ def _initial_ula_placement(region: Region, num_rx: int) -> np.ndarray:
 
 
 def sequential_position_search(spec: ChannelSpec, region: Region, num_rx: int,
-                               tx_positions, rho: float, step: float = 0.1,
-                               tol_bits: float = 1e-6, max_passes: int = 10) -> SequentialSearchResult:
+                               tx_positions, rho: float, step: float = 0.1) -> SequentialSearchResult:
     """Greedy capacity-maximizing placement of the Rx antennas.
 
     Starting from a half-wavelength ULA inside the region (a valid
@@ -217,7 +207,7 @@ def sequential_position_search(spec: ChannelSpec, region: Region, num_rx: int,
     antenna in index order is moved to the best candidate grid point with
     the others fixed; candidates violating the pairwise spacing are
     skipped.  Passes repeat until the per-pass improvement drops below
-    ``tol_bits`` or ``max_passes`` is reached, so the returned capacity
+    ``_TOL_BITS`` or ``_MAX_PASSES`` passes are done, so the returned capacity
     never falls below the baseline.
     """
     if not (math.isfinite(rho) and rho >= 0):
@@ -234,7 +224,7 @@ def sequential_position_search(spec: ChannelSpec, region: Region, num_rx: int,
     near = np.column_stack([~_spaced(candidates, p[None]) for p in positions])  # candidate c too near antenna k
 
     pass_capacities = []
-    for _ in range(max_passes):
+    for _ in range(_MAX_PASSES):
         before = capacity
         for m in range(num_rx):
             caps = _row_replacement_capacities(h, m, rows_cand, rho / num_tx)
@@ -246,7 +236,7 @@ def sequential_position_search(spec: ChannelSpec, region: Region, num_rx: int,
                 h[m, :] = rows_cand[best]
                 near[:, m] = ~_spaced(candidates, positions[m:m + 1])
         pass_capacities.append(capacity)
-        if capacity - before < tol_bits:
+        if capacity - before < _TOL_BITS:
             break
     return SequentialSearchResult(
         placement=RxPlacement(positions, region),

@@ -7,8 +7,6 @@ import os
 
 
 def _format_cell(value) -> str:
-    if isinstance(value, bool):
-        return "true" if value else "false"
     if isinstance(value, float):
         return repr(value)
     return str(value)

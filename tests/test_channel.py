@@ -1,15 +1,16 @@
 import cmath
-import json
 import math
 
 import numpy as np
 import pytest
 
 from masim.channel import (ChannelSpec, Region, _fields_on_grid, angles_from_direction,
-                           channel_gain, channel_spec_from_json,
-                           channel_spec_from_records, channel_spec_to_json,
+                           channel_gain, channel_spec_from_records,
                            direction_from_angles, field_on_grid, field_response,
                            sample_stochastic_channel)
+from masim.estimation import MeasurementSet, omp_estimate, refit_coefficients, simulate_measurements
+from masim.mimo import RxPlacement, build_channel_matrix, tx_ula
+from masim.reference import two_path_spec
 
 
 def test_direction_from_angles_reference_points():
@@ -273,12 +274,9 @@ def test_stacked_fields_on_grid_match_one_call_per_channel(extents):
 
 def test_region_validation_and_reference_default():
     region = Region(origin=[0, 0, 0], extents=[2, 4, 0])
-    np.testing.assert_allclose(region.reference_point, [1, 2, 0])
     assert region.free_axes == (0, 1)
     with pytest.raises(ValueError):
         Region(origin=[0, 0, 0], extents=[-1, 0, 0])
-    with pytest.raises(ValueError):
-        Region(origin=[0, 0, 0], extents=[1, 1, 0], reference_point=[5, 0, 0])
 
 
 def test_grid_coords_dimensions():
@@ -305,22 +303,8 @@ def test_region_lattice_points_match_meshgrid():
     assert np.array_equal(point.grid_position(point.grid_coords(0.1), 0), point.origin)
 
 
-def test_json_round_trip():
-    spec = sample_stochastic_channel(3, 17, include_tx=True)
-    text = channel_spec_to_json(spec)
-    records = json.loads(text)["paths"]
-    assert [sorted(rec) for rec in records] == [sorted(
-        ["theta", "phi", "coeff_re", "coeff_im", "tx_theta", "tx_phi"])] * 3
-    back = channel_spec_from_json(text)
-    np.testing.assert_allclose(back.rx_directions, spec.rx_directions, atol=1e-12)
-    np.testing.assert_allclose(back.tx_directions, spec.tx_directions, atol=1e-12)
-    np.testing.assert_allclose(back.coefficients, spec.coefficients, atol=1e-15)
-    rx_only = channel_spec_from_json(channel_spec_to_json(sample_stochastic_channel(2, 18)))
-    assert not rx_only.has_tx
-
-
 def test_path_records_schema():
-    # The config ``paths`` field and the JSON format share one record schema.
+    # The record schema of the config ``paths`` field.
     spec = channel_spec_from_records([
         {"theta": 1.1, "phi": 0.7, "coeff_re": 1.0, "coeff_im": -0.5},
         {"theta": 0.5, "phi": 3.9, "coeff_re": 0.25, "coeff_im": 0.0}])
@@ -333,3 +317,46 @@ def test_path_records_schema():
         channel_spec_from_records(mixed)
     with pytest.raises(ValueError):
         channel_spec_from_records([])
+
+
+
+def _measurements():
+    return simulate_measurements(two_path_spec(), [[0.0, 0.0, 0.0], [0.3, 0.1, 0.0], [0.7, 0.9, 0.0]], 0.0)
+
+
+def _mimo_spec():
+    return sample_stochastic_channel(2, 5, include_tx=True)
+
+
+POSITIONS = [[0.0, 0.0, 0.0], [1.0, 0.0, 0.0]]
+DIRECTIONS = [[0.0, 0.0, 1.0], [1.0, 0.0, 0.0]]
+POINT_CHECKED = {  # caller of the one point check: (call on a points array, valid points)
+    "channel_gain": (lambda p: channel_gain(two_path_spec(), p), POSITIONS),
+    "build_channel_matrix-tx": (lambda p: build_channel_matrix(_mimo_spec(), p, [[0.0, 0.0, 0.0]]), POSITIONS),
+    "build_channel_matrix-rx": (lambda p: build_channel_matrix(_mimo_spec(), tx_ula(1), p), POSITIONS),
+    "RxPlacement": (RxPlacement, POSITIONS),
+    "MeasurementSet": (lambda p: MeasurementSet(p, np.ones(len(p)), 0.0), POSITIONS),
+    "omp_estimate": (lambda d: omp_estimate(_measurements(), d, 1), DIRECTIONS),
+    "refit_coefficients": (lambda d: refit_coefficients(_measurements(), d), DIRECTIONS),
+}
+
+
+def _bad_points(valid, case):
+    bad = np.array(valid)
+    if case == "nan":
+        bad[1, 0] = np.nan
+        return bad
+    return bad[:, :2] if case == "last-axis-2" else bad[:0]
+
+
+# channel_gain takes any (..., 3) stack, so zero points are valid there; the rest need K >= 1.
+@pytest.mark.parametrize("caller,case", [(caller, case) for caller in POINT_CHECKED
+                                         for case in ("nan", "last-axis-2", "no-points")
+                                         if (caller, case) != ("channel_gain", "no-points")])
+def test_point_check_rejects_bad_points(caller, case):
+    call, valid = POINT_CHECKED[caller]
+    call(valid)
+    # Rejected by the check itself as a plain ValueError, not by LAPACK (a LinAlgError) further on.
+    with pytest.raises(ValueError) as excinfo:
+        call(_bad_points(valid, case))
+    assert excinfo.type is ValueError

@@ -9,14 +9,18 @@ Runs ``masim run`` on each ``configs/*.json`` (``--trials 2`` for the
 sources and configs, once with those of ``<git-rev>``, checked out in a
 temporary ``git worktree``.  Prints ``same`` or ``DIFF`` for every CSV and
 every ``summary.json`` (compared without its ``wall_time_s``) and exits 1
-on any difference, 2 when a run fails.  BLAS runs on one thread on both
-sides.  Needs only the standard library, git and the Python that runs it
-(with numpy).
+on any difference, 2 when a run fails.  When a differing file keeps its
+layout (the same CSV header and row lengths, or the same JSON keys), the
+DIFF line also gives the largest absolute change of its numbers and the
+largest change relative to the ``<git-rev>`` value.  BLAS runs on one
+thread on both sides.  Needs only the standard library, git and the
+Python that runs it (with numpy).
 """
 
 from __future__ import annotations
 
 import json
+import math
 import os
 import subprocess
 import sys
@@ -52,6 +56,49 @@ def comparable(path: Path) -> bytes | str:
     return json.dumps(summary, sort_keys=True)
 
 
+def leaves(node, where: str = "") -> list[tuple[str, object]]:
+    """``(path, value)`` of every leaf of a JSON value, in order."""
+    if isinstance(node, dict):
+        node = node.items()
+    elif isinstance(node, list):
+        node = enumerate(node)
+    else:
+        return [(where, node)]
+    return [leaf for key, child in node for leaf in leaves(child, f"{where}/{key}")]
+
+
+def cells(path: Path) -> tuple[object, list]:
+    """The file's layout and its values in order: a CSV's header and row lengths with its cells
+    as text, or the leaf paths of :func:`comparable`'s ``summary.json`` with its leaves."""
+    if path.name == "summary.json":
+        found = leaves(json.loads(comparable(path)))
+        return [where for where, _ in found], [value for _, value in found]
+    header, *rows = path.read_text().splitlines()
+    return (header, [row.count(",") for row in rows]), [c for row in rows for c in row.split(",")]
+
+
+def largest_change(tree: Path, base: Path) -> str:
+    """The largest absolute and relative change of the numbers of two files of one layout, or why
+    there is none to give."""
+    (layout, new), (base_layout, old) = cells(tree), cells(base)
+    if layout != base_layout:
+        return "layout differs"
+    worst_abs = worst_rel = 0.0
+    for x, y in zip(new, old):
+        if x == y:
+            continue
+        try:
+            if isinstance(x, bool) or isinstance(y, bool):
+                raise TypeError
+            x, y = float(x), float(y)
+        except (TypeError, ValueError):
+            return f"non-numeric value differs: {x!r} against {y!r}"
+        change = abs(x - y)
+        worst_abs = max(worst_abs, change)
+        worst_rel = max(worst_rel, change / abs(y) if y else math.inf)
+    return f"max abs {worst_abs:.3g}, max rel {worst_rel:.3g}"
+
+
 def main(argv: list[str]) -> int:
     if len(argv) != 1:
         print(__doc__, file=sys.stderr)
@@ -72,9 +119,11 @@ def main(argv: list[str]) -> int:
         differ = 0
         for rel in files:
             a, b = tmp / "tree" / rel, tmp / "base" / rel
-            same = a.is_file() and b.is_file() and comparable(a) == comparable(b)
+            both = a.is_file() and b.is_file()
+            same = both and comparable(a) == comparable(b)
             differ += not same
-            print(f"{'same' if same else 'DIFF'}  {rel}")
+            detail = f"  ({largest_change(a, b)})" if both and not same else ""
+            print(f"{'same' if same else 'DIFF'}  {rel}{detail}")
     print(f"{len(files) - differ} same, {differ} differ (working tree against {argv[0]})")
     return 1 if differ else 0
 
