@@ -184,13 +184,11 @@ def optimize_uniform_spacing(num_elements: int, objective: str, u_params,
 
 def write_pattern_csv(pattern: BeamPattern, path: str) -> None:
     """Export as ``u,gain_linear,gain_db`` (exact zeros floored at ``DB_FLOOR``)."""
-    def rows():
-        for u, g in zip(pattern.u, pattern.gain):
-            db = 10.0 * math.log10(g) if g > 0.0 else DB_FLOOR
-            yield (float(u), float(g), float(db))
-    write_csv_atomic(path, "u,gain_linear,gain_db", rows())
+    gain = pattern.gain.tolist()
+    # math.log10, not np.log10, whose last digit can differ.
+    db = [10.0 * math.log10(g) if g > 0.0 else DB_FLOOR for g in gain]
+    write_csv_atomic(path, "u,gain_linear,gain_db", (pattern.u.tolist(), gain, db))
 
 
 def write_spacing_csv(result: SpacingSearchResult, path: str) -> None:
-    write_csv_atomic(path, "d_lambda,objective",
-                     ((float(d), float(v)) for d, v in result.scan))
+    write_csv_atomic(path, "d_lambda,objective", result.scan.T.tolist())

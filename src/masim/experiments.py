@@ -342,7 +342,7 @@ def _run_estimate(cfg, outdir):
     rows = [(i, *angles_from_direction(d), float(c.real), float(c.imag))
             for i, d, c in zip(estimate.indices, estimate.directions, estimate.coefficients)]
     write_csv_atomic(os.path.join(outdir, "recovered_paths.csv"),
-                     "index,theta,phi,coeff_re,coeff_im", rows)
+                     "index,theta,phi,coeff_re,coeff_im", zip(*rows))
     return {"num_measurements": cfg["num_measurements"], "max_paths": cfg["max_paths"],
             "noise_var": cfg["noise_var"], "true_indices": sorted(int(i) for i in indices),
             "recovered_indices": sorted(estimate.indices), "residual_norm": estimate.residual_norm,

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import chain, repeat
 
 import numpy as np
 
@@ -61,9 +62,11 @@ def evaluate_map(spec: ChannelSpec, region: Region, step: float) -> GainMap:
 
 def write_gain_map_csv(gain_map: GainMap, path: str) -> None:
     """Export as ``x,y,gain_db`` rows in row-major order."""
-    rows = (
-        (float(x), float(y), float(gain_map.values[i, j]))
-        for i, x in enumerate(gain_map.coords0)
-        for j, y in enumerate(gain_map.coords1)
-    )
-    write_csv_atomic(path, "x,y,gain_db", rows)
+    n0, n1 = gain_map.values.shape
+    # Each coordinate is formatted once and its string repeated.
+    xs = map(str, gain_map.coords0.tolist())
+    ys = list(map(str, gain_map.coords1.tolist()))
+    write_csv_atomic(path, "x,y,gain_db", (
+        chain.from_iterable(repeat(x, n1) for x in xs),
+        chain.from_iterable(repeat(ys, n0)),
+        chain.from_iterable(row.tolist() for row in gain_map.values)))

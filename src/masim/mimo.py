@@ -248,6 +248,5 @@ def sequential_position_search(spec: ChannelSpec, region: Region, num_rx: int,
 
 def write_capacity_csv(rows, path: str) -> None:
     """Export rows ``(snr_db, L, seed, capacity_fpa, capacity_ma)``."""
-    write_csv_atomic(path, "snr_db,L,seed,capacity_fpa,capacity_ma",
-                     ((float(s), int(l), int(k), float(cf), float(cm))
-                      for s, l, k, cf, cm in rows))
+    rows = [(float(s), int(l), int(k), float(cf), float(cm)) for s, l, k, cf, cm in rows]
+    write_csv_atomic(path, "snr_db,L,seed,capacity_fpa,capacity_ma", zip(*rows))

@@ -226,5 +226,5 @@ def max_sinr_trials(num_paths: int, region_size: float, trials: int, seed: int,
 
 def write_sweep_csv(rows, path: str) -> None:
     """Export sweep rows ``(L, A_lambda, trials, metric_db)``."""
-    write_csv_atomic(path, "L,A_lambda,trials,metric_db",
-                     ((int(l), float(a), int(n), float(m)) for l, a, n, m in rows))
+    rows = [(int(l), float(a), int(n), float(m)) for l, a, n, m in rows]
+    write_csv_atomic(path, "L,A_lambda,trials,metric_db", zip(*rows))

@@ -4,12 +4,10 @@ from __future__ import annotations
 
 import json
 import os
+from itertools import islice
 
-
-def _format_cell(value) -> str:
-    if isinstance(value, float):
-        return repr(value)
-    return str(value)
+# Lines per write call: a block is a small fraction of any large artifact.
+_BLOCK_LINES = 2048
 
 
 def _write_atomic(path: str, write) -> None:
@@ -29,12 +27,21 @@ def _write_atomic(path: str, write) -> None:
         raise
 
 
-def write_csv_atomic(path: str, header: str, rows) -> None:
-    """Write a CSV with LF newlines and repr-formatted floats, atomically."""
+def write_csv_atomic(path: str, header: str, columns) -> None:
+    """Write ``columns`` under ``header`` as a CSV with LF newlines, atomically.
+
+    ``columns`` holds equal-length iterables (lazy ones too) of Python
+    ``int``, ``float`` or ``str`` cells; unequal lengths raise ``ValueError``.
+    Each cell is written as ``str(cell)``, the shortest round-trip repr for a
+    float.  Lines are streamed in blocks, so the file is never held whole.
+    """
+    lines = map(",".join, zip(*(map(str, c) for c in columns), strict=True))
+
     def write(fh):
         fh.write(header + "\n")
-        for row in rows:
-            fh.write(",".join(_format_cell(v) for v in row) + "\n")
+        while block := list(islice(lines, _BLOCK_LINES)):
+            fh.write("\n".join(block))
+            fh.write("\n")
     _write_atomic(path, write)
 
 

@@ -228,11 +228,11 @@ def test_failed_run_leaves_no_partial_csv(tmp_path, monkeypatch):
     def failing_runner(cfg, outdir):
         from masim.util import write_csv_atomic
 
-        def rows():
-            yield (1, 2.0)
+        def failing_column():
+            yield 2.0
             raise RuntimeError("mid-write failure")
 
-        write_csv_atomic(os.path.join(outdir, "doomed.csv"), "a,b", rows())
+        write_csv_atomic(os.path.join(outdir, "doomed.csv"), "a,b", ([1], failing_column()))
 
     monkeypatch.setitem(experiments._RUNNERS, "snr", failing_runner)
     assert main(["run", "-c", cfg, "-o", str(out)]) == 3
@@ -250,7 +250,7 @@ def test_failed_run_leaves_no_partial_csv(tmp_path, monkeypatch):
     def two_files_then_fail(cfg, outdir):
         from masim.util import write_csv_atomic
         for name in ("snr_sweep.csv", "extra.csv"):
-            write_csv_atomic(os.path.join(outdir, name), "a,b", [(1, 2.0)])
+            write_csv_atomic(os.path.join(outdir, name), "a,b", ([1], [2.0]))
             written.append(name)
         raise RuntimeError("failure after two files")
 
