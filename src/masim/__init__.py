@@ -3,8 +3,8 @@
 from .channel import (ChannelSpec, Region, channel_gain, direction_from_angles,
                       field_on_grid, field_response, sample_stochastic_channel)
 from .gainmap import GainMap, evaluate_map
-from .positioning import (InterferenceScenario, SearchConfig,
-                          max_sinr_position, max_snr_position, snr_gradient)
+from .positioning import (SearchConfig, level_trials, max_sinr_position,
+                          max_snr_position, snr_gradient)
 from .beams import (array_gain, beam_pattern, null_steer_weights,
                     optimize_uniform_spacing, steering_vector,
                     two_beam_weights_fpa, uniform_layout)

@@ -244,6 +244,11 @@ def _sample_hemisphere(rng: np.random.Generator, count: int) -> np.ndarray:
     return np.column_stack([s * np.cos(phi), s * np.sin(phi), z])
 
 
+def _complex_normal(rng: np.random.Generator, count: int, var: float) -> np.ndarray:
+    """``count`` i.i.d. circularly symmetric complex Gaussians of variance ``var``."""
+    return math.sqrt(var / 2.0) * (rng.standard_normal(count) + 1j * rng.standard_normal(count))
+
+
 def sample_stochastic_channel(num_paths: int, seed, include_tx: bool = False) -> ChannelSpec:
     """Draw a random multipath channel.
 
@@ -261,9 +266,7 @@ def sample_stochastic_channel(num_paths: int, seed, include_tx: bool = False) ->
     rng = np.random.default_rng(seed)
     rx = _sample_hemisphere(rng, num_paths)
     tx = _sample_hemisphere(rng, num_paths) if include_tx else None
-    scale = math.sqrt(1.0 / (2.0 * num_paths))
-    coeff = scale * (rng.standard_normal(num_paths) + 1j * rng.standard_normal(num_paths))
-    return ChannelSpec(rx, coeff, tx)
+    return ChannelSpec(rx, _complex_normal(rng, num_paths, 1.0 / num_paths), tx)
 
 
 def channel_spec_from_records(records) -> ChannelSpec:

@@ -16,7 +16,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .channel import ChannelSpec, Region, _points, channel_gain, field_on_grid, field_response
+from .channel import (ChannelSpec, Region, _complex_normal, _points, channel_gain, field_on_grid,
+                      field_response)
 
 __all__ = [
     "MeasurementSet",
@@ -138,10 +139,7 @@ def simulate_measurements(spec: ChannelSpec, positions, noise_var: float, seed=0
     p = np.asarray(positions, dtype=float)
     clean = np.asarray(channel_gain(spec, p))
     if noise_var > 0:
-        rng = np.random.default_rng(seed)
-        sd = math.sqrt(noise_var / 2.0)
-        noise = sd * (rng.standard_normal(p.shape[0]) + 1j * rng.standard_normal(p.shape[0]))
-        clean = clean + noise
+        clean = clean + _complex_normal(np.random.default_rng(seed), p.shape[0], noise_var)
     return MeasurementSet(positions=p, samples=clean, noise_var=noise_var)
 
 

@@ -19,7 +19,7 @@ import time
 import numpy as np
 
 from . import beams, estimation, gainmap, mimo, positioning
-from .channel import (MIN_SPACING, ChannelSpec, Region, angles_from_direction,
+from .channel import (MIN_SPACING, ChannelSpec, Region, _complex_normal, angles_from_direction,
                       channel_spec_from_records, grid_count, sample_stochastic_channel)
 from .util import write_csv_atomic, write_json_atomic
 
@@ -154,9 +154,10 @@ _COMMON = {"seed": (_int(0), _REQUIRED),
 # scales with a grid, checked before anything is allocated: path counts x
 # grid side (the field_on_grid phase factors); mimo candidates x paths (their
 # phases), x num_tx (their channel rows) and x num_rx (the too-near mask);
-# estimate measurements x dict_grid^2, which bounds the atoms of the
-# measurement matrix; beam scan or pattern points x elements.  _side
-# saturates just past the cap, so a huge extent/step ratio stays finite.
+# snr/sinr trials x region sizes (the per-trial maxima); estimate
+# measurements x dict_grid^2, which bounds the atoms of the measurement
+# matrix; beam scan or pattern points x elements.  _side saturates just
+# past the cap, so a huge extent/step ratio stays finite.
 _side = lambda extent, step: grid_count(min(extent, step * MAX_GRID_POINTS), step)
 
 
@@ -178,7 +179,8 @@ def _estimate_grids(c):
 
 
 _sweep_grid = lambda c: _square_grid("coarse_step", _side(max(c["region_sizes"]), c["coarse_step"]),
-                                     [("path_counts", max(c["path_counts"]))])
+                                     [("path_counts", max(c["path_counts"]))]) + [
+    ("trials", c["trials"] * len(c["region_sizes"]))]
 _GRIDS = {
     "gainmap": lambda c: _square_grid("step", _side(c["region_size"], c["step"]),
                                       [("paths", len(c["paths"] or ())), ("num_paths", c["num_paths"] or 0)]),
@@ -201,7 +203,8 @@ _RULES = [
          beams.null_steer_weights, beams.uniform_layout(c["num_elements"], MIN_SPACING),
          c["u1"], c["u2"]) is not None),
     (("mimo",), "region_size", f"too small to host num_rx antennas at {MIN_SPACING} spacing",
-     lambda c: (c["num_rx"] - 1) * MIN_SPACING <= c["region_size"] + 1e-12),
+     lambda c: _attempt(mimo._initial_ula_placement, Region.square(c["region_size"]),
+                        c["num_rx"]) is not None),
     (("estimate",), "num_measurements", "must be at least num_paths and max_paths",
      lambda c: c["num_measurements"] >= max(c["num_paths"], c["max_paths"])),
     # A dict_grid whose points all fall outside the cosine disk raises: 0 atoms.
@@ -270,7 +273,7 @@ def _run_level_sweep(cfg, outdir):
     rows, summary = [], {}
     for num_paths in cfg["path_counts"]:
         regions = [Region.square(size) for size in cfg["region_sizes"]]
-        sweep = positioning._level_trials(kind, num_paths, regions, trials, cfg["seed"], search)
+        sweep = positioning.level_trials(kind, num_paths, regions, trials, cfg["seed"], search)
         for size, values in zip(cfg["region_sizes"], sweep):
             mean_db, half = _mean_db_and_halfwidth(values)
             rows.append((num_paths, size, trials, mean_db))
@@ -330,9 +333,7 @@ def _run_estimate(cfg, outdir):
     dictionary = estimation.cosine_grid_dictionary(cfg["dict_grid"])
     rng = np.random.default_rng((seed, 0))
     indices = rng.choice(len(dictionary), num_paths, replace=False)
-    scale = math.sqrt(1.0 / (2.0 * num_paths))
-    coeff = scale * (rng.standard_normal(num_paths) + 1j * rng.standard_normal(num_paths))
-    truth = ChannelSpec(dictionary[indices], coeff)
+    truth = ChannelSpec(dictionary[indices], _complex_normal(rng, num_paths, 1.0 / num_paths))
 
     positions = estimation.plan_measurement_positions(
         region, cfg["num_measurements"], cfg["strategy"], seed=(seed, 1))

@@ -21,12 +21,10 @@ from .util import write_csv_atomic
 
 __all__ = [
     "SearchConfig",
-    "InterferenceScenario",
     "max_snr_position",
     "max_sinr_position",
     "snr_gradient",
-    "max_snr_trials",
-    "max_sinr_trials",
+    "level_trials",
     "write_sweep_csv",
 ]
 
@@ -53,29 +51,6 @@ class SearchConfig:
             raise ValueError(f"coarse_step must exceed {2 * _REFINE_MIN_STEP:g} to leave room to refine")
 
 
-@dataclass(eq=False)
-class InterferenceScenario:
-    """Desired-signal and interference channels with reference-point power levels.
-
-    Under the stochastic sampler the expected power gain at the reference
-    point is 1, so the linear scale factors are simply ``10**(db/10)``:
-    ``SINR(r) = rho_signal*|h_s(r)|^2 / (rho_interference*|h_i(r)|^2 + 1)``.
-    """
-
-    signal: ChannelSpec
-    interference: ChannelSpec
-    snr_ref_db: float = 20.0
-    inr_ref_db: float = 20.0
-
-    @property
-    def rho_signal(self) -> float:
-        return 10.0 ** (self.snr_ref_db / 10.0)
-
-    @property
-    def rho_interference(self) -> float:
-        return 10.0 ** (self.inr_ref_db / 10.0)
-
-
 def _blocks(trials: int, per_trial: int) -> list[slice]:
     """Consecutive slices of ``range(trials)``, each of at most max(1, _BLOCK_ELEMENTS // per_trial)."""
     size = max(1, _BLOCK_ELEMENTS // per_trial)
@@ -86,6 +61,12 @@ def _blocks(trials: int, per_trial: int) -> list[slice]:
 # channel, and the SINR of a signal channel against an interference channel.
 _snr_level = lambda rho: lambda h: rho * np.abs(h) ** 2
 _sinr_level = lambda rho_s, rho_i: lambda hs, hi: rho_s * np.abs(hs) ** 2 / (rho_i * np.abs(hi) ** 2 + 1.0)
+# The linear signal and interference level at the reference point, 20 dB:
+# under the stochastic sampler the expected power gain there is 1.
+_REF_LEVEL = 100.0
+# Per sweep kind, the objective and the RNG stream suffix of each channel it reads.
+_SWEEP_LEVELS = {"snr": (_snr_level(_REF_LEVEL), [()]),
+                 "sinr": (_sinr_level(_REF_LEVEL, _REF_LEVEL), [(), (1,)])}
 
 
 def _search(channels, level, region: Region, cfg: SearchConfig, coarse):
@@ -155,11 +136,15 @@ def max_snr_position(spec: ChannelSpec, region: Region, cfg: SearchConfig | None
     return _position([spec], _snr_level(rho), region, cfg)
 
 
-def max_sinr_position(scenario: InterferenceScenario, region: Region,
-                      cfg: SearchConfig | None = None):
-    """Position maximizing SINR against the scenario's interference field."""
-    return _position([scenario.signal, scenario.interference],
-                     _sinr_level(scenario.rho_signal, scenario.rho_interference), region, cfg)
+def max_sinr_position(signal: ChannelSpec, interference: ChannelSpec, region: Region,
+                      cfg: SearchConfig | None = None, *, rho: float = _REF_LEVEL,
+                      rho_interference: float = _REF_LEVEL):
+    """Position maximizing ``rho*|h_s(r)|^2 / (rho_interference*|h_i(r)|^2 + 1)`` over the region.
+
+    Returns ``(position, sinr_linear)``; the levels are linear and default
+    to 20 dB each.
+    """
+    return _position([signal, interference], _sinr_level(rho, rho_interference), region, cfg)
 
 
 def snr_gradient(spec: ChannelSpec, r, axes=(0, 1)) -> np.ndarray:
@@ -175,20 +160,21 @@ def snr_gradient(spec: ChannelSpec, r, axes=(0, 1)) -> np.ndarray:
     return full[list(axes)]
 
 
-def _level_trials(kind: str, num_paths: int, regions, trials: int, seed: int,
-                  cfg: SearchConfig | None = None, snr_ref_db: float = 20.0,
-                  inr_ref_db: float = 20.0) -> np.ndarray:
+def level_trials(kind: str, num_paths: int, regions, trials: int, seed: int,
+                 cfg: SearchConfig | None = None) -> np.ndarray:
     """Per-trial maximum SNR or SINR (``kind``), linear, over each region: (regions, trials).
 
     Trial ``t`` draws its signal channel from the RNG stream ``(seed, t)``
-    and, for SINR, its interference channel from ``(seed, t, 1)``; one draw
-    serves every region.
+    and, for SINR, an interference channel of as many paths from
+    ``(seed, t, 1)``; one draw serves every region.  Signal and
+    interference are at 20 dB at the reference point.
     """
+    if kind not in _SWEEP_LEVELS:
+        raise ValueError(f"kind must be one of {tuple(_SWEEP_LEVELS)}, got {kind!r}")
     if trials < 1:
         raise ValueError("trials must be at least 1")
     cfg = cfg or SearchConfig()
-    rho_s, rho_i = 10.0 ** (snr_ref_db / 10.0), 10.0 ** (inr_ref_db / 10.0)
-    level, streams = (_snr_level(rho_s), [()]) if kind == "snr" else (_sinr_level(rho_s, rho_i), [(), (1,)])
+    level, streams = _SWEEP_LEVELS[kind]
     values = np.empty((len(regions), trials))
     for blk in _blocks(trials, 3 * num_paths):
         draws = [[sample_stochastic_channel(num_paths, (seed, t, *s)) for t in range(blk.start, blk.stop)]
@@ -199,29 +185,6 @@ def _level_trials(kind: str, num_paths: int, regions, trials: int, seed: int,
             coarse = lambda b: [_fields_on_grid(d[b], c[b], region, cfg.coarse_step)[0] for d, c in channels]
             values[i, blk] = _search(channels, level, region, cfg, coarse)[1]
     return values
-
-
-def max_snr_trials(num_paths: int, region_size: float, trials: int, seed: int,
-                   cfg: SearchConfig | None = None, snr_ref_db: float = 20.0) -> np.ndarray:
-    """Per-trial maximum SNR (linear) over a square region, stochastic channels.
-
-    Trial ``t`` draws its channel from the RNG stream ``(seed, t)``.
-    """
-    return _level_trials("snr", num_paths, [Region.square(region_size)], trials, seed, cfg, snr_ref_db)[0]
-
-
-def max_sinr_trials(num_paths: int, region_size: float, trials: int, seed: int,
-                    cfg: SearchConfig | None = None, snr_ref_db: float = 20.0,
-                    inr_ref_db: float = 20.0) -> np.ndarray:
-    """Per-trial maximum SINR (linear) with an independent interference channel.
-
-    The signal channel of trial ``t`` uses stream ``(seed, t)`` — the same
-    stream as :func:`max_snr_trials` — so SNR/SINR sweeps can share
-    realizations; interference uses ``(seed, t, 1)``.  The interference
-    channel carries the same number of paths as the signal channel.
-    """
-    return _level_trials("sinr", num_paths, [Region.square(region_size)], trials, seed, cfg,
-                         snr_ref_db, inr_ref_db)[0]
 
 
 def write_sweep_csv(rows, path: str) -> None:

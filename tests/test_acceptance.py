@@ -22,7 +22,7 @@ from masim.experiments import load_config, run_experiment
 from masim.gainmap import evaluate_map
 from masim.mimo import (capacity_identity_cov, capacity_waterfilling,
                         sequential_position_search, tx_ula)
-from masim.positioning import SearchConfig, max_sinr_trials, max_snr_trials, snr_gradient
+from masim.positioning import SearchConfig, level_trials, snr_gradient
 from masim.reference import two_path_spec
 
 CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
@@ -43,8 +43,9 @@ def mean_db(values: np.ndarray) -> float:
 @pytest.fixture(scope="module")
 def snr_point():
     """Criterion 1 run: A=20, L=20, coarse step 1/10 with refinement."""
+    cfg = SearchConfig(coarse_step=0.1)
     start = time.monotonic()
-    values = max_snr_trials(20, 20.0, TRIALS_POINT, SEED, cfg=SearchConfig(coarse_step=0.1))
+    values = level_trials("snr", 20, [Region.square(20.0)], TRIALS_POINT, SEED, cfg)[0]
     return values, time.monotonic() - start
 
 
@@ -53,8 +54,8 @@ def sinr_pair():
     """Criterion 3 run: shared signal realizations, step 1/20 for both metrics."""
     cfg = SearchConfig(coarse_step=0.05)
     start = time.monotonic()
-    snr = max_snr_trials(20, 20.0, TRIALS_POINT, SEED, cfg=cfg)
-    sinr = max_sinr_trials(20, 20.0, TRIALS_POINT, SEED, cfg=cfg)
+    snr, sinr = (level_trials(kind, 20, [Region.square(20.0)], TRIALS_POINT, SEED, cfg)[0]
+                 for kind in ("snr", "sinr"))
     return snr, sinr, time.monotonic() - start
 
 
@@ -89,10 +90,10 @@ def test_criterion_02_fig4_trends(snr_point):
     cfg = SearchConfig(coarse_step=0.1)
     region_sizes = (0.0, 2.0, 5.0, 10.0, 20.0)
     path_counts = (1, 5, 10, 20)
-    a_values = {a: max_snr_trials(20, a, TRIALS_TREND, SEED, cfg=cfg)
-                for a in region_sizes[:-1]}
+    a_values = dict(zip(region_sizes[:-1], level_trials(
+        "snr", 20, [Region.square(a) for a in region_sizes[:-1]], TRIALS_TREND, SEED, cfg)))
     a_values[20.0] = snr_point[0][:TRIALS_TREND]  # same (seed, trial) streams
-    l_values = {l: max_snr_trials(l, 20.0, TRIALS_TREND, SEED, cfg=cfg)
+    l_values = {l: level_trials("snr", l, [Region.square(20.0)], TRIALS_TREND, SEED, cfg)[0]
                 for l in path_counts[:-1]}
     l_values[20] = snr_point[0][:TRIALS_TREND]
 

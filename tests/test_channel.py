@@ -272,7 +272,7 @@ def test_stacked_fields_on_grid_match_one_call_per_channel(extents):
         assert isinstance(values, np.ndarray) and values.tobytes() == stacked[t].tobytes()
 
 
-def test_region_validation_and_reference_default():
+def test_region_validation_and_free_axes():
     region = Region(origin=[0, 0, 0], extents=[2, 4, 0])
     assert region.free_axes == (0, 1)
     with pytest.raises(ValueError):

@@ -193,6 +193,7 @@ PATH_RECORD = {"theta": 1.1, "phi": 0.7, "coeff_re": 1.0, "coeff_im": 0.0}
     small_snr_config() | {"path_counts": [2, 2]},
     small_snr_config() | {"region_sizes": [1.0, 1.0000001]},
     mimo_config(snr_db_list=[0.0, 0.0]),
+    small_snr_config() | {"trials": 10 ** 12},
 ], ids=["refine-string", "max-paths-over-measurements", "estimate-negative-step",
         "one-pattern-point", "d-max-below-min-spacing", "one-point-dictionary",
         "mixed-tx-angles", "tx-theta-out-of-range", "snr-fractional-path-count",
@@ -201,7 +202,7 @@ PATH_RECORD = {"theta": 1.1, "phi": 0.7, "coeff_re": 1.0, "coeff_im": 0.0}
         "mimo-snr-overflow", "mimo-snr-nan-capacity", "huge-region", "tiny-d-step",
         "grid-just-over-cap", "unknown-key", "paths-and-num-paths", "coarse-step-below-refine-tol",
         "output-dir-not-string", "repeated-path-count", "region-sizes-one-summary-key",
-        "repeated-snr"])
+        "repeated-snr", "trials-over-cap"])
 def test_invalid_config_exits_2_before_any_output(tmp_path, cfg):
     path = write_config(tmp_path, cfg)
     out = tmp_path / "out"

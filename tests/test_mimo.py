@@ -107,7 +107,7 @@ def test_capacity_identity_matches_singular_value_formula():
         assert abs(c - oracle) < 1e-9
 
 
-def test_capacity_identity_takes_the_smaller_gram_at_high_snr():
+def test_capacity_identity_matches_singular_values_at_high_snr():
     rng = np.random.default_rng(37)
     h = rng.standard_normal((2, 1)) + 1j * rng.standard_normal((2, 1))
     rho = 1e20  # 200 dB
@@ -303,7 +303,7 @@ def test_row_replacement_capacities_match_log_det(num_rx, num_tx):
     # 0.4: every candidate of the middle antenna is too near one of the others.
     (6, Region([-0.5, 0.0, 0.0], [1.0, 0.0, 0.0]), 3, 2, 10.0, 0.3, range(3), True),
 ], ids=["4x4", "4x4-low-snr", "4x4-high-snr", "1-rx", "3x2", "4x1", "all-blocked"])
-def test_sequential_search_matches_slogdet_reference(case):
+def test_sequential_search_matches_full_capacity_reference(case):
     num_paths, region, num_rx, num_tx, rho, step, seeds, blocked = case
     tx = tx_ula(num_tx)
     blocked_steps = 0

@@ -2,12 +2,9 @@ import numpy as np
 import pytest
 
 from conftest import brute_force_power_scan
-from masim import positioning
 from masim.channel import (ChannelSpec, Region, channel_gain, direction_from_angles,
                            field_on_grid, sample_stochastic_channel)
-from masim.positioning import (InterferenceScenario, SearchConfig, max_sinr_position,
-                               max_sinr_trials, max_snr_position, max_snr_trials,
-                               snr_gradient)
+from masim.positioning import SearchConfig, level_trials, max_sinr_position, max_snr_position, snr_gradient
 
 
 def test_search_config_validation():
@@ -50,10 +47,9 @@ def test_nested_regions_monotone(four_path):
 
 def test_sinr_degenerates_to_snr_with_zero_interference(two_path, region4):
     silent = ChannelSpec([direction_from_angles(0.3, 0.1)], [0.0])
-    scenario = InterferenceScenario(two_path, silent, snr_ref_db=20.0, inr_ref_db=20.0)
     cfg = SearchConfig(coarse_step=0.1)
-    pos_sinr, sinr = max_sinr_position(scenario, region4, cfg)
-    pos_snr, snr = max_snr_position(two_path, region4, cfg, rho=scenario.rho_signal)
+    pos_sinr, sinr = max_sinr_position(two_path, silent, region4, cfg, rho=100.0, rho_interference=100.0)
+    pos_snr, snr = max_snr_position(two_path, region4, cfg, rho=100.0)
     np.testing.assert_allclose(pos_sinr, pos_snr, atol=1e-12)
     assert abs(sinr - snr) < 1e-9
 
@@ -62,20 +58,20 @@ def test_max_sinr_never_exceeds_max_snr(region4):
     for seed in range(5):
         signal = sample_stochastic_channel(4, (60, seed))
         interference = sample_stochastic_channel(4, (60, seed, 1))
-        scenario = InterferenceScenario(signal, interference)
         cfg = SearchConfig(coarse_step=0.1)
-        _, sinr = max_sinr_position(scenario, region4, cfg)
-        _, snr = max_snr_position(signal, region4, cfg, rho=scenario.rho_signal)
+        _, sinr = max_sinr_position(signal, interference, region4, cfg)
+        _, snr = max_snr_position(signal, region4, cfg, rho=100.0)
         assert sinr <= snr + 1e-9
 
 
 def test_sinr_matches_brute_force(two_path, region4):
     interference = ChannelSpec([direction_from_angles(1.2, 5.0)], [1.0])
-    scenario = InterferenceScenario(two_path, interference, snr_ref_db=10.0, inr_ref_db=10.0)
-    _, sinr = max_sinr_position(scenario, region4, SearchConfig(coarse_step=0.02))
+    rho_s, rho_i = 10.0, 10.0
+    _, sinr = max_sinr_position(two_path, interference, region4, SearchConfig(coarse_step=0.02),
+                                rho=rho_s, rho_interference=rho_i)
     ps, _, _ = brute_force_power_scan(two_path, region4, 1.0 / 500.0)
     pi, _, _ = brute_force_power_scan(interference, region4, 1.0 / 500.0)
-    oracle = (scenario.rho_signal * ps / (scenario.rho_interference * pi + 1.0)).max()
+    oracle = (rho_s * ps / (rho_i * pi + 1.0)).max()
     assert abs(10 * np.log10(sinr) - 10 * np.log10(oracle)) < 0.05
 
 
@@ -111,25 +107,25 @@ def test_gradient_vanishes_at_constructive_peak(two_path):
 
 
 def test_degenerate_region_forces_reference_snr():
-    values = max_snr_trials(num_paths=4, region_size=0.0, trials=2000, seed=3)
+    values = level_trials("snr", 4, [Region.square(0.0)], 2000, 3)[0]
     assert abs(10 * np.log10(values.mean()) - 20.0) < 0.2
 
 
 def test_single_path_region_size_irrelevant():
-    values = max_snr_trials(num_paths=1, region_size=3.0, trials=2000, seed=4)
+    values = level_trials("snr", 1, [Region.square(3.0)], 2000, 4)[0]
     assert abs(10 * np.log10(values.mean()) - 20.0) < 0.2
 
 
 def test_trials_deterministic():
-    a = max_snr_trials(5, 2.0, 40, 11)
-    b = max_snr_trials(5, 2.0, 40, 11)
+    a = level_trials("snr", 5, [Region.square(2.0)], 40, 11)[0]
+    b = level_trials("snr", 5, [Region.square(2.0)], 40, 11)[0]
     assert np.array_equal(a, b)
-    d = max_sinr_trials(5, 2.0, 10, 11)
-    e = max_sinr_trials(5, 2.0, 10, 11)
+    d = level_trials("sinr", 5, [Region.square(2.0)], 10, 11)[0]
+    e = level_trials("sinr", 5, [Region.square(2.0)], 10, 11)[0]
     assert np.array_equal(d, e)
 
 
-# Per-trial values of max_snr_trials / max_sinr_trials(L, 2.0, 3, 7,
+# Per-trial values of level_trials(kind, L, [Region.square(2.0)], 3, 7,
 # SearchConfig(coarse_step=0.25, refine)) from the separate SNR and SINR
 # search and trial loops that the shared ones replaced.
 PINNED_TRIALS = {
@@ -147,8 +143,8 @@ PINNED_TRIALS = {
 @pytest.mark.parametrize("key", sorted(PINNED_TRIALS), ids=lambda k: f"{k[0]}-L{k[1]}-refine{k[2]}")
 def test_trials_match_pinned_values(key):
     kind, num_paths, refine = key
-    trials = max_snr_trials if kind == "snr" else max_sinr_trials
-    values = trials(num_paths, 2.0, 3, 7, cfg=SearchConfig(coarse_step=0.25, refine=refine))
+    cfg = SearchConfig(coarse_step=0.25, refine=refine)
+    values = level_trials(kind, num_paths, [Region.square(2.0)], 3, 7, cfg)[0]
     if num_paths > 1:
         assert values.tolist() == PINNED_TRIALS[key]
     else:
@@ -158,20 +154,21 @@ def test_trials_match_pinned_values(key):
 
 
 def test_refinement_dominates_coarse_per_trial():
-    coarse = max_snr_trials(6, 4.0, 50, 12, cfg=SearchConfig(coarse_step=0.2, refine=False))
-    refined = max_snr_trials(6, 4.0, 50, 12, cfg=SearchConfig(coarse_step=0.2, refine=True))
+    region = [Region.square(4.0)]
+    coarse = level_trials("snr", 6, region, 50, 12, SearchConfig(coarse_step=0.2, refine=False))[0]
+    refined = level_trials("snr", 6, region, 50, 12, SearchConfig(coarse_step=0.2, refine=True))[0]
     assert (refined >= coarse - 1e-12).all()
 
 
 def test_sinr_trials_bounded_by_snr_trials_shared_seeds():
-    snr = max_snr_trials(4, 3.0, 60, 13)
-    sinr = max_sinr_trials(4, 3.0, 60, 13)
+    snr = level_trials("snr", 4, [Region.square(3.0)], 60, 13)[0]
+    sinr = level_trials("sinr", 4, [Region.square(3.0)], 60, 13)[0]
     assert (sinr <= snr + 1e-9).all()
 
 
 def test_region_growth_monotone_shared_seeds():
-    small = max_snr_trials(6, 2.0, 60, 14)
-    large = max_snr_trials(6, 4.0, 60, 14)
+    small = level_trials("snr", 6, [Region.square(2.0)], 60, 14)[0]
+    large = level_trials("snr", 6, [Region.square(4.0)], 60, 14)[0]
     # Shared seeds and nested grids: per-trial values can only grow, up to
     # refinement wobble far below the mean gap.
     assert 10 * np.log10(large.mean()) >= 10 * np.log10(small.mean())
@@ -180,9 +177,14 @@ def test_region_growth_monotone_shared_seeds():
 
 def test_trials_reject_zero_trials():
     with pytest.raises(ValueError):
-        max_snr_trials(4, 2.0, 0, 1)
+        level_trials("snr", 4, [Region.square(2.0)], 0, 1)
     with pytest.raises(ValueError):
-        max_sinr_trials(4, 2.0, 0, 1)
+        level_trials("sinr", 4, [Region.square(2.0)], 0, 1)
+
+
+def test_unknown_sweep_kind_is_rejected():
+    with pytest.raises(ValueError, match="kind"):
+        level_trials("snrr", 4, [Region.square(2.0)], 3, 1)
 
 
 def reference_search(values, coords, region, cfg, objective):
@@ -250,7 +252,7 @@ BATCH_CASES = {
 def test_batched_trials_match_per_trial_reference(case, kind, refine):
     region, num_paths, step, trials = BATCH_CASES[case]
     cfg = SearchConfig(coarse_step=step, refine=refine)
-    values = positioning._level_trials(kind, num_paths, [region], trials, 21, cfg)[0]
+    values = level_trials(kind, num_paths, [region], trials, 21, cfg)[0]
     assert values.tobytes() == reference_trials(kind, num_paths, region, trials, 21, cfg).tobytes()
 
 
@@ -260,7 +262,7 @@ def test_position_search_matches_one_trial_reference(case):
     signal, interference = (sample_stochastic_channel(num_paths, (22, s)) for s in (0, 1))
     cfg = SearchConfig(coarse_step=step)
     searches = {"snr": max_snr_position(signal, region, cfg, rho=100.0),
-                "sinr": max_sinr_position(InterferenceScenario(signal, interference), region, cfg)}
+                "sinr": max_sinr_position(signal, interference, region, cfg)}
     for kind, (pos, value) in searches.items():
         ref_pos, ref_value = reference_position(kind, signal, interference, region, cfg)
         assert pos.tobytes() == ref_pos.tobytes() and value == ref_value and type(value) is float
@@ -268,7 +270,7 @@ def test_position_search_matches_one_trial_reference(case):
 
 def test_one_draw_serves_every_region_size():
     sizes, cfg = (0.0, 1.0, 3.0), SearchConfig(coarse_step=0.2)
-    for kind, trials in (("snr", max_snr_trials), ("sinr", max_sinr_trials)):
-        shared = positioning._level_trials(kind, 5, [Region.square(a) for a in sizes], 12, 23, cfg)
-        separate = np.array([trials(5, a, 12, 23, cfg=cfg) for a in sizes])
+    for kind in ("snr", "sinr"):
+        shared = level_trials(kind, 5, [Region.square(a) for a in sizes], 12, 23, cfg)
+        separate = np.array([level_trials(kind, 5, [Region.square(a)], 12, 23, cfg)[0] for a in sizes])
         assert shared.tobytes() == separate.tobytes()

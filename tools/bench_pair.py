@@ -14,7 +14,8 @@ of both sides must be identical (``perfbench/`` and ``BENCHMARK.json``);
 otherwise the tool exits 2 before running anything.
 
 The JSON written to ``--out`` holds every run's metrics and failure
-counts, and per metric: each side's median and quartiles, the ratio
+counts (and, for ``--trace 1``, the targets perfbench could not trace as
+``absent``), and per metric: each side's median and quartiles, the ratio
 change/parent of the medians and of each pair, the pairs the change won
 (ties count for neither) and whether a gain may be claimed: the change
 wins at least nine tenths of the pairs and the medians differ by more
@@ -55,9 +56,8 @@ def run_perfbench(tree: Path, workload: str, seed: int, seconds: float, trace: i
     if done.returncode != 0:
         raise RuntimeError(f"{tree}: perfbench exited {done.returncode}\n{done.stderr[-2000:]}")
     result = json.loads(done.stdout.strip().splitlines()[-1])
-    return {"correct": result["correct"], "attempted": result["attempted"],
-            "failed": result["failed"],
-            "metrics": {name: entry["value"] for name, entry in result["metrics"].items()}}
+    run = {key: result[key] for key in ("correct", "attempted", "failed", "absent") if key in result}
+    return {**run, "metrics": {name: entry["value"] for name, entry in result["metrics"].items()}}
 
 
 def spread(values: list[float]) -> dict:
