@@ -21,7 +21,7 @@ import numpy as np
 from . import beams, estimation, gainmap, mimo, positioning
 from .channel import (MIN_SPACING, ChannelSpec, Region, _complex_normal, angles_from_direction,
                       channel_spec_from_records, grid_count, sample_stochastic_channel)
-from .util import write_csv_atomic, write_json_atomic
+from .util import _blocks, write_csv_atomic, write_json_atomic
 
 __all__ = ["EXPERIMENT_KINDS", "ENV_OUTPUT_DIR", "MAX_GRID_POINTS", "ConfigError",
            "load_config", "validate_config_dict", "run_experiment"]
@@ -308,14 +308,19 @@ def _run_beam(cfg, outdir):
 def _run_mimo(cfg, outdir):
     region = Region.square(cfg["region_size"])
     tx = mimo.tx_ula(cfg["num_tx"])
-    rows = []
+    snrs = cfg["snr_db_list"]
+    rhos = [10.0 ** (snr_db / 10.0) for snr_db in snrs]
+    candidates = grid_count(cfg["region_size"], cfg["step"]) ** 2
+    rows, passes = [], 0
     for num_paths in cfg["path_counts"]:
         for s in range(cfg["seeds"]):
             spec = sample_stochastic_channel(num_paths, (cfg["seed"], num_paths, s), include_tx=True)
-            for snr_db in cfg["snr_db_list"]:
-                rho = 10.0 ** (snr_db / 10.0)
-                res = mimo.sequential_position_search(spec, region, cfg["num_rx"], tx, rho, step=cfg["step"])
-                rows.append((snr_db, num_paths, s, res.initial_capacity, res.capacity))
+            # Each search of a block scores candidates x num_tx products, complex and squared.
+            for blk in _blocks(len(rhos), 2 * candidates * cfg["num_tx"]):
+                _, fpa, ma, trace = mimo._searches(spec, region, cfg["num_rx"], tx, rhos[blk], cfg["step"])
+                rows += [(snr_db, num_paths, s, float(cf), float(cm))
+                         for snr_db, cf, cm in zip(snrs[blk], fpa, ma)]
+                passes += sum(map(len, trace))
     rows.sort(key=lambda r: (r[0], r[1], r[2]))
     mimo.write_capacity_csv(rows, os.path.join(outdir, "capacity_sweep.csv"))
     summary = {"ma_ge_fpa_all_seeds": all(r[4] >= r[3] - 1e-12 for r in rows), "mean_gain_bits": {}}
@@ -324,6 +329,8 @@ def _run_mimo(cfg, outdir):
             sel = np.array([r[4] - r[3] for r in rows if r[0] == snr_db and r[1] == num_paths])
             summary["mean_gain_bits"][f"snr{snr_db:g}_L{num_paths}"] = {
                 "mean": float(sel.mean()), "halfwidth": _halfwidth(sel)}
+    summary["counters"] = {"searches": len(rows), "greedy_passes": passes,
+                           "candidates_scored": passes * cfg["num_rx"] * candidates}
     return summary
 
 
@@ -350,6 +357,8 @@ def _run_estimate(cfg, outdir):
             "nmse": nmse}
 
 
+# Per kind, runner(cfg, outdir) -> results; work counters a runner reports
+# under results["counters"] go to the summary's top level.
 _RUNNERS = {
     "gainmap": _run_gainmap,
     "snr": _run_level_sweep,
@@ -385,6 +394,8 @@ def run_experiment(cfg: dict, output_dir: str | None = None, seed: int | None = 
         results = _RUNNERS[cfg["kind"]](cfg, stage)
         payload = {"kind": cfg["kind"], "seed": cfg["seed"], "results": results,
                    "wall_time_s": time.monotonic() - start}
+        if "counters" in results:
+            payload["counters"] = results.pop("counters")
         write_json_atomic(os.path.join(stage, "summary.json"), payload)
         for name in os.listdir(stage):
             os.replace(os.path.join(stage, name), os.path.join(outdir, name))

@@ -34,16 +34,16 @@ _TOL_BITS = 1e-6
 _MAX_PASSES = 10
 
 
-def _spaced(points: np.ndarray, others: np.ndarray) -> np.ndarray:
-    """Per point of ``points`` (P, 3), whether it lies at least MIN_SPACING from all ``others``."""
-    gaps = np.linalg.norm(points[:, None, :] - others[None, :, :], axis=2)
-    return gaps.min(axis=1, initial=np.inf) >= MIN_SPACING - _SPACING_SLACK
+def _near(points: np.ndarray, others: np.ndarray) -> np.ndarray:
+    """(K, P): whether point p of ``points`` (P, 3) lies under MIN_SPACING from point k of ``others``."""
+    gaps = np.linalg.norm(points[None, :, :] - others[:, None, :], axis=2)
+    return gaps < MIN_SPACING - _SPACING_SLACK
 
 
 def _antenna_positions(positions, side: str) -> np.ndarray:
     """``positions`` as a float (K, 3) array of finite points pairwise MIN_SPACING apart."""
     p = _points(positions, f"{side} positions")
-    if not all(_spaced(p[k:k + 1], p[:k])[0] for k in range(1, len(p))):
+    if np.triu(_near(p, p), 1).any():
         raise ValueError(f"{side} antenna positions must be at least {MIN_SPACING} wavelengths apart")
     return p
 
@@ -95,16 +95,18 @@ def _capacity_batch(h_batch: np.ndarray, rho: float, num_tx: int) -> np.ndarray:
     return np.log1p((rho / num_tx) * s ** 2).sum(axis=-1) / math.log(2.0)
 
 
-def _row_replacement_capacities(h: np.ndarray, m: int, rows: np.ndarray, a: float) -> np.ndarray:
-    """log2 det(I + a H'^H H') for each H' = ``h`` with row ``m`` replaced by a row r of ``rows``, as
-    det(I + a H_^H H_) (1 + a r Q r^H), H_ = ``h`` without row m, Q = (I + a H_^H H_)^-1 applied through
-    the full SVD of H_.  An inverse or solve would lose the null space once a s^2 swamps 1.
+def _row_replacement_capacities(h: np.ndarray, m: int, rows: np.ndarray, a: np.ndarray) -> np.ndarray:
+    """(S, C): log2 det(I + a_s H'^H H') for each H' = ``h[s]`` with row ``m`` replaced by a row r of
+    ``rows``, for a stack of S searches: ``h`` (S, M, N), ``rows`` (C, N), ``a`` (S,).  Scored as
+    det(I + a H_^H H_) (1 + a r Q r^H), H_ = ``h[s]`` without row m, Q = (I + a H_^H H_)^-1 applied
+    through the full SVD of H_.  An inverse or solve would lose the null space once a s^2 swamps 1.
     """
-    _, s, vh = np.linalg.svd(np.delete(h, m, axis=0))
-    gains = a * s ** 2
-    weights = 1.0 / (1.0 + np.concatenate((gains, np.zeros(len(vh) - s.size))))  # 1 on the null space
-    quad = np.abs(rows @ np.conj(vh.T)) ** 2 @ weights
-    return (np.log1p(gains).sum() + np.log1p(a * quad)) / math.log(2.0)
+    _, s, vh = np.linalg.svd(np.delete(h, m, axis=1))
+    gains = a[:, None] * s ** 2
+    null = np.zeros((len(h), vh.shape[-1] - s.shape[-1]))
+    weights = 1.0 / (1.0 + np.concatenate((gains, null), axis=1))  # 1 on the null space
+    quad = (np.abs(rows @ np.conj(np.swapaxes(vh, 1, 2))) ** 2 @ weights[:, :, None])[..., 0]
+    return (np.log1p(gains).sum(axis=1)[:, None] + np.log1p(a[:, None] * quad)) / math.log(2.0)
 
 
 def capacity_identity_cov(h_matrix, rho: float, num_tx: int | None = None) -> float:
@@ -198,6 +200,58 @@ def _initial_ula_placement(region: Region, num_rx: int) -> np.ndarray:
     return positions
 
 
+def _searches(spec: ChannelSpec, region: Region, num_rx: int, tx_positions, rhos, step: float):
+    """The greedy search of :func:`sequential_position_search` on one channel at every total SNR
+    of ``rhos``, all advancing in lockstep.
+
+    The channel's candidate rows are built once and serve every search; each antenna step scores
+    all running searches in one batch, and a search drops out under its own stopping rule, so each
+    result equals that of a search run alone.  Returns, per entry of ``rhos``, the placement
+    (S, num_rx, 3), the FPA and final capacities (S,) and the list of capacities after every pass.
+    """
+    t = _antenna_positions(tx_positions, "tx")
+    rho = np.array(rhos, dtype=float).reshape(-1, 1)
+    if not (np.isfinite(rho).all() and (rho >= 0).all()):
+        raise ValueError(f"rho must be finite and nonnegative, got {rhos}")
+    if not spec.has_tx:
+        raise ValueError("every path needs a departure direction for MIMO channels")
+    start = _initial_ula_placement(region, num_rx)
+    coords = region.grid_coords(step)
+    candidates = region.grid_position(coords, np.arange(math.prod(c.size for c in coords)))
+    rows = _channel_rows(spec, t, candidates)
+    h = np.repeat(_channel_rows(spec, t, start)[None], rho.size, axis=0)
+    a = rho[:, 0] / len(t)
+    initial = _capacity_batch(h, rho, len(t))
+    capacity = initial.copy()
+    positions = np.repeat(start[None], rho.size, axis=0)
+    near = np.repeat(_near(candidates, start)[None], rho.size, axis=0)  # [s, k, c]: c too near antenna k
+
+    live = np.arange(rho.size)  # the running searches, whose state the arrays above hold
+    final_positions, final_h = np.empty_like(positions), np.empty_like(h)
+    pass_capacities = [[] for _ in live]
+    for _ in range(_MAX_PASSES):
+        before = capacity.copy()
+        for m in range(num_rx):
+            caps = _row_replacement_capacities(h, m, rows, a)
+            caps[np.delete(near, m, axis=1).any(axis=1)] = -np.inf
+            best = caps.argmax(axis=1)
+            gain = caps[np.arange(live.size), best]
+            up = np.flatnonzero(gain > capacity)
+            capacity[up] = gain[up]
+            positions[up, m] = candidates[best[up]]
+            h[up, m] = rows[best[up]]
+            near[up, m] = _near(candidates, positions[up, m])
+        for i, c in zip(live, capacity):
+            pass_capacities[i].append(float(c))
+        going = ~(capacity - before < _TOL_BITS)
+        final_positions[live], final_h[live] = positions, h
+        live, h, a, capacity, positions, near = (
+            x[going] for x in (live, h, a, capacity, positions, near))
+        if not live.size:
+            break
+    return final_positions, initial, _capacity_batch(final_h, rho, len(t)), pass_capacities
+
+
 def sequential_position_search(spec: ChannelSpec, region: Region, num_rx: int,
                                tx_positions, rho: float, step: float = 0.1) -> SequentialSearchResult:
     """Greedy capacity-maximizing placement of the Rx antennas.
@@ -208,41 +262,14 @@ def sequential_position_search(spec: ChannelSpec, region: Region, num_rx: int,
     the others fixed; candidates violating the pairwise spacing are
     skipped.  Passes repeat until the per-pass improvement drops below
     ``_TOL_BITS`` or ``_MAX_PASSES`` passes are done, so the returned capacity
-    never falls below the baseline.
+    never falls below the baseline.  This is :func:`_searches` at one SNR.
     """
-    if not (math.isfinite(rho) and rho >= 0):
-        raise ValueError(f"rho must be finite and nonnegative, got {rho}")
-    t = np.asarray(tx_positions, dtype=float)
-    num_tx = t.shape[0]
-    positions = _initial_ula_placement(region, num_rx)
-    h = build_channel_matrix(spec, t, RxPlacement(positions, region))
-    capacity = initial_capacity = float(_capacity_batch(h, rho, num_tx))
-
-    coords = region.grid_coords(step)
-    candidates = region.grid_position(coords, np.arange(math.prod(c.size for c in coords)))
-    rows_cand = _channel_rows(spec, t, candidates)
-    near = np.column_stack([~_spaced(candidates, p[None]) for p in positions])  # candidate c too near antenna k
-
-    pass_capacities = []
-    for _ in range(_MAX_PASSES):
-        before = capacity
-        for m in range(num_rx):
-            caps = _row_replacement_capacities(h, m, rows_cand, rho / num_tx)
-            caps[np.delete(near, m, axis=1).any(axis=1)] = -np.inf
-            best = int(np.argmax(caps))
-            if caps[best] > capacity:
-                capacity = float(caps[best])
-                positions[m] = candidates[best]
-                h[m, :] = rows_cand[best]
-                near[:, m] = ~_spaced(candidates, positions[m:m + 1])
-        pass_capacities.append(capacity)
-        if capacity - before < _TOL_BITS:
-            break
+    positions, initial, capacity, passes = _searches(spec, region, num_rx, tx_positions, [rho], step)
     return SequentialSearchResult(
-        placement=RxPlacement(positions, region),
-        capacity=float(_capacity_batch(h, rho, num_tx)),
-        initial_capacity=initial_capacity,
-        pass_capacities=pass_capacities,
+        placement=RxPlacement(positions[0], region),
+        capacity=float(capacity[0]),
+        initial_capacity=float(initial[0]),
+        pass_capacities=passes[0],
     )
 
 

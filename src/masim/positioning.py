@@ -17,7 +17,7 @@ import numpy as np
 
 from .channel import (ChannelSpec, Region, _fields_on_grid, field_on_grid, field_response,
                       sample_stochastic_channel)
-from .util import write_csv_atomic
+from .util import _blocks, write_csv_atomic
 
 __all__ = [
     "SearchConfig",
@@ -34,9 +34,6 @@ __all__ = [
 # _REFINE_ITERS iterations.
 _REFINE_MIN_STEP = 1e-4
 _REFINE_ITERS = 120
-# Trials are processed in blocks whose arrays hold at most this many
-# elements, or one trial's array where that is larger.
-_BLOCK_ELEMENTS = 2 ** 15
 
 
 @dataclass
@@ -49,12 +46,6 @@ class SearchConfig:
     def __post_init__(self):
         if not _REFINE_MIN_STEP < self.coarse_step / 2.0:
             raise ValueError(f"coarse_step must exceed {2 * _REFINE_MIN_STEP:g} to leave room to refine")
-
-
-def _blocks(trials: int, per_trial: int) -> list[slice]:
-    """Consecutive slices of ``range(trials)``, each of at most max(1, _BLOCK_ELEMENTS // per_trial)."""
-    size = max(1, _BLOCK_ELEMENTS // per_trial)
-    return [slice(i, min(i + size, trials)) for i in range(0, trials, size)]
 
 
 # The objectives, as functions of the channels' responses: the SNR of one

@@ -1,4 +1,4 @@
-"""Small shared helpers: atomic file output."""
+"""Small shared helpers: atomic file output and the block slicing of batched work."""
 
 from __future__ import annotations
 
@@ -8,6 +8,15 @@ from itertools import islice
 
 # Lines per write call: a block is a small fraction of any large artifact.
 _BLOCK_LINES = 2048
+# Batched trials or searches are processed in blocks whose arrays hold at
+# most this many elements, or one trial's array where that is larger.
+_BLOCK_ELEMENTS = 2 ** 15
+
+
+def _blocks(trials: int, per_trial: int) -> list[slice]:
+    """Consecutive slices of ``range(trials)``, each of at most max(1, _BLOCK_ELEMENTS // per_trial)."""
+    size = max(1, _BLOCK_ELEMENTS // per_trial)
+    return [slice(i, min(i + size, trials)) for i in range(0, trials, size)]
 
 
 def _write_atomic(path: str, write) -> None:

@@ -20,8 +20,7 @@ from masim.estimation import (cosine_grid_dictionary, omp_estimate,
                               refit_coefficients, simulate_measurements)
 from masim.experiments import load_config, run_experiment
 from masim.gainmap import evaluate_map
-from masim.mimo import (capacity_identity_cov, capacity_waterfilling,
-                        sequential_position_search, tx_ula)
+from masim.mimo import capacity_identity_cov, capacity_waterfilling
 from masim.positioning import SearchConfig, level_trials, snr_gradient
 from masim.reference import two_path_spec
 
@@ -60,21 +59,14 @@ def sinr_pair():
 
 
 @pytest.fixture(scope="module")
-def mimo_sweep():
-    """Criterion 6 run: 200 seeds x L in {5,15} x SNR in {-10,0,10,20} dB."""
-    region = Region.square(3.0)
-    tx = tx_ula(4)
-    snr_grid = (-10.0, 0.0, 10.0, 20.0)
+def mimo_sweep(tmp_path_factory):
+    """Criterion 6 run: configs/mimo.json, 200 seeds x L in {5,15} x SNR in {-10,0,10,20} dB."""
+    out = tmp_path_factory.mktemp("mimo")
     start = time.monotonic()
-    rows = []
-    for num_paths in (5, 15):
-        for s in range(200):
-            spec = sample_stochastic_channel(num_paths, (42, num_paths, s), include_tx=True)
-            for snr_db in snr_grid:
-                rho = 10.0 ** (snr_db / 10.0)
-                res = sequential_position_search(spec, region, 4, tx, rho, step=0.1)
-                rows.append((snr_db, num_paths, s, res.initial_capacity, res.capacity))
-    return rows, time.monotonic() - start
+    run_experiment(load_config(str(CONFIG_DIR / "mimo.json")), output_dir=str(out))
+    elapsed = time.monotonic() - start
+    table = np.loadtxt(out / "capacity_sweep.csv", delimiter=",", skiprows=1)
+    return [(snr, int(l), int(s), cf, cm) for snr, l, s, cf, cm in table], elapsed
 
 
 def test_criterion_01_fig4_snr_point(snr_point):

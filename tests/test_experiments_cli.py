@@ -7,12 +7,14 @@ import numpy as np
 import pytest
 
 import masim.experiments as experiments
+import masim.util as util
 from masim.cli import main
 from masim.experiments import (ConfigError, load_config, run_experiment,
                                validate_config_dict)
 from masim.gainmap import evaluate_map
 from masim.reference import two_path_spec
-from masim.channel import Region
+from masim.channel import Region, sample_stochastic_channel
+from masim.mimo import sequential_position_search, tx_ula
 
 CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
 
@@ -117,6 +119,34 @@ def test_mimo_summary_reports_per_seed_dominance(tmp_path):
            "region_size": 2.0, "step": 0.2}
     summary = run_experiment(cfg, output_dir=str(tmp_path / "m"))
     assert summary["results"]["ma_ge_fpa_all_seeds"] is True
+
+
+def test_mimo_block_seams_leave_no_mark(tmp_path, monkeypatch):
+    # 11^2 candidates x 2 Tx antennas: by default a channel's three searches share one block.
+    cfg = mimo_config(path_counts=[3, 6], seeds=2, snr_db_list=[-10.0, 5.0, 20.0])
+    assert len(util._blocks(3, 2 * 11 ** 2 * 2)) == 1
+    run_experiment(cfg, output_dir=str(tmp_path / "one"))
+    monkeypatch.setattr(util, "_BLOCK_ELEMENTS", 1)  # one search per block
+    run_experiment(cfg, output_dir=str(tmp_path / "many"))
+    for name in ("capacity_sweep.csv", "summary.json"):
+        one, many = ((tmp_path / run / name).read_text() for run in ("one", "many"))
+        if name == "summary.json":
+            one, many = ({k: v for k, v in json.loads(t).items() if k != "wall_time_s"} for t in (one, many))
+        assert one == many
+
+
+def test_mimo_summary_counts_the_greedy_work(tmp_path):
+    cfg = mimo_config(path_counts=[3, 6], seeds=2, snr_db_list=[-10.0, 20.0])
+    summary = run_experiment(cfg, output_dir=str(tmp_path / "m"))
+    region, tx = Region.square(cfg["region_size"]), tx_ula(cfg["num_tx"])
+    passes = sum(len(sequential_position_search(
+        sample_stochastic_channel(num_paths, (cfg["seed"], num_paths, s), include_tx=True),
+        region, cfg["num_rx"], tx, 10.0 ** (snr_db / 10.0), cfg["step"]).pass_capacities)
+        for num_paths in cfg["path_counts"] for s in range(cfg["seeds"]) for snr_db in cfg["snr_db_list"])
+    assert summary["counters"] == {"searches": 8, "greedy_passes": passes,
+                                   "candidates_scored": passes * cfg["num_rx"] * 11 ** 2}
+    assert "counters" not in summary["results"]
+    assert json.loads((tmp_path / "m" / "summary.json").read_text())["counters"] == summary["counters"]
 
 
 def test_cli_validate_exit_codes(tmp_path):

@@ -6,8 +6,9 @@ import pytest
 from masim.channel import (MIN_SPACING, ChannelSpec, Region, channel_gain,
                            direction_from_angles, sample_stochastic_channel)
 from masim.mimo import (RxPlacement, _capacity_batch, _channel_rows, _initial_ula_placement,
-                        _row_replacement_capacities, build_channel_matrix, capacity_identity_cov,
-                        capacity_waterfilling, sequential_position_search, tx_ula)
+                        _row_replacement_capacities, _searches, build_channel_matrix,
+                        capacity_identity_cov, capacity_waterfilling, sequential_position_search,
+                        tx_ula)
 
 
 def explicit_channel_matrix(spec, tx, rx_positions):
@@ -276,19 +277,23 @@ def reference_greedy_search(spec, region, num_rx, tx, rho, step):
 @pytest.mark.parametrize("num_tx", (1, 4))
 @pytest.mark.parametrize("num_rx", (1, 2, 4, 6))
 def test_row_replacement_capacities_match_log_det(num_rx, num_tx):
+    # One batch of searches sharing the candidate rows, each with its own H and SNR, up to
+    # 1000 dB, where only the null-space weights keep the scores exact.
     rng = np.random.default_rng((34, num_rx, num_tx))
-    for snr_db in (-10.0, 20.0, 100.0, 300.0, 1000.0):
-        rho = 10.0 ** (snr_db / 10.0)
-        for _ in range(4):
-            h = rng.standard_normal((num_rx, num_tx)) + 1j * rng.standard_normal((num_rx, num_tx))
-            rows = rng.standard_normal((40, num_tx)) + 1j * rng.standard_normal((40, num_tx))
-            m = int(rng.integers(num_rx))
-            batch = np.broadcast_to(h, (40,) + h.shape).copy()
+    snrs_db = np.array([-10.0, 20.0, 100.0, 300.0, 1000.0])
+    rho = 10.0 ** (snrs_db / 10.0)
+    for _ in range(4):
+        draw = lambda *shape: rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+        h, rows = draw(snrs_db.size, num_rx, num_tx), draw(40, num_tx)
+        m = int(rng.integers(num_rx))
+        scores = _row_replacement_capacities(h, m, rows, rho / num_tx)
+        assert scores.shape == (snrs_db.size, 40)
+        for k in range(snrs_db.size):
+            batch = np.broadcast_to(h[k], (40, num_rx, num_tx)).copy()
             batch[:, m, :] = rows
-            oracle = _capacity_batch(batch, rho, num_tx)
-            scores = _row_replacement_capacities(h, m, rows, rho / num_tx)
-            np.testing.assert_allclose(scores, oracle, rtol=1e-10, atol=0.0)
-            assert int(np.argmax(scores)) == int(np.argmax(oracle))
+            oracle = _capacity_batch(batch, rho[k], num_tx)
+            np.testing.assert_allclose(scores[k], oracle, rtol=1e-10, atol=0.0)
+            assert int(np.argmax(scores[k])) == int(np.argmax(oracle))
 
 
 @pytest.mark.parametrize("case", [
@@ -312,12 +317,45 @@ def test_sequential_search_matches_full_capacity_reference(case):
         positions, capacity, passes, fully_blocked = reference_greedy_search(
             spec, region, num_rx, tx, rho, step)
         result = sequential_position_search(spec, region, num_rx, tx, rho, step=step)
-        np.testing.assert_array_equal(result.placement.positions, positions)
-        assert len(result.pass_capacities) == len(passes)
-        np.testing.assert_allclose(result.pass_capacities, passes, rtol=1e-12, atol=0.0)
-        assert result.capacity == pytest.approx(capacity, rel=1e-12, abs=0.0)
+        # The same search as the middle one of a lockstep batch of three SNRs.
+        batch = _searches(spec, region, num_rx, tx, [rho / 10.0, rho, rho * 10.0], step)
+        for got_positions, got_passes, got_capacity in (
+                (result.placement.positions, result.pass_capacities, result.capacity),
+                (batch[0][1], batch[3][1], batch[2][1])):
+            np.testing.assert_array_equal(got_positions, positions)
+            assert len(got_passes) == len(passes)
+            np.testing.assert_allclose(got_passes, passes, rtol=1e-12, atol=0.0)
+            assert got_capacity == pytest.approx(capacity, rel=1e-12, abs=0.0)
         blocked_steps += fully_blocked
     assert (blocked_steps > 0) == blocked
+
+
+def test_lockstep_searches_equal_one_search_calls():
+    # Channels of L = 5 and 15, each at four SNRs in one lockstep call: the searches of a call
+    # stop after different numbers of passes, and each result is bit for bit that of the
+    # search run alone.
+    region, tx = Region.square(3.0), tx_ula(4)
+    rhos = [10.0 ** (snr_db / 10.0) for snr_db in (-10.0, 0.0, 10.0, 20.0)]
+    stopped_apart = 0
+    for num_paths in (5, 15):
+        for seed in range(2):
+            spec = random_mimo_spec(num_paths, (96, num_paths, seed))
+            positions, initial, capacity, passes = _searches(spec, region, 4, tx, rhos, 0.1)
+            stopped_apart += len({len(p) for p in passes}) > 1
+            for rho, *batched in zip(rhos, positions, initial, capacity, passes):
+                alone = sequential_position_search(spec, region, 4, tx, rho, step=0.1)
+                np.testing.assert_array_equal(batched[0], alone.placement.positions)
+                assert batched[1] == alone.initial_capacity
+                assert batched[2] == alone.capacity
+                assert batched[3] == alone.pass_capacities
+    assert stopped_apart > 0
+
+
+def test_sequential_search_rejects_bad_tx_positions():
+    spec = random_mimo_spec(3, 97)
+    for tx in (5.0, [0.0, 0.0, 0.0], [[0.0, 0.0, 0.0], [0.2, 0.0, 0.0]]):
+        with pytest.raises(ValueError, match="tx positions|tx antenna positions"):
+            sequential_position_search(spec, Region.square(2.0), 2, tx, 1.0)
 
 
 def test_sequential_search_rejects_bad_rho():
