@@ -263,10 +263,16 @@ def sample_stochastic_channel(num_paths: int, seed, include_tx: bool = False) ->
     """
     if num_paths < 1:
         raise ValueError("num_paths must be at least 1")
+    return ChannelSpec(*_stochastic_paths(num_paths, seed, include_tx))
+
+
+def _stochastic_paths(num_paths: int, seed, include_tx: bool = False):
+    """The unvalidated arrays of :func:`sample_stochastic_channel`, drawn in its order:
+    rx directions (L, 3), coefficients (L,) and tx directions (L, 3) or None."""
     rng = np.random.default_rng(seed)
     rx = _sample_hemisphere(rng, num_paths)
     tx = _sample_hemisphere(rng, num_paths) if include_tx else None
-    return ChannelSpec(rx, _complex_normal(rng, num_paths, 1.0 / num_paths), tx)
+    return rx, _complex_normal(rng, num_paths, 1.0 / num_paths), tx
 
 
 def channel_spec_from_records(records) -> ChannelSpec:

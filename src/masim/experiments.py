@@ -270,15 +270,19 @@ def _mean_db_and_halfwidth(values: np.ndarray) -> tuple[float, float | None]:
 def _run_level_sweep(cfg, outdir):
     kind, trials = cfg["kind"], cfg["trials"]
     search = positioning.SearchConfig(coarse_step=cfg["coarse_step"], refine=cfg["refine"])
-    rows, summary = [], {}
+    rows, summary, evals = [], {}, 0
     for num_paths in cfg["path_counts"]:
         regions = [Region.square(size) for size in cfg["region_sizes"]]
-        sweep = positioning.level_trials(kind, num_paths, regions, trials, cfg["seed"], search)
+        sweep, refine = positioning._sweep(kind, num_paths, regions, trials, cfg["seed"], search)
+        evals += int(refine.sum())
         for size, values in zip(cfg["region_sizes"], sweep):
             mean_db, half = _mean_db_and_halfwidth(values)
             rows.append((num_paths, size, trials, mean_db))
             summary[f"L{num_paths}_A{size:g}"] = {"metric_db": mean_db, "halfwidth_db": half}
     positioning.write_sweep_csv(rows, os.path.join(outdir, f"{kind}_sweep.csv"))
+    grid_points = sum(grid_count(size, cfg["coarse_step"]) ** 2 for size in cfg["region_sizes"])
+    summary["counters"] = {"searches": len(rows) * trials, "refine_evaluations": evals,
+                           "coarse_points": len(cfg["path_counts"]) * trials * grid_points}
     return summary
 
 

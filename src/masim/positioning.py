@@ -4,8 +4,9 @@ The coarse stage scans the region grid; local refinement is an axis-aligned
 pattern search with halving steps, so returned objectives dominate every
 coarse grid point by construction.  Monte Carlo trials run as a batch: one
 draw per trial serves every region size, one kernel computes the coarse
-fields of a block of trials, and the refine moves them in lockstep.  An
-analytic power gradient is provided for local optimization studies.
+fields of a block of trials, and one refine moves the searches of every
+region and trial of the block in lockstep.  An analytic power gradient is
+provided for local optimization studies.
 """
 
 from __future__ import annotations
@@ -15,8 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .channel import (ChannelSpec, Region, _fields_on_grid, field_on_grid, field_response,
-                      sample_stochastic_channel)
+from .channel import ChannelSpec, Region, _fields_on_grid, _stochastic_paths, field_on_grid, field_response
 from .util import _blocks, write_csv_atomic
 
 __all__ = [
@@ -48,10 +48,27 @@ class SearchConfig:
             raise ValueError(f"coarse_step must exceed {2 * _REFINE_MIN_STEP:g} to leave room to refine")
 
 
+def _power(h, rho: float) -> np.ndarray:
+    """``rho * |h|**2`` in one new array, computed in place: coarse maps are a sweep's largest arrays."""
+    p = np.abs(h)
+    np.square(p, out=p)
+    p *= rho
+    return p
+
+
 # The objectives, as functions of the channels' responses: the SNR of one
 # channel, and the SINR of a signal channel against an interference channel.
-_snr_level = lambda rho: lambda h: rho * np.abs(h) ** 2
-_sinr_level = lambda rho_s, rho_i: lambda hs, hi: rho_s * np.abs(hs) ** 2 / (rho_i * np.abs(hi) ** 2 + 1.0)
+_snr_level = lambda rho: lambda h: _power(h, rho)
+
+
+def _sinr_level(rho_s: float, rho_i: float):
+    def level(hs, hi):
+        noise = _power(hi, rho_i)  # rho_i * |hi|**2 + 1, then the SINR, in one array
+        noise += 1.0
+        return np.divide(_power(hs, rho_s), noise, out=noise)
+    return level
+
+
 # The linear signal and interference level at the reference point, 20 dB:
 # under the stochastic sampler the expected power gain there is 1.
 _REF_LEVEL = 100.0
@@ -60,61 +77,84 @@ _SWEEP_LEVELS = {"snr": (_snr_level(_REF_LEVEL), [()]),
                  "sinr": (_sinr_level(_REF_LEVEL, _REF_LEVEL), [(), (1,)])}
 
 
-def _search(channels, level, region: Region, cfg: SearchConfig, coarse):
-    """Best position (T, 3) and value (T,) of ``level`` for each of T trials.
+def _search(channels, level, regions, cfg: SearchConfig, coarse):
+    """Best positions (R, T, 3), values (R, T) and refine evaluations (R, T) of ``level``
+    over each of R regions for each of T trials.
 
     ``channels`` holds one ``(directions (T, L, 3), coefficients (T, L))``
     pair per argument of ``level``, which maps those channels' responses to
-    the objective.  ``coarse(block)`` returns the channels' fields on the
-    coarse grid for a slice of trials, each (Tb, *grid).  Each trial starts
-    from its first best grid point; with ``cfg.refine`` a compass search
-    then moves along the free axes and halves that trial's step after every
-    failed move, so it is monotone and deterministic.  All trials take the
-    same iterations in lockstep until their steps run out.
+    the objective.  ``coarse(region, block)`` returns the channels' fields on
+    the region's coarse grid for a slice of trials, each (Tb, *grid).  Each
+    (region, trial) search starts from its first best grid point; with
+    ``cfg.refine``, the searches of all regions with the same free axes then
+    take one :func:`_refine`, which counts 1 + 2 * |axes| evaluations per
+    iteration a search takes.
     """
-    coords = region.grid_coords(cfg.coarse_step)
     trials, num_paths = channels[0][1].shape
-    sides = [len(c) for c in coords]
-    start, best = np.empty(trials, dtype=int), np.empty(trials)
-    for blk in _blocks(trials, max([math.prod(sides), num_paths] + [n * num_paths for n in sides])):
-        values = level(*coarse(blk)).reshape(blk.stop - blk.start, -1)
-        start[blk], best[blk] = values.argmax(axis=1), values.max(axis=1)
-    x = region.grid_position(coords, start)
-    axes = region.free_axes
-    if not (cfg.refine and axes):
-        return x, best
-    lo, hi = region.origin, region.upper
+    x, best = np.empty((len(regions), trials, 3)), np.empty((len(regions), trials))
+    for i, region in enumerate(regions):
+        coords = region.grid_coords(cfg.coarse_step)
+        sides = [len(c) for c in coords]
+        start = np.empty(trials, dtype=int)
+        for blk in _blocks(trials, max([math.prod(sides), num_paths] + [n * num_paths for n in sides])):
+            values = level(*coarse(region, blk)).reshape(blk.stop - blk.start, -1)
+            start[blk], best[i, blk] = values.argmax(axis=1), values.max(axis=1)
+        x[i] = region.grid_position(coords, start)
+    evals = np.zeros((len(regions), trials), dtype=int)
+    for axes in dict.fromkeys(r.free_axes for r in regions if cfg.refine and r.free_axes):
+        group, free = [i for i, r in enumerate(regions) if r.free_axes == axes], list(axes)
+        lo = np.repeat([regions[i].origin[free] for i in group], trials, axis=0)
+        hi = np.repeat([regions[i].upper[free] for i in group], trials, axis=0)
+        xs, shape = x[group].reshape(-1, 3), (len(group), trials)
+        fx, taken = _refine(channels, level, xs, np.tile(np.arange(trials), len(group)), lo, hi, free,
+                            cfg.coarse_step / 2.0)
+        x[group], best[group] = xs.reshape(*shape, 3), fx.reshape(shape)
+        evals[group] = (1 + 2 * len(free) * taken).reshape(shape)
+    return x, best, evals
+
+
+def _refine(channels, level, x, trial, lo, hi, free, step):
+    """Compass-search S searches from ``x`` (S, 3) in lockstep, moving ``x``; (values, iterations).
+
+    Search s reads trial ``trial[s]`` of ``channels``, moves along the axes ``free`` within
+    ``lo[s]`` and ``hi[s]``, and halves its own step after every failed move until it drops
+    below _REFINE_MIN_STEP, in at most _REFINE_ITERS iterations, so it is monotone and
+    deterministic.
+    """
+    # Candidate 2k moves a search up along axis free[k], candidate 2k + 1 down.
+    num_paths, moves = channels[0][1].shape[1], 2 * np.arange(len(free))
     objective = lambda r, t: level(*[(field_response(r, d[t]) @ c[t, :, None])[..., 0] for d, c in channels])
-    for blk in _blocks(trials, 2 * len(axes) * num_paths):
-        fx = objective(x[blk, None], blk)[:, 0]
-        step = np.full(fx.size, cfg.coarse_step / 2.0)
+    fx, taken = np.empty(len(x)), np.zeros(len(x), dtype=int)
+    for blk in _blocks(len(x), 2 * len(free) * num_paths):
+        fx[blk] = objective(x[blk, None], trial[blk])[:, 0]
+        steps = np.full(blk.stop - blk.start, step)
         for _ in range(_REFINE_ITERS):
-            act = np.flatnonzero(step >= _REFINE_MIN_STEP)
+            act = np.flatnonzero(steps >= _REFINE_MIN_STEP)
             if act.size == 0:
                 break
-            t = blk.start + act
-            cands = np.repeat(x[t, None], 2 * len(axes), axis=1)
-            for k, a in enumerate(axes):
-                cands[:, 2 * k, a] = np.minimum(x[t, a] + step[act], hi[a])
-                cands[:, 2 * k + 1, a] = np.maximum(x[t, a] - step[act], lo[a])
-            fc = objective(cands, t)
+            s = blk.start + act
+            cands = np.repeat(x[s, None], 2 * len(free), axis=1)
+            here, reach = cands[:, 0, free], steps[act, None]
+            cands[:, moves, free] = np.minimum(here + reach, hi[s])
+            cands[:, moves + 1, free] = np.maximum(here - reach, lo[s])
+            fc = objective(cands, trial[s])
             j = fc.argmax(axis=1)
             fj = fc[np.arange(act.size), j]
-            up = fj > fx[act]
-            x[t[up]] = cands[up, j[up]]
-            fx[act[up]] = fj[up]
-            step[act[~up]] /= 2.0
-        best[blk] = fx
-    return x, best
+            up = fj > fx[s]
+            x[s[up]] = cands[up, j[up]]
+            fx[s[up]] = fj[up]
+            steps[act[~up]] /= 2.0
+            taken[s] += 1
+    return fx, taken
 
 
 def _position(specs, level, region: Region, cfg: SearchConfig | None):
     """:func:`_search` as one trial over the channels ``specs``: ``(position, value)``."""
     cfg = cfg or SearchConfig()
     channels = [(s.rx_directions[None], s.coefficients[None]) for s in specs]
-    coarse = lambda blk: [field_on_grid(s, region, cfg.coarse_step)[0][None] for s in specs]
-    x, value = _search(channels, level, region, cfg, coarse)
-    return x[0], float(value[0])
+    coarse = lambda region, blk: [field_on_grid(s, region, cfg.coarse_step)[0][None] for s in specs]
+    x, value, _ = _search(channels, level, [region], cfg, coarse)
+    return x[0, 0], float(value[0, 0])
 
 
 def max_snr_position(spec: ChannelSpec, region: Region, cfg: SearchConfig | None = None,
@@ -162,20 +202,23 @@ def level_trials(kind: str, num_paths: int, regions, trials: int, seed: int,
     """
     if kind not in _SWEEP_LEVELS:
         raise ValueError(f"kind must be one of {tuple(_SWEEP_LEVELS)}, got {kind!r}")
-    if trials < 1:
-        raise ValueError("trials must be at least 1")
-    cfg = cfg or SearchConfig()
+    if trials < 1 or num_paths < 1:
+        raise ValueError("trials and num_paths must be at least 1")
+    return _sweep(kind, num_paths, regions, trials, seed, cfg or SearchConfig())[0]
+
+
+def _sweep(kind: str, num_paths: int, regions, trials: int, seed: int, cfg: SearchConfig):
+    """:func:`level_trials` and the refine evaluations of each search: both (regions, trials)."""
     level, streams = _SWEEP_LEVELS[kind]
-    values = np.empty((len(regions), trials))
+    values, evals = np.empty((2, len(regions), trials))
     for blk in _blocks(trials, 3 * num_paths):
-        draws = [[sample_stochastic_channel(num_paths, (seed, t, *s)) for t in range(blk.start, blk.stop)]
+        draws = [[_stochastic_paths(num_paths, (seed, t, *s)) for t in range(blk.start, blk.stop)]
                  for s in streams]
-        channels = [(np.stack([c.rx_directions for c in d]), np.stack([c.coefficients for c in d]))
-                    for d in draws]
-        for i, region in enumerate(regions):
-            coarse = lambda b: [_fields_on_grid(d[b], c[b], region, cfg.coarse_step)[0] for d, c in channels]
-            values[i, blk] = _search(channels, level, region, cfg, coarse)[1]
-    return values
+        channels = [(np.stack([d[0] for d in ds]), np.stack([d[1] for d in ds])) for ds in draws]
+        coarse = lambda region, b: [_fields_on_grid(d[b], c[b], region, cfg.coarse_step)[0]
+                                    for d, c in channels]
+        _, values[:, blk], evals[:, blk] = _search(channels, level, regions, cfg, coarse)
+    return values, evals
 
 
 def write_sweep_csv(rows, path: str) -> None:

@@ -4,7 +4,7 @@ import math
 import numpy as np
 import pytest
 
-from masim.channel import (ChannelSpec, Region, _fields_on_grid, angles_from_direction,
+from masim.channel import (ChannelSpec, Region, _fields_on_grid, _stochastic_paths, angles_from_direction,
                            channel_gain, channel_spec_from_records,
                            direction_from_angles, field_on_grid, field_response,
                            sample_stochastic_channel)
@@ -170,6 +170,20 @@ def test_stochastic_channel_pinned_draw():
     rx_only = sample_stochastic_channel(5, (1, 0))
     assert np.array_equal(rx_only.rx_directions, np.array(PINNED_RX))
     assert rx_only.tx_directions is None
+
+
+@pytest.mark.parametrize("include_tx", [False, True], ids=["rx", "rx-tx"])
+@pytest.mark.parametrize("num_paths", [1, 5, 20])
+def test_stochastic_paths_are_the_sampled_channel_arrays(num_paths, include_tx):
+    bits = lambda a: (a.shape, a.dtype, a.tobytes())
+    for seed in ((37, 2), (37, 2, 1)):
+        rx, coefficients, tx = _stochastic_paths(num_paths, seed, include_tx)
+        spec = sample_stochastic_channel(num_paths, seed, include_tx)
+        assert bits(rx) == bits(spec.rx_directions) and bits(coefficients) == bits(spec.coefficients)
+        if include_tx:
+            assert bits(tx) == bits(spec.tx_directions)
+        else:
+            assert tx is None and spec.tx_directions is None
 
 
 def test_stochastic_channel_rejects_zero_paths():

@@ -7,13 +7,14 @@ import numpy as np
 import pytest
 
 import masim.experiments as experiments
+import masim.positioning as positioning
 import masim.util as util
 from masim.cli import main
 from masim.experiments import (ConfigError, load_config, run_experiment,
                                validate_config_dict)
 from masim.gainmap import evaluate_map
 from masim.reference import two_path_spec
-from masim.channel import Region, sample_stochastic_channel
+from masim.channel import Region, field_response, sample_stochastic_channel
 from masim.mimo import sequential_position_search, tx_ula
 
 CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
@@ -147,6 +148,27 @@ def test_mimo_summary_counts_the_greedy_work(tmp_path):
                                    "candidates_scored": passes * cfg["num_rx"] * 11 ** 2}
     assert "counters" not in summary["results"]
     assert json.loads((tmp_path / "m" / "summary.json").read_text())["counters"] == summary["counters"]
+
+
+@pytest.mark.parametrize("kind", ["snr", "sinr"])
+def test_sweep_summary_counts_the_search_work(tmp_path, monkeypatch, kind):
+    cfg = {**small_snr_config(), "kind": kind, "path_counts": [1, 4], "region_sizes": [0.0, 1.0, 2.0],
+           "trials": 6}
+    # Every refine evaluation reaches positioning's field_response once per channel of the objective.
+    calls = []
+    counting = lambda r, d: calls.append(math.prod(np.shape(r)[:-1])) or field_response(r, d)
+    monkeypatch.setattr(positioning, "field_response", counting)
+    one = run_experiment(cfg, output_dir=str(tmp_path / "one"))
+    evaluations = sum(calls) // (2 if kind == "sinr" else 1)
+    assert evaluations > 0
+    assert one["counters"] == {"searches": 2 * 3 * 6, "coarse_points": 2 * 6 * (1 + 6 ** 2 + 11 ** 2),
+                               "refine_evaluations": evaluations}
+    assert "counters" not in one["results"]
+    monkeypatch.setattr(util, "_BLOCK_ELEMENTS", 1)  # one trial per draw, coarse and refine block
+    many = run_experiment(cfg, output_dir=str(tmp_path / "many"))
+    assert many["counters"] == one["counters"]
+    name = f"{kind}_sweep.csv"
+    assert (tmp_path / "one" / name).read_bytes() == (tmp_path / "many" / name).read_bytes()
 
 
 def test_cli_validate_exit_codes(tmp_path):

@@ -1,6 +1,8 @@
 import numpy as np
 import pytest
 
+import masim.positioning as positioning
+import masim.util as util
 from conftest import brute_force_power_scan
 from masim.channel import (ChannelSpec, Region, channel_gain, direction_from_angles,
                            field_on_grid, sample_stochastic_channel)
@@ -274,3 +276,38 @@ def test_one_draw_serves_every_region_size():
         shared = level_trials(kind, 5, [Region.square(a) for a in sizes], 12, 23, cfg)
         separate = np.array([level_trials(kind, 5, [Region.square(a)], 12, 23, cfg)[0] for a in sizes])
         assert shared.tobytes() == separate.tobytes()
+
+
+# Region lists for one level_trials call against separate single-region
+# calls: a point, a 1-axis segment, two squares and a 3-axis box; no region
+# at all; and 300 paths, whose refine budget of 2 x 2 x 300 elements per
+# search splits the 2 x 20 square searches of one draw into two blocks.
+MERGED_CASES = {
+    "mixed": ([Region.square(0.0), BATCH_CASES["1-axis"][0], Region.square(1.0), Region.square(2.0),
+               BATCH_CASES["3-axes"][0]], 4, 5),
+    "empty": ([], 4, 3),
+    "many-blocks": ([Region.square(0.0), Region.square(1.0), Region.square(2.0)], 300, 20),
+}
+
+
+@pytest.mark.parametrize("refine", [True, False], ids=["refine", "coarse"])
+@pytest.mark.parametrize("kind", ["snr", "sinr"])
+@pytest.mark.parametrize("case", sorted(MERGED_CASES))
+def test_merged_refine_matches_single_region_calls(case, kind, refine):
+    regions, num_paths, trials = MERGED_CASES[case]
+    cfg = SearchConfig(coarse_step=0.25, refine=refine)
+    merged, evals = positioning._sweep(kind, num_paths, regions, trials, 24, cfg)
+    assert merged.shape == evals.shape == (len(regions), trials)
+    assert merged.tobytes() == level_trials(kind, num_paths, regions, trials, 24, cfg).tobytes()
+    for region, values in zip(regions, merged):
+        assert values.tobytes() == level_trials(kind, num_paths, [region], trials, 24, cfg)[0].tobytes()
+        assert values.tobytes() == reference_trials(kind, num_paths, region, trials, 24, cfg).tobytes()
+    # Each search counts 1 + 2 * |axes| evaluations per iteration it takes itself.
+    iterations = {int(n) for region, e in zip(regions, evals) if region.free_axes
+                  for n in (e - 1) / (2 * len(region.free_axes))}
+    if refine and regions:
+        assert len(iterations) > 1  # searches of one call drop out of the lockstep at different iterations
+    else:
+        assert not evals.any()
+    if case == "many-blocks":
+        assert len(util._blocks(2 * trials, 2 * 2 * num_paths)) > 1

@@ -31,6 +31,7 @@ import hashlib
 import json
 import os
 import platform
+import signal
 import statistics
 import subprocess
 import sys
@@ -49,14 +50,23 @@ def git(*args: str) -> str:
 
 
 def run_perfbench(tree: Path, workload: str, seed: int, seconds: float, trace: int) -> dict:
-    """One ``perfbench/run.py`` run in ``tree``; its result line, parsed."""
+    """One ``perfbench/run.py`` run in ``tree``: its result line, parsed, and the ``absent``
+    list of the result file it writes, when it has one."""
     command = [sys.executable, "perfbench/run.py", "--workload", workload, "--seed", str(seed),
                "--seconds", str(seconds), "--trace", str(trace)]
-    done = subprocess.run(command, cwd=tree, capture_output=True, text=True)
+    with subprocess.Popen(command, cwd=tree, stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True) as done:
+        try:
+            stdout, stderr = done.communicate()
+        except BaseException:
+            done.terminate()  # perfbench stops its own child on SIGTERM; leaving the block waits for it
+            raise
     if done.returncode != 0:
-        raise RuntimeError(f"{tree}: perfbench exited {done.returncode}\n{done.stderr[-2000:]}")
-    result = json.loads(done.stdout.strip().splitlines()[-1])
-    run = {key: result[key] for key in ("correct", "attempted", "failed", "absent") if key in result}
+        raise RuntimeError(f"{tree}: perfbench exited {done.returncode}\n{stderr[-2000:]}")
+    result = json.loads(stdout.strip().splitlines()[-1])
+    run = {key: result[key] for key in ("correct", "attempted", "failed")}
+    record = tree / ".perfbench_out" / "results" / f"{workload}_seed{seed}_trace{trace}.json"
+    if "absent" in (full := json.loads(record.read_text())):
+        run["absent"] = full["absent"]
     return {**run, "metrics": {name: entry["value"] for name, entry in result["metrics"].items()}}
 
 
@@ -135,6 +145,7 @@ def main(argv: list[str]) -> int:
     runs = []
     with tempfile.TemporaryDirectory(prefix="bench-pair-") as tmp:
         checkout = Path(tmp) / "rev"
+        git("worktree", "prune")  # forget checkouts of runs that were killed before their cleanup
         git("worktree", "add", "--quiet", "--detach", str(checkout), commit)
         trees = {"parent": checkout, "change": ROOT}
         digests = {side: source_digest(tree) for side, tree in trees.items()}
@@ -169,5 +180,10 @@ def main(argv: list[str]) -> int:
     return 0
 
 
+def _terminate(signum, frame):
+    raise SystemExit(128 + signum)  # unwinds through the finally that removes the worktree
+
+
 if __name__ == "__main__":
+    signal.signal(signal.SIGTERM, _terminate)
     sys.exit(main(sys.argv[1:]))
