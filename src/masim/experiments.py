@@ -139,7 +139,9 @@ _SCHEMA = {
         "num_paths": (_int(1), _REQUIRED),
         "num_measurements": (_int(1), _REQUIRED),
         "region_size": (_POSITIVE, _REQUIRED),
-        "noise_var": (_num("a nonnegative number", lambda x: x >= 0), _REQUIRED),
+        # Near 1e305 the NMSE and the residual norm overflow; 1e100 is a
+        # -1000 dB per-sample SNR, the mimo bound.
+        "noise_var": (_num("a number in [0, 1e100]", lambda x: 0 <= x <= 1e100), _REQUIRED),
         "strategy": (_one_of("uniform-random", "grid"), "uniform-random"),
         "dict_grid": (_int(2), 64),
         "max_paths": (_int(1), lambda c: c.get("num_paths")),
@@ -270,11 +272,11 @@ def _mean_db_and_halfwidth(values: np.ndarray) -> tuple[float, float | None]:
 def _run_level_sweep(cfg, outdir):
     kind, trials = cfg["kind"], cfg["trials"]
     search = positioning.SearchConfig(coarse_step=cfg["coarse_step"], refine=cfg["refine"])
-    rows, summary, evals = [], {}, 0
+    rows, summary, evals, ties = [], {}, 0, 0
     for num_paths in cfg["path_counts"]:
         regions = [Region.square(size) for size in cfg["region_sizes"]]
-        sweep, refine = positioning._sweep(kind, num_paths, regions, trials, cfg["seed"], search)
-        evals += int(refine.sum())
+        sweep, refine, tied = positioning._sweep(kind, num_paths, regions, trials, cfg["seed"], search)
+        evals, ties = evals + int(refine.sum()), ties + int(tied.sum())
         for size, values in zip(cfg["region_sizes"], sweep):
             mean_db, half = _mean_db_and_halfwidth(values)
             rows.append((num_paths, size, trials, mean_db))
@@ -282,7 +284,8 @@ def _run_level_sweep(cfg, outdir):
     positioning.write_sweep_csv(rows, os.path.join(outdir, f"{kind}_sweep.csv"))
     grid_points = sum(grid_count(size, cfg["coarse_step"]) ** 2 for size in cfg["region_sizes"])
     summary["counters"] = {"searches": len(rows) * trials, "refine_evaluations": evals,
-                           "coarse_points": len(cfg["path_counts"]) * trials * grid_points}
+                           "coarse_points": len(cfg["path_counts"]) * trials * grid_points,
+                           "ranking_ties": ties}
     return summary
 
 

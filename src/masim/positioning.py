@@ -16,7 +16,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .channel import ChannelSpec, Region, _fields_on_grid, _stochastic_paths, field_on_grid, field_response
+from .channel import (_SPLIT_ERROR, ChannelSpec, Region, _fields_on_grid, _stochastic_paths, field_on_grid,
+                      field_response)
 from .util import _blocks, write_csv_atomic
 
 __all__ = [
@@ -77,28 +78,50 @@ _SWEEP_LEVELS = {"snr": (_snr_level(_REF_LEVEL), [()]),
                  "sinr": (_sinr_level(_REF_LEVEL, _REF_LEVEL), [(), (1,)])}
 
 
-def _search(channels, level, regions, cfg: SearchConfig, coarse):
-    """Best positions (R, T, 3), values (R, T) and refine evaluations (R, T) of ``level``
-    over each of R regions for each of T trials.
+# A fast coarse map ranks a search's start only where its maximum beats every
+# other point by the relative margin _RANK_MARGIN * max(1, M), M the region's
+# largest |coordinate|: 1e5 times the phase tables' error bound, which the
+# path sum and the SINR's interference term amplify far less than 100-fold
+# (the maps' measured error is under 1.1e-13 at M = 10).
+_RANK_MARGIN = 1e5 * _SPLIT_ERROR
+
+
+def _search(channels, level, regions, cfg: SearchConfig, coarse, rank=None):
+    """Best positions (R, T, 3), values (R, T), refine evaluations (R, T) and ranking ties (R, T)
+    of ``level`` over each of R regions for each of T trials.
 
     ``channels`` holds one ``(directions (T, L, 3), coefficients (T, L))``
     pair per argument of ``level``, which maps those channels' responses to
-    the objective.  ``coarse(region, block)`` returns the channels' fields on
-    the region's coarse grid for a slice of trials, each (Tb, *grid).  Each
-    (region, trial) search starts from its first best grid point; with
+    the objective.  ``coarse(region, trials)`` returns the channels' fields on
+    the region's coarse grid for an index array of trials, each (Tb, *grid).
+    Each (region, trial) search starts from its first best grid point; with
     ``cfg.refine``, the searches of all regions with the same free axes then
     take one :func:`_refine`, which counts 1 + 2 * |axes| evaluations per
-    iteration a search takes.
+    iteration a search takes.  ``rank``, like ``coarse`` but faster and
+    inexact, may pick the starts of refined searches: a trial whose ``rank``
+    maximum does not win by _RANK_MARGIN is a tie, and takes ``coarse``'s.
     """
     trials, num_paths = channels[0][1].shape
     x, best = np.empty((len(regions), trials, 3)), np.empty((len(regions), trials))
+    ties = np.zeros((len(regions), trials), dtype=bool)
     for i, region in enumerate(regions):
         coords = region.grid_coords(cfg.coarse_step)
         sides = [len(c) for c in coords]
+        fast = rank if cfg.refine and region.free_axes else None
+        margin = 1.0 + _RANK_MARGIN * max(1.0, np.abs([region.origin, region.upper]).max())
         start = np.empty(trials, dtype=int)
         for blk in _blocks(trials, max([math.prod(sides), num_paths] + [n * num_paths for n in sides])):
-            values = level(*coarse(region, blk)).reshape(blk.stop - blk.start, -1)
-            start[blk], best[i, blk] = values.argmax(axis=1), values.max(axis=1)
+            sel = np.arange(blk.start, blk.stop)
+            if fast:
+                values = level(*fast(region, sel)).reshape(sel.size, -1)
+                start[sel] = values.argmax(axis=1)
+                peak = values[np.arange(sel.size), start[sel]]
+                values[np.arange(sel.size), start[sel]] = -np.inf
+                ties[i, sel] = ~(peak > margin * values.max(axis=1))
+                sel = sel[ties[i, sel]]
+            if sel.size:
+                values = level(*coarse(region, sel)).reshape(sel.size, -1)
+                start[sel], best[i, sel] = values.argmax(axis=1), values.max(axis=1)
         x[i] = region.grid_position(coords, start)
     evals = np.zeros((len(regions), trials), dtype=int)
     for axes in dict.fromkeys(r.free_axes for r in regions if cfg.refine and r.free_axes):
@@ -110,7 +133,7 @@ def _search(channels, level, regions, cfg: SearchConfig, coarse):
                             cfg.coarse_step / 2.0)
         x[group], best[group] = xs.reshape(*shape, 3), fx.reshape(shape)
         evals[group] = (1 + 2 * len(free) * taken).reshape(shape)
-    return x, best, evals
+    return x, best, evals, ties
 
 
 def _refine(channels, level, x, trial, lo, hi, free, step):
@@ -153,7 +176,7 @@ def _position(specs, level, region: Region, cfg: SearchConfig | None):
     cfg = cfg or SearchConfig()
     channels = [(s.rx_directions[None], s.coefficients[None]) for s in specs]
     coarse = lambda region, blk: [field_on_grid(s, region, cfg.coarse_step)[0][None] for s in specs]
-    x, value, _ = _search(channels, level, [region], cfg, coarse)
+    x, value, _, _ = _search(channels, level, [region], cfg, coarse)
     return x[0, 0], float(value[0, 0])
 
 
@@ -208,17 +231,24 @@ def level_trials(kind: str, num_paths: int, regions, trials: int, seed: int,
 
 
 def _sweep(kind: str, num_paths: int, regions, trials: int, seed: int, cfg: SearchConfig):
-    """:func:`level_trials` and the refine evaluations of each search: both (regions, trials)."""
+    """:func:`level_trials`, the refine evaluations of each search and whether its fast ranking
+    tied (see :func:`_search`): each (regions, trials).
+
+    The searches of a refined sweep of L > 1 paths are ranked on split phase
+    tables; a single path's flat map is ranked by rounding alone, so it keeps the exact tables.
+    """
     level, streams = _SWEEP_LEVELS[kind]
-    values, evals = np.empty((2, len(regions), trials))
+    (values, evals), ties = np.empty((2, len(regions), trials)), np.empty((len(regions), trials), dtype=bool)
     for blk in _blocks(trials, 3 * num_paths):
         draws = [[_stochastic_paths(num_paths, (seed, t, *s)) for t in range(blk.start, blk.stop)]
                  for s in streams]
         channels = [(np.stack([d[0] for d in ds]), np.stack([d[1] for d in ds])) for ds in draws]
-        coarse = lambda region, b: [_fields_on_grid(d[b], c[b], region, cfg.coarse_step)[0]
-                                    for d, c in channels]
-        _, values[:, blk], evals[:, blk] = _search(channels, level, regions, cfg, coarse)
-    return values, evals
+        fields = lambda split: lambda region, b: [
+            _fields_on_grid(d[b], c[b], region, cfg.coarse_step, split)[0] for d, c in channels]
+        rank = fields(True) if cfg.refine and num_paths > 1 else None
+        _, values[:, blk], evals[:, blk], ties[:, blk] = _search(channels, level, regions, cfg,
+                                                                  fields(False), rank)
+    return values, evals, ties
 
 
 def write_sweep_csv(rows, path: str) -> None:

@@ -55,8 +55,9 @@ def write_csv_atomic(path: str, header: str, columns) -> None:
 
 
 def write_json_atomic(path: str, payload: dict) -> None:
-    """Write ``payload`` as indented, key-sorted JSON, atomically."""
+    """Write ``payload`` as indented, key-sorted strict JSON, atomically: a NaN or infinite
+    float raises ValueError and writes nothing."""
     def write(fh):
-        json.dump(payload, fh, indent=2, sort_keys=True)
+        json.dump(payload, fh, indent=2, sort_keys=True, allow_nan=False)
         fh.write("\n")
     _write_atomic(path, write)

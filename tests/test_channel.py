@@ -4,7 +4,8 @@ import math
 import numpy as np
 import pytest
 
-from masim.channel import (ChannelSpec, Region, _fields_on_grid, _stochastic_paths, angles_from_direction,
+from masim.channel import (_SPLIT_ERROR, ChannelSpec, Region, _fields_on_grid, _split_response,
+                           _stochastic_paths, angles_from_direction,
                            channel_gain, channel_spec_from_records,
                            direction_from_angles, field_on_grid, field_response,
                            sample_stochastic_channel)
@@ -284,6 +285,35 @@ def test_stacked_fields_on_grid_match_one_call_per_channel(extents):
     for t, spec in enumerate(specs):
         values, _ = field_on_grid(spec, region, 0.3)
         assert isinstance(values, np.ndarray) and values.tobytes() == stacked[t].tobytes()
+
+
+# (region, step): axes of 1 and 2 points, 1, 2 and 3 free axes, and 401-point
+# axes near the origin and far from it.
+SPLIT_GRIDS = {
+    "short-axes": (Region(origin=[0.3, -0.2, 0.0], extents=[0.1, 0.3, 0.0]), 0.25),
+    "1-axis": (Region(origin=[-1.0, 0.5, 0.25], extents=[2.5, 0.0, 0.0]), 0.1),
+    "2-axes": (Region.square(20.0), 0.05),
+    "3-axes": (Region(origin=[-1.0, 0.5, 0.25], extents=[2.0, 1.5, 0.9]), 0.1),
+    "far-off": (Region(origin=[1000.0, -3000.0, 0.0], extents=[20.0, 20.0, 0.0]), 0.05),
+}
+
+
+@pytest.mark.parametrize("case", sorted(SPLIT_GRIDS))
+def test_split_tables_match_field_response_within_bound(case):
+    region, step = SPLIT_GRIDS[case]
+    draws = [_stochastic_paths(20, (38, t)) for t in range(3)]
+    directions, coefficients = np.stack([d[0] for d in draws]), np.stack([d[1] for d in draws])
+    bound = _SPLIT_ERROR * max(1.0, np.abs([region.origin, region.upper]).max())
+    for c, a in zip(region.grid_coords(step), region.free_axes):
+        exact = field_response(c[:, None], directions[..., [a]])
+        split = _split_response(region.origin[a], step, len(c), directions[..., [a]])
+        assert split.shape == exact.shape and np.abs(split - exact).max() <= bound
+    # Each field sums L products of one table entry per free axis, rounded in its own order.
+    (exact, coords), (split, split_coords) = (_fields_on_grid(directions, coefficients, region, step, s)
+                                              for s in (False, True))
+    assert split.shape == exact.shape and all(map(np.array_equal, coords, split_coords))
+    slack = len(coords) * bound + 4 * 20 * np.finfo(float).eps
+    assert (np.abs(split - exact).reshape(3, -1).max(axis=1) <= slack * np.abs(coefficients).sum(axis=1)).all()
 
 
 def test_region_validation_and_free_axes():

@@ -158,11 +158,21 @@ def test_sweep_summary_counts_the_search_work(tmp_path, monkeypatch, kind):
     calls = []
     counting = lambda r, d: calls.append(math.prod(np.shape(r)[:-1])) or field_response(r, d)
     monkeypatch.setattr(positioning, "field_response", counting)
+    # Every tied ranking of an L > 1 region with free axes takes the exact fields of its trial, once per
+    # channel; a 20% margin leaves some of the L = 4 rankings tied.
+    exact, fields = [], positioning._fields_on_grid
+
+    def counting_fields(d, c, region, step, split=False):
+        if not split and d.shape[1] > 1 and region.free_axes:
+            exact.append(len(d))
+        return fields(d, c, region, step, split)
+    monkeypatch.setattr(positioning, "_fields_on_grid", counting_fields)
+    monkeypatch.setattr(positioning, "_RANK_MARGIN", 0.2)
     one = run_experiment(cfg, output_dir=str(tmp_path / "one"))
-    evaluations = sum(calls) // (2 if kind == "sinr" else 1)
-    assert evaluations > 0
+    evaluations, ties = (n // (2 if kind == "sinr" else 1) for n in (sum(calls), sum(exact)))
+    assert evaluations > 0 and 0 < ties < 2 * 6
     assert one["counters"] == {"searches": 2 * 3 * 6, "coarse_points": 2 * 6 * (1 + 6 ** 2 + 11 ** 2),
-                               "refine_evaluations": evaluations}
+                               "refine_evaluations": evaluations, "ranking_ties": ties}
     assert "counters" not in one["results"]
     monkeypatch.setattr(util, "_BLOCK_ELEMENTS", 1)  # one trial per draw, coarse and refine block
     many = run_experiment(cfg, output_dir=str(tmp_path / "many"))
@@ -246,6 +256,8 @@ PATH_RECORD = {"theta": 1.1, "phi": 0.7, "coeff_re": 1.0, "coeff_im": 0.0}
     small_snr_config() | {"region_sizes": [1.0, 1.0000001]},
     mimo_config(snr_db_list=[0.0, 0.0]),
     small_snr_config() | {"trials": 10 ** 12},
+    estimate_config(noise_var=1e308),
+    estimate_config(noise_var=1.01e100),
 ], ids=["refine-string", "max-paths-over-measurements", "estimate-negative-step",
         "one-pattern-point", "d-max-below-min-spacing", "one-point-dictionary",
         "mixed-tx-angles", "tx-theta-out-of-range", "snr-fractional-path-count",
@@ -254,7 +266,7 @@ PATH_RECORD = {"theta": 1.1, "phi": 0.7, "coeff_re": 1.0, "coeff_im": 0.0}
         "mimo-snr-overflow", "mimo-snr-nan-capacity", "huge-region", "tiny-d-step",
         "grid-just-over-cap", "unknown-key", "paths-and-num-paths", "coarse-step-below-refine-tol",
         "output-dir-not-string", "repeated-path-count", "region-sizes-one-summary-key",
-        "repeated-snr", "trials-over-cap"])
+        "repeated-snr", "trials-over-cap", "noise-var-overflow", "noise-var-just-over-cap"])
 def test_invalid_config_exits_2_before_any_output(tmp_path, cfg):
     path = write_config(tmp_path, cfg)
     out = tmp_path / "out"
@@ -272,6 +284,19 @@ def test_cli_runtime_failure_exits_3(tmp_path, monkeypatch):
 
     monkeypatch.setitem(experiments._RUNNERS, "snr", boom)
     assert main(["run", "-c", cfg, "-o", str(tmp_path / "y")]) == 3
+
+
+def test_noise_var_at_cap_gives_a_finite_summary(tmp_path):
+    summary = run_experiment(estimate_config(noise_var=1e100), output_dir=str(tmp_path / "e"))
+    assert math.isfinite(summary["results"]["nmse"]) and math.isfinite(summary["results"]["residual_norm"])
+
+
+def test_non_finite_summary_exits_3_and_leaves_nothing(tmp_path, monkeypatch):
+    out = tmp_path / "out"
+    cfg = write_config(tmp_path, estimate_config())
+    monkeypatch.setattr(experiments.estimation, "reconstruct_and_score", lambda *args: math.inf)
+    assert main(["run", "-c", cfg, "-o", str(out)]) == 3
+    assert list(out.iterdir()) == []
 
 
 def test_failed_run_leaves_no_partial_csv(tmp_path, monkeypatch):

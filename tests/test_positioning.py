@@ -1,11 +1,14 @@
+import math
+
 import numpy as np
 import pytest
 
+import masim.channel as channel
 import masim.positioning as positioning
 import masim.util as util
 from conftest import brute_force_power_scan
-from masim.channel import (ChannelSpec, Region, channel_gain, direction_from_angles,
-                           field_on_grid, sample_stochastic_channel)
+from masim.channel import (ChannelSpec, Region, _fields_on_grid, _stochastic_paths, channel_gain,
+                           direction_from_angles, field_on_grid, sample_stochastic_channel)
 from masim.positioning import SearchConfig, level_trials, max_sinr_position, max_snr_position, snr_gradient
 
 
@@ -237,7 +240,9 @@ def reference_trials(kind, num_paths, region, trials, seed, cfg):
 
 # (region, path count, coarse step, trials).  With 2^15-element blocks, the
 # 201^2 grid takes one trial per coarse block, and 300 paths split 50 trials
-# into several draw, coarse and refine blocks.
+# into several draw, coarse and refine blocks.  Two paths on a 20-wavelength
+# square give ridge maps whose fast SNR ranking ties; the far-off square
+# scales the ranking margin with its coordinates.
 BATCH_CASES = {
     "0-axes": (Region.square(0.0), 4, 0.25, 5),
     "1-axis": (Region(origin=[-1.0, 0.5, 0.0], extents=[2.5, 0.0, 0.0]), 4, 0.25, 5),
@@ -245,6 +250,8 @@ BATCH_CASES = {
     "3-axes": (Region(origin=[-0.5, -0.5, -0.25], extents=[1.0, 1.0, 0.5]), 3, 0.25, 4),
     "grid-over-block": (Region.square(20.0), 3, 0.1, 3),
     "many-blocks": (Region.square(1.0), 300, 0.25, 50),
+    "L=2": (Region.square(20.0), 2, 0.1, 4),
+    "far-off": (Region(origin=[1000.0, -3000.0, 0.0], extents=[20.0, 20.0, 0.0]), 4, 0.25, 3),
 }
 
 
@@ -296,7 +303,7 @@ MERGED_CASES = {
 def test_merged_refine_matches_single_region_calls(case, kind, refine):
     regions, num_paths, trials = MERGED_CASES[case]
     cfg = SearchConfig(coarse_step=0.25, refine=refine)
-    merged, evals = positioning._sweep(kind, num_paths, regions, trials, 24, cfg)
+    merged, evals, _ = positioning._sweep(kind, num_paths, regions, trials, 24, cfg)
     assert merged.shape == evals.shape == (len(regions), trials)
     assert merged.tobytes() == level_trials(kind, num_paths, regions, trials, 24, cfg).tobytes()
     for region, values in zip(regions, merged):
@@ -311,3 +318,54 @@ def test_merged_refine_matches_single_region_calls(case, kind, refine):
         assert not evals.any()
     if case == "many-blocks":
         assert len(util._blocks(2 * trials, 2 * 2 * num_paths)) > 1
+
+
+def test_two_path_ridges_tie_and_take_the_exact_map():
+    region, num_paths, step, trials = BATCH_CASES["L=2"]
+    _, _, ties = positioning._sweep("snr", num_paths, [region], trials, 21, SearchConfig(coarse_step=step))
+    assert ties.any()  # so the byte equality of this case covers the fallback
+
+
+@pytest.mark.parametrize("margin", [0.0, 0.05, 0.2, math.inf])
+@pytest.mark.parametrize("kind", ["snr", "sinr"])
+def test_any_ranking_margin_gives_the_exact_values(monkeypatch, kind, margin):
+    # Margins from none (a fast argmax is never tied) to infinite (always tied); in between,
+    # the one block of 8 trials holds both tied and certified trials.
+    monkeypatch.setattr(positioning, "_RANK_MARGIN", margin)
+    regions, cfg = [Region.square(1.0), Region.square(2.0)], SearchConfig(coarse_step=0.2)
+    values, _, ties = positioning._sweep(kind, 4, regions, 8, 26, cfg)
+    if margin == 0.0:
+        assert not ties.any()
+    elif margin == math.inf:
+        assert ties.all()
+    else:
+        assert ties.any() and not ties.all()
+    for region, row in zip(regions, values):
+        assert row.tobytes() == reference_trials(kind, 4, region, 8, 26, cfg).tobytes()
+
+
+@pytest.mark.parametrize("kind", ["snr", "sinr"])
+@pytest.mark.parametrize("case", ["1-axis", "2-axes", "3-axes", "L=2", "far-off"])
+def test_fast_maps_stay_inside_the_ranking_margin(case, kind):
+    region, num_paths, step, trials = BATCH_CASES[case]
+    level, streams = positioning._SWEEP_LEVELS[kind]
+    channels = [[_stochastic_paths(num_paths, (27, t, *s))[:2] for t in range(trials)] for s in streams]
+    channels = [(np.stack([d for d, _ in ch]), np.stack([c for _, c in ch])) for ch in channels]
+    exact, fast = (level(*[_fields_on_grid(d, c, region, step, split)[0] for d, c in channels])
+                   for split in (False, True))
+    grid = tuple(range(1, exact.ndim))
+    error = np.abs(fast - exact).max(axis=grid) / exact.max(axis=grid)
+    scale = max(1.0, np.abs([region.origin, region.upper]).max())
+    assert (error <= positioning._RANK_MARGIN * scale / 1000).all()
+
+
+def test_single_path_and_coarse_sweeps_build_no_split_tables(monkeypatch):
+    built, split = [], channel._split_response
+    monkeypatch.setattr(channel, "_split_response", lambda *args: built.append(args) or split(*args))
+    regions = [Region.square(0.0), Region.square(2.0)]
+    for kind in ("snr", "sinr"):
+        level_trials(kind, 1, regions, 3, 28, SearchConfig(coarse_step=0.25))
+        level_trials(kind, 3, regions, 3, 28, SearchConfig(coarse_step=0.25, refine=False))
+    assert built == []
+    level_trials("snr", 3, regions, 3, 28, SearchConfig(coarse_step=0.25))
+    assert len(built) == 2  # one table per free axis of the one block of the square

@@ -9,7 +9,7 @@ from masim.channel import ChannelSpec, Region, direction_from_angles
 from masim.gainmap import DB_FLOOR, evaluate_map, write_gain_map_csv
 from masim.mimo import write_capacity_csv
 from masim.positioning import write_sweep_csv
-from masim.util import write_csv_atomic
+from masim.util import write_csv_atomic, write_json_atomic
 
 
 def reference_csv(path, header, rows):
@@ -96,6 +96,13 @@ def test_column_writer_matches_row_writer_bytes(tmp_path, case):
 def test_unequal_columns_leave_nothing(tmp_path):
     with pytest.raises(ValueError):
         write_csv_atomic(str(tmp_path / "bad.csv"), "a,b", ([1, 2, 3], [1.0, 2.0]))
+    assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("value", [math.inf, -math.inf, math.nan])
+def test_json_writer_rejects_non_finite_numbers_and_leaves_nothing(tmp_path, value):
+    with pytest.raises(ValueError):
+        write_json_atomic(str(tmp_path / "summary.json"), {"results": {"nmse": value}})
     assert list(tmp_path.iterdir()) == []
 
 

@@ -22,6 +22,7 @@ from __future__ import annotations
 import json
 import math
 import os
+import signal
 import subprocess
 import sys
 import tempfile
@@ -106,6 +107,8 @@ def main(argv: list[str]) -> int:
     with tempfile.TemporaryDirectory(prefix="artifact-diff-") as tmp:
         tmp = Path(tmp)
         checkout = tmp / "rev"
+        # Forget checkouts of runs that were killed before their cleanup.
+        subprocess.run(["git", "-C", str(ROOT), "worktree", "prune"], check=True)
         subprocess.run(["git", "-C", str(ROOT), "worktree", "add", "--quiet", "--detach",
                         str(checkout), argv[0]], check=True)
         try:
@@ -128,5 +131,10 @@ def main(argv: list[str]) -> int:
     return 1 if differ else 0
 
 
+def _terminate(signum, frame):
+    raise SystemExit(128 + signum)  # unwinds through the finally that removes the worktree
+
+
 if __name__ == "__main__":
+    signal.signal(signal.SIGTERM, _terminate)
     sys.exit(main(sys.argv[1:]))
