@@ -45,11 +45,18 @@ def uniform_layout(num_elements: int, spacing: float) -> np.ndarray:
 
 def _check_layout(layout) -> np.ndarray:
     x = np.asarray(layout, dtype=float)
-    if x.ndim != 1 or x.size < 1:
-        raise ValueError("layout must be a 1D array of element positions")
+    if x.ndim != 1 or x.size < 1 or not np.isfinite(x).all():
+        raise ValueError("layout must be a 1D array of finite element positions")
     if x.size > 1 and np.diff(x).min() < MIN_SPACING - 1e-12:
         raise ValueError(f"element positions must increase by at least {MIN_SPACING} wavelengths")
     return x
+
+
+def _check_cosines(u) -> np.ndarray:
+    u = np.asarray(u, dtype=float)
+    if not (np.abs(u) <= 1.0 + 1e-12).all():  # also false for NaN
+        raise ValueError("cosine-domain directions must be finite and lie in [-1, 1]")
+    return u
 
 
 def _check_weights(weights, n: int) -> np.ndarray:
@@ -63,20 +70,14 @@ def _check_weights(weights, n: int) -> np.ndarray:
 
 def steering_vector(layout, u: float) -> np.ndarray:
     """Per-element phase response exp(j*2*pi*x_n*u) toward cosine direction u."""
-    x = _check_layout(layout)
-    if abs(u) > 1.0 + 1e-12:
-        raise ValueError("cosine-domain direction must lie in [-1, 1]")
-    return np.exp(2j * np.pi * x * u)
+    return np.exp(2j * np.pi * _check_layout(layout) * _check_cosines(u))
 
 
 def array_gain(layout, weights, u):
     """Array gain |w^H a(u)|^2 / ||w||^2; scalar or vectorized over u."""
     x = _check_layout(layout)
     w = _check_weights(weights, x.size)
-    u_arr = np.atleast_1d(np.asarray(u, dtype=float))
-    if np.abs(u_arr).max() > 1.0 + 1e-12:
-        raise ValueError("cosine-domain direction must lie in [-1, 1]")
-    a = np.exp(2j * np.pi * np.outer(u_arr, x))
+    a = np.exp(2j * np.pi * np.outer(_check_cosines(u), x))
     gain = np.abs(a @ np.conj(w)) ** 2 / float(np.vdot(w, w).real)
     return float(gain[0]) if np.isscalar(u) or np.ndim(u) == 0 else gain
 
@@ -166,7 +167,7 @@ def optimize_uniform_spacing(num_elements: int, objective: str, u_params,
     if objective not in ("two-beam", "null-steer"):
         raise ValueError("objective must be 'two-beam' or 'null-steer'")
     spacings = lo + np.arange(grid_count(hi - lo, d_step)) * d_step
-    u1, u2 = float(u_params[0]), float(u_params[1])
+    u1, u2 = _check_cosines(u_params)
     # Row i is the unit-spacing layout scaled to spacings[i].
     layouts = np.outer(spacings, uniform_layout(num_elements, 1.0))
     # Normalized steering overlap |<a(u1), a(u2)>|/N of every layout; hypot

@@ -169,7 +169,7 @@ def capacity_waterfilling(h_matrix, rho_total: float) -> WaterfillingResult:
     mu = (rho_total + inv[:k_active].sum()) / k_active
     allocation = np.zeros_like(gains)
     allocation[:k_active] = mu - inv[:k_active]
-    capacity = float(np.log2(1.0 + allocation * gains).sum())
+    capacity = float(np.log1p(allocation * gains).sum() / math.log(2.0))
     return WaterfillingResult(capacity=capacity, allocation=allocation,
                               water_level=float(mu), singular_values=s)
 

@@ -45,8 +45,8 @@ class SearchConfig:
     refine: bool = True
 
     def __post_init__(self):
-        if not _REFINE_MIN_STEP < self.coarse_step / 2.0:
-            raise ValueError(f"coarse_step must exceed {2 * _REFINE_MIN_STEP:g} to leave room to refine")
+        if not (math.isfinite(self.coarse_step) and _REFINE_MIN_STEP < self.coarse_step / 2.0):
+            raise ValueError(f"coarse_step must be finite and exceed {2 * _REFINE_MIN_STEP:g} to leave room to refine")
 
 
 def _power(h, rho: float) -> np.ndarray:
@@ -86,34 +86,40 @@ _SWEEP_LEVELS = {"snr": (_snr_level(_REF_LEVEL), [()]),
 _RANK_MARGIN = 1e5 * _SPLIT_ERROR
 
 
-def _search(channels, level, regions, cfg: SearchConfig, coarse, rank=None):
+def _search(channels, level, regions, cfg: SearchConfig, coarse=None):
     """Best positions (R, T, 3), values (R, T), refine evaluations (R, T) and ranking ties (R, T)
     of ``level`` over each of R regions for each of T trials.
 
     ``channels`` holds one ``(directions (T, L, 3), coefficients (T, L))``
     pair per argument of ``level``, which maps those channels' responses to
-    the objective.  ``coarse(region, trials)`` returns the channels' fields on
-    the region's coarse grid for an index array of trials, each (Tb, *grid).
-    Each (region, trial) search starts from its first best grid point; with
-    ``cfg.refine``, the searches of all regions with the same free axes then
-    take one :func:`_refine`, which counts 1 + 2 * |axes| evaluations per
-    iteration a search takes.  ``rank``, like ``coarse`` but faster and
-    inexact, may pick the starts of refined searches: a trial whose ``rank``
-    maximum does not win by _RANK_MARGIN is a tie, and takes ``coarse``'s.
+    the objective.  ``coarse(region, trials)``, by default :func:`_fields_on_grid`,
+    returns the channels' fields on the region's coarse grid for an index array
+    of trials, each (Tb, *grid).  Each (region, trial) search starts from its
+    first best grid point; with ``cfg.refine``, the searches of all regions
+    with the same free axes then take one :func:`_refine`, which counts
+    1 + 2 * |axes| evaluations per iteration a search takes.  A refined map
+    with at least as many independent phases <d_l - d_1, r> (L - 1 per channel)
+    as free axes is ranked on split phase tables (one with fewer is constant
+    along a line through each maximum, so it could only tie): a trial whose
+    fast maximum does not win by _RANK_MARGIN is a tie, and takes ``coarse``'s.
     """
     trials, num_paths = channels[0][1].shape
+    phases = sum(c.shape[1] - 1 for _, c in channels)
+    fields = lambda region, sel, split=False: [_fields_on_grid(d[sel], c[sel], region, cfg.coarse_step, split)[0]
+                                               for d, c in channels]
+    coarse = coarse or fields
     x, best = np.empty((len(regions), trials, 3)), np.empty((len(regions), trials))
     ties = np.zeros((len(regions), trials), dtype=bool)
     for i, region in enumerate(regions):
         coords = region.grid_coords(cfg.coarse_step)
         sides = [len(c) for c in coords]
-        fast = rank if cfg.refine and region.free_axes else None
+        fast = cfg.refine and 0 < len(region.free_axes) <= phases
         margin = 1.0 + _RANK_MARGIN * max(1.0, np.abs([region.origin, region.upper]).max())
         start = np.empty(trials, dtype=int)
         for blk in _blocks(trials, max([math.prod(sides), num_paths] + [n * num_paths for n in sides])):
             sel = np.arange(blk.start, blk.stop)
             if fast:
-                values = level(*fast(region, sel)).reshape(sel.size, -1)
+                values = level(*fields(region, sel, True)).reshape(sel.size, -1)
                 start[sel] = values.argmax(axis=1)
                 peak = values[np.arange(sel.size), start[sel]]
                 values[np.arange(sel.size), start[sel]] = -np.inf
@@ -171,12 +177,15 @@ def _refine(channels, level, x, trial, lo, hi, free, step):
     return fx, taken
 
 
-def _position(specs, level, region: Region, cfg: SearchConfig | None):
-    """:func:`_search` as one trial over the channels ``specs``: ``(position, value)``."""
+def _position(specs, make_level, region: Region, cfg: SearchConfig | None, *rhos):
+    """:func:`_search` as one trial of ``make_level(*rhos)`` over the channels ``specs``: ``(position, value)``."""
+    if not all(math.isfinite(rho) and rho >= 0 for rho in rhos):
+        raise ValueError(f"rho must be finite and nonnegative, got {rhos}")
     cfg = cfg or SearchConfig()
     channels = [(s.rx_directions[None], s.coefficients[None]) for s in specs]
+    # field_on_grid through this module's binding: perfbench's tracer test expects its span.
     coarse = lambda region, blk: [field_on_grid(s, region, cfg.coarse_step)[0][None] for s in specs]
-    x, value, _, _ = _search(channels, level, [region], cfg, coarse)
+    x, value, _, _ = _search(channels, make_level(*rhos), [region], cfg, coarse)
     return x[0, 0], float(value[0, 0])
 
 
@@ -187,7 +196,7 @@ def max_snr_position(spec: ChannelSpec, region: Region, cfg: SearchConfig | None
     Returns ``(position, snr_linear)``; the value dominates every coarse
     grid point and the position lies inside the region.
     """
-    return _position([spec], _snr_level(rho), region, cfg)
+    return _position([spec], _snr_level, region, cfg, rho)
 
 
 def max_sinr_position(signal: ChannelSpec, interference: ChannelSpec, region: Region,
@@ -198,7 +207,7 @@ def max_sinr_position(signal: ChannelSpec, interference: ChannelSpec, region: Re
     Returns ``(position, sinr_linear)``; the levels are linear and default
     to 20 dB each.
     """
-    return _position([signal, interference], _sinr_level(rho, rho_interference), region, cfg)
+    return _position([signal, interference], _sinr_level, region, cfg, rho, rho_interference)
 
 
 def snr_gradient(spec: ChannelSpec, r, axes=(0, 1)) -> np.ndarray:
@@ -232,22 +241,14 @@ def level_trials(kind: str, num_paths: int, regions, trials: int, seed: int,
 
 def _sweep(kind: str, num_paths: int, regions, trials: int, seed: int, cfg: SearchConfig):
     """:func:`level_trials`, the refine evaluations of each search and whether its fast ranking
-    tied (see :func:`_search`): each (regions, trials).
-
-    The searches of a refined sweep of L > 1 paths are ranked on split phase
-    tables; a single path's flat map is ranked by rounding alone, so it keeps the exact tables.
-    """
+    tied (see :func:`_search`): each (regions, trials)."""
     level, streams = _SWEEP_LEVELS[kind]
     (values, evals), ties = np.empty((2, len(regions), trials)), np.empty((len(regions), trials), dtype=bool)
     for blk in _blocks(trials, 3 * num_paths):
         draws = [[_stochastic_paths(num_paths, (seed, t, *s)) for t in range(blk.start, blk.stop)]
                  for s in streams]
         channels = [(np.stack([d[0] for d in ds]), np.stack([d[1] for d in ds])) for ds in draws]
-        fields = lambda split: lambda region, b: [
-            _fields_on_grid(d[b], c[b], region, cfg.coarse_step, split)[0] for d, c in channels]
-        rank = fields(True) if cfg.refine and num_paths > 1 else None
-        _, values[:, blk], evals[:, blk], ties[:, blk] = _search(channels, level, regions, cfg,
-                                                                  fields(False), rank)
+        _, values[:, blk], evals[:, blk], ties[:, blk] = _search(channels, level, regions, cfg)
     return values, evals, ties
 
 

@@ -36,11 +36,29 @@ def test_steering_vector_rejects_out_of_range():
         steering_vector(uniform_layout(4, 0.5), 1.1)
 
 
+@pytest.mark.parametrize("u", [1.1, -1.0 - 1e-9, math.nan, math.inf, -math.inf])
+def test_every_cosine_input_is_checked(u):
+    layout, w = uniform_layout(4, 0.5), np.ones(4, dtype=complex)
+    for call in (lambda: steering_vector(layout, u), lambda: array_gain(layout, w, u),
+                 lambda: array_gain(layout, w, [0.0, u]),
+                 lambda: optimize_uniform_spacing(4, "two-beam", (u, 0.2)),
+                 lambda: optimize_uniform_spacing(4, "null-steer", (0.2, u))):
+        with pytest.raises(ValueError, match="cosine"):
+            call()
+    # One past the edge by at most 1e-12 is rounding, and is accepted.
+    assert array_gain(layout, w, 1.0 + 1e-13) > 0.0
+
+
 def test_layout_validation():
     with pytest.raises(ValueError):
         uniform_layout(8, 0.4)
     with pytest.raises(ValueError):
         array_gain(np.array([0.0, 0.3]), np.ones(2, dtype=complex), 0.0)
+    for layout in ([0.0, math.nan, 1.0], [0.0, 1.0, math.inf], [math.nan]):
+        with pytest.raises(ValueError, match="finite"):
+            array_gain(layout, np.ones(len(layout), dtype=complex), 0.0)
+        with pytest.raises(ValueError, match="finite"):
+            steering_vector(layout, 0.0)
 
 
 def test_matched_filter_reaches_full_gain():

@@ -18,6 +18,21 @@ def test_search_config_validation():
     with pytest.raises(ValueError):  # the first refine step, coarse_step/2, must exceed 1e-4
         SearchConfig(coarse_step=2e-4)
     assert SearchConfig(coarse_step=2.1e-4).coarse_step == 2.1e-4
+    for step in (math.inf, math.nan, -1.0):
+        with pytest.raises(ValueError, match="finite"):
+            SearchConfig(coarse_step=step)
+
+
+@pytest.mark.parametrize("bad", [-1.0, -100.0, math.nan, math.inf])
+@pytest.mark.parametrize("name", ["rho", "rho_interference"])
+def test_position_searches_reject_bad_levels(two_path, name, bad):
+    region = Region.square(1.0)
+    searches = [lambda: max_sinr_position(two_path, two_path, region, **{name: bad})]
+    if name == "rho":
+        searches.append(lambda: max_snr_position(two_path, region, rho=bad))
+    for search in searches:
+        with pytest.raises(ValueError, match="finite and nonnegative"):
+            search()
 
 
 def test_flat_objective_returns_first_grid_point():
@@ -241,8 +256,9 @@ def reference_trials(kind, num_paths, region, trials, seed, cfg):
 # (region, path count, coarse step, trials).  With 2^15-element blocks, the
 # 201^2 grid takes one trial per coarse block, and 300 paths split 50 trials
 # into several draw, coarse and refine blocks.  Two paths on a 20-wavelength
-# square give ridge maps whose fast SNR ranking ties; the far-off square
-# scales the ranking margin with its coordinates.
+# square give SNR ridge maps, which take the exact tables alone, and SINR
+# maps of two phases, which rank fast; the far-off square scales the ranking
+# margin with its coordinates.
 BATCH_CASES = {
     "0-axes": (Region.square(0.0), 4, 0.25, 5),
     "1-axis": (Region(origin=[-1.0, 0.5, 0.0], extents=[2.5, 0.0, 0.0]), 4, 0.25, 5),
@@ -265,8 +281,16 @@ def test_batched_trials_match_per_trial_reference(case, kind, refine):
     assert values.tobytes() == reference_trials(kind, num_paths, region, trials, 21, cfg).tobytes()
 
 
+@pytest.fixture
+def split_tables(monkeypatch):
+    """The argument tuples of every _split_response call made while the test runs."""
+    built, split = [], channel._split_response
+    monkeypatch.setattr(channel, "_split_response", lambda *args: built.append(args) or split(*args))
+    return built
+
+
 @pytest.mark.parametrize("case", ["1-axis", "2-axes", "3-axes"])
-def test_position_search_matches_one_trial_reference(case):
+def test_position_search_matches_one_trial_reference(case, split_tables):
     region, num_paths, step, _ = BATCH_CASES[case]
     signal, interference = (sample_stochastic_channel(num_paths, (22, s)) for s in (0, 1))
     cfg = SearchConfig(coarse_step=step)
@@ -275,6 +299,10 @@ def test_position_search_matches_one_trial_reference(case):
     for kind, (pos, value) in searches.items():
         ref_pos, ref_value = reference_position(kind, signal, interference, region, cfg)
         assert pos.tobytes() == ref_pos.tobytes() and value == ref_value and type(value) is float
+    # One table per free axis and channel of a search ranked fast: every search here but the SNR
+    # search on the 3-axis box, whose L = 3 map has two phases for three axes.
+    axes = len(region.free_axes)
+    assert len(split_tables) == (axes if num_paths - 1 >= axes else 0) + 2 * axes
 
 
 def test_one_draw_serves_every_region_size():
@@ -320,12 +348,6 @@ def test_merged_refine_matches_single_region_calls(case, kind, refine):
         assert len(util._blocks(2 * trials, 2 * 2 * num_paths)) > 1
 
 
-def test_two_path_ridges_tie_and_take_the_exact_map():
-    region, num_paths, step, trials = BATCH_CASES["L=2"]
-    _, _, ties = positioning._sweep("snr", num_paths, [region], trials, 21, SearchConfig(coarse_step=step))
-    assert ties.any()  # so the byte equality of this case covers the fallback
-
-
 @pytest.mark.parametrize("margin", [0.0, 0.05, 0.2, math.inf])
 @pytest.mark.parametrize("kind", ["snr", "sinr"])
 def test_any_ranking_margin_gives_the_exact_values(monkeypatch, kind, margin):
@@ -359,13 +381,19 @@ def test_fast_maps_stay_inside_the_ranking_margin(case, kind):
     assert (error <= positioning._RANK_MARGIN * scale / 1000).all()
 
 
-def test_single_path_and_coarse_sweeps_build_no_split_tables(monkeypatch):
-    built, split = [], channel._split_response
-    monkeypatch.setattr(channel, "_split_response", lambda *args: built.append(args) or split(*args))
+def test_single_path_and_coarse_sweeps_build_no_split_tables(split_tables):
     regions = [Region.square(0.0), Region.square(2.0)]
     for kind in ("snr", "sinr"):
         level_trials(kind, 1, regions, 3, 28, SearchConfig(coarse_step=0.25))
         level_trials(kind, 3, regions, 3, 28, SearchConfig(coarse_step=0.25, refine=False))
-    assert built == []
+    # Two paths: an SNR map has one phase <d_2 - d_1, r> for two free axes, so its ridges could only tie.
+    region, num_paths, step, trials = BATCH_CASES["L=2"]
+    _, _, ties = positioning._sweep("snr", num_paths, [region], trials, 21, SearchConfig(coarse_step=step))
+    assert split_tables == [] and not ties.any()
     level_trials("snr", 3, regions, 3, 28, SearchConfig(coarse_step=0.25))
-    assert len(built) == 2  # one table per free axis of the one block of the square
+    assert len(split_tables) == 2  # one table per free axis of the one block of the square
+    # A two-path SINR map has a phase per channel, so it ranks fast: two tables per channel and block.
+    split_tables.clear()
+    _, _, ties = positioning._sweep("sinr", num_paths, [region], trials, 21, SearchConfig(coarse_step=step))
+    blocks = len(util._blocks(trials, channel.grid_count(region.extents[0], step) ** 2))
+    assert len(split_tables) == 2 * 2 * blocks and not ties.any()

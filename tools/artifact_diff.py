@@ -22,13 +22,13 @@ from __future__ import annotations
 import json
 import math
 import os
-import signal
 import subprocess
 import sys
 import tempfile
 from pathlib import Path
 
-ROOT = Path(__file__).resolve().parent.parent
+from worktree import ROOT, checkout
+
 TRIAL_KINDS = ("snr", "sinr", "mimo")
 ONE_THREAD = {name: "1" for name in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS")}
 
@@ -106,17 +106,9 @@ def main(argv: list[str]) -> int:
         return 2
     with tempfile.TemporaryDirectory(prefix="artifact-diff-") as tmp:
         tmp = Path(tmp)
-        checkout = tmp / "rev"
-        # Forget checkouts of runs that were killed before their cleanup.
-        subprocess.run(["git", "-C", str(ROOT), "worktree", "prune"], check=True)
-        subprocess.run(["git", "-C", str(ROOT), "worktree", "add", "--quiet", "--detach",
-                        str(checkout), argv[0]], check=True)
-        try:
+        with checkout(argv[0], "artifact-diff-rev-") as base:
             run_configs(ROOT, tmp / "tree")
-            run_configs(checkout, tmp / "base")
-        finally:
-            subprocess.run(["git", "-C", str(ROOT), "worktree", "remove", "--force", str(checkout)],
-                           check=True)
+            run_configs(base, tmp / "base")
         files = sorted({p.relative_to(side) for side in (tmp / "tree", tmp / "base")
                         for p in side.rglob("*") if p.is_file()})
         differ = 0
@@ -131,10 +123,5 @@ def main(argv: list[str]) -> int:
     return 1 if differ else 0
 
 
-def _terminate(signum, frame):
-    raise SystemExit(128 + signum)  # unwinds through the finally that removes the worktree
-
-
 if __name__ == "__main__":
-    signal.signal(signal.SIGTERM, _terminate)
     sys.exit(main(sys.argv[1:]))

@@ -31,16 +31,15 @@ import hashlib
 import json
 import os
 import platform
-import signal
 import statistics
 import subprocess
 import sys
-import tempfile
 from pathlib import Path
 
 import numpy as np
 
-ROOT = Path(__file__).resolve().parent.parent
+from worktree import ROOT, checkout
+
 SIDES = ("parent", "change")
 
 
@@ -143,11 +142,8 @@ def main(argv: list[str]) -> int:
     seconds = benchmark["run_seconds"]
 
     runs = []
-    with tempfile.TemporaryDirectory(prefix="bench-pair-") as tmp:
-        checkout = Path(tmp) / "rev"
-        git("worktree", "prune")  # forget checkouts of runs that were killed before their cleanup
-        git("worktree", "add", "--quiet", "--detach", str(checkout), commit)
-        trees = {"parent": checkout, "change": ROOT}
+    with checkout(commit, "bench-pair-") as parent:
+        trees = {"parent": parent, "change": ROOT}
         digests = {side: source_digest(tree) for side, tree in trees.items()}
         try:
             for pair in range(args.pairs):
@@ -161,8 +157,6 @@ def main(argv: list[str]) -> int:
         except RuntimeError as exc:
             print(f"error: {exc}", file=sys.stderr)
             return 1
-        finally:
-            git("worktree", "remove", "--force", str(checkout))
 
     summary = summarise(runs, better)
     record = {"workload": args.workload, "seed": args.seed, "pairs": args.pairs,
@@ -180,10 +174,5 @@ def main(argv: list[str]) -> int:
     return 0
 
 
-def _terminate(signum, frame):
-    raise SystemExit(128 + signum)  # unwinds through the finally that removes the worktree
-
-
 if __name__ == "__main__":
-    signal.signal(signal.SIGTERM, _terminate)
     sys.exit(main(sys.argv[1:]))
