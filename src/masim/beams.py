@@ -63,6 +63,8 @@ def _check_weights(weights, n: int) -> np.ndarray:
     w = np.asarray(weights, dtype=complex)
     if w.shape != (n,):
         raise ValueError(f"weights must have shape ({n},)")
+    if not np.isfinite(w).all():
+        raise ValueError("weights must be finite")
     if not np.any(w):
         raise ValueError("weights must not all be zero")
     return w

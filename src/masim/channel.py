@@ -215,28 +215,45 @@ def field_on_grid(spec: ChannelSpec, region: Region, step: float):
     return values[0, ...], coords
 
 
-def _fields_on_grid(directions, coefficients, region: Region, step: float, split: bool = False):
+def _fields_on_grid(directions, coefficients, region: Region, step: float):
     """:func:`field_on_grid` of T channels stacked as (T, L, 3) directions and (T, L) coefficients,
-    with a leading trial axis; each trial's values equal its own channel's, bit for bit.
-
-    With ``split``, the phase factors come from :func:`_split_response`: fewer ``exp`` calls,
-    but values that differ from the exact ones in the last digits (see _SPLIT_ERROR).
-    """
+    with a leading trial axis; each trial's values equal its own channel's, bit for bit."""
     coords = region.grid_coords(step)
     axes = region.free_axes
-    # Phase contribution of the collapsed coordinates is constant per path.
-    fixed = region.origin.copy()
-    fixed[list(axes)] = 0.0
-    base = coefficients * field_response(fixed, directions)
+    base = _collapsed(directions, coefficients, region)
     if len(axes) == 0:
         return base.sum(axis=-1), coords
-    factors = [_split_response(region.origin[a], step, len(c), directions[..., [a]]) if split
-               else field_response(c[:, None], directions[..., [a]]) for c, a in zip(coords, axes)]
+    factors = [field_response(c[:, None], directions[..., [a]]) for c, a in zip(coords, axes)]
     if len(axes) == 1:
         return (factors[0] @ base[..., None])[..., 0], coords
-    if len(axes) == 2:
-        return (factors[0] * base[:, None]) @ np.swapaxes(factors[1], -1, -2), coords
-    return np.einsum("til,tjl,tkl->tijk", factors[0] * base[:, None], factors[1], factors[2]), coords
+    return _grid_product([factors[0] * base[:, None], *factors[1:]]), coords
+
+
+def _collapsed(directions, coefficients, region: Region) -> np.ndarray:
+    """The coefficients times the phase of the region's collapsed coordinates, constant per path: (T, L)."""
+    fixed = region.origin.copy()
+    fixed[list(region.free_axes)] = 0.0
+    return coefficients * field_response(fixed, directions)
+
+
+def _grid_product(tables, out=None) -> np.ndarray:
+    """sum_l of the product of one row of each of k tables (T, n_i, L): the grid (T, n_1, ..., n_k),
+    into ``out`` when given."""
+    if len(tables) == 1:
+        return np.sum(tables[0], axis=-1, out=out)
+    if len(tables) == 2:
+        return np.matmul(tables[0], np.swapaxes(tables[1], -1, -2), out=out)
+    return np.einsum("til,tjl,tkl->tijk", *tables, out=out)
+
+
+def _split_tables(directions, coefficients, region: Region, step: float) -> list[np.ndarray]:
+    """The :func:`_split_response` table (T, n, L) of each free axis of the region's grid for T
+    stacked channels, the first carrying :func:`_collapsed`'s coefficients: their
+    :func:`_grid_product` is :func:`_fields_on_grid`'s fields up to _SPLIT_ERROR."""
+    tables = [_split_response(region.origin[a], step, len(c), directions[..., [a]])
+              for c, a in zip(region.grid_coords(step), region.free_axes)]
+    tables[0] = tables[0] * _collapsed(directions, coefficients, region)[:, None]
+    return tables
 
 
 # Bound on the error of a _split_response entry relative to field_response's,

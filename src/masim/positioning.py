@@ -5,7 +5,9 @@ pattern search with halving steps, so returned objectives dominate every
 coarse grid point by construction.  Monte Carlo trials run as a batch: one
 draw per trial serves every region size, one kernel computes the coarse
 fields of a block of trials, and one refine moves the searches of every
-region and trial of the block in lockstep.  An analytic power gradient is
+region and trial of the block in lockstep.  A refined search's coarse grid,
+which only picks its start, is ranked in row tiles of bounded size, so its
+memory does not grow with the grid.  An analytic power gradient is
 provided for local optimization studies.
 """
 
@@ -16,8 +18,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .channel import (_SPLIT_ERROR, ChannelSpec, Region, _fields_on_grid, _stochastic_paths, field_on_grid,
-                      field_response)
+from .channel import (_SPLIT_ERROR, ChannelSpec, Region, _fields_on_grid, _grid_product, _points, _split_tables,
+                      _stochastic_paths, field_on_grid, field_response)
 from .util import _blocks, write_csv_atomic
 
 __all__ = [
@@ -49,24 +51,24 @@ class SearchConfig:
             raise ValueError(f"coarse_step must be finite and exceed {2 * _REFINE_MIN_STEP:g} to leave room to refine")
 
 
-def _power(h, rho: float) -> np.ndarray:
-    """``rho * |h|**2`` in one new array, computed in place: coarse maps are a sweep's largest arrays."""
-    p = np.abs(h)
-    np.square(p, out=p)
-    p *= rho
-    return p
+def _power(h, out=None) -> np.ndarray:
+    """``|h|**2``, computed in place in one new array or in ``out``: coarse maps are a sweep's
+    largest arrays.  (``h.real**2 + h.imag**2`` is no faster.)"""
+    p = np.abs(h, out=out)
+    return np.square(p, out=p)
 
 
-# The objectives, as functions of the channels' responses: the SNR of one
-# channel, and the SINR of a signal channel against an interference channel.
-_snr_level = lambda rho: lambda h: _power(h, rho)
+# The objectives, as functions of the channels' powers |h|**2, which they overwrite: the SNR
+# of one channel, and the SINR of a signal channel against an interference channel.
+_snr_level = lambda rho: lambda p: np.multiply(p, rho, out=p)
 
 
 def _sinr_level(rho_s: float, rho_i: float):
-    def level(hs, hi):
-        noise = _power(hi, rho_i)  # rho_i * |hi|**2 + 1, then the SINR, in one array
-        noise += 1.0
-        return np.divide(_power(hs, rho_s), noise, out=noise)
+    def level(ps, pi):
+        pi *= rho_i  # rho_i * |hi|**2 + 1, then the SINR, in place
+        pi += 1.0
+        ps *= rho_s
+        return np.divide(ps, pi, out=pi)
     return level
 
 
@@ -91,7 +93,7 @@ def _search(channels, level, regions, cfg: SearchConfig, coarse=None):
     of ``level`` over each of R regions for each of T trials.
 
     ``channels`` holds one ``(directions (T, L, 3), coefficients (T, L))``
-    pair per argument of ``level``, which maps those channels' responses to
+    pair per argument of ``level``, which maps those channels' powers to
     the objective.  ``coarse(region, trials)``, by default :func:`_fields_on_grid`,
     returns the channels' fields on the region's coarse grid for an index array
     of trials, each (Tb, *grid).  Each (region, trial) search starts from its
@@ -99,35 +101,18 @@ def _search(channels, level, regions, cfg: SearchConfig, coarse=None):
     with the same free axes then take one :func:`_refine`, which counts
     1 + 2 * |axes| evaluations per iteration a search takes.  A refined map
     with at least as many independent phases <d_l - d_1, r> (L - 1 per channel)
-    as free axes is ranked on split phase tables (one with fewer is constant
-    along a line through each maximum, so it could only tie): a trial whose
-    fast maximum does not win by _RANK_MARGIN is a tie, and takes ``coarse``'s.
+    as free axes is ranked on split phase tables by :func:`_rank` (one with fewer
+    is constant along a line through each maximum, so it could only tie): a trial
+    whose fast maximum does not win by _RANK_MARGIN is a tie, and takes ``coarse``'s.
     """
-    trials, num_paths = channels[0][1].shape
-    phases = sum(c.shape[1] - 1 for _, c in channels)
-    fields = lambda region, sel, split=False: [_fields_on_grid(d[sel], c[sel], region, cfg.coarse_step, split)[0]
-                                               for d, c in channels]
-    coarse = coarse or fields
+    trials = len(channels[0][1])
+    coarse = coarse or (lambda region, sel: [_fields_on_grid(d[sel], c[sel], region, cfg.coarse_step)[0]
+                                             for d, c in channels])
     x, best = np.empty((len(regions), trials, 3)), np.empty((len(regions), trials))
-    ties = np.zeros((len(regions), trials), dtype=bool)
+    ties = np.empty((len(regions), trials), dtype=bool)
     for i, region in enumerate(regions):
         coords = region.grid_coords(cfg.coarse_step)
-        sides = [len(c) for c in coords]
-        fast = cfg.refine and 0 < len(region.free_axes) <= phases
-        margin = 1.0 + _RANK_MARGIN * max(1.0, np.abs([region.origin, region.upper]).max())
-        start = np.empty(trials, dtype=int)
-        for blk in _blocks(trials, max([math.prod(sides), num_paths] + [n * num_paths for n in sides])):
-            sel = np.arange(blk.start, blk.stop)
-            if fast:
-                values = level(*fields(region, sel, True)).reshape(sel.size, -1)
-                start[sel] = values.argmax(axis=1)
-                peak = values[np.arange(sel.size), start[sel]]
-                values[np.arange(sel.size), start[sel]] = -np.inf
-                ties[i, sel] = ~(peak > margin * values.max(axis=1))
-                sel = sel[ties[i, sel]]
-            if sel.size:
-                values = level(*coarse(region, sel)).reshape(sel.size, -1)
-                start[sel], best[i, sel] = values.argmax(axis=1), values.max(axis=1)
+        start, best[i], ties[i] = _coarse(channels, level, region, [len(c) for c in coords], cfg, coarse)
         x[i] = region.grid_position(coords, start)
     evals = np.zeros((len(regions), trials), dtype=int)
     for axes in dict.fromkeys(r.free_axes for r in regions if cfg.refine and r.free_axes):
@@ -142,6 +127,61 @@ def _search(channels, level, regions, cfg: SearchConfig, coarse=None):
     return x, best, evals, ties
 
 
+def _coarse(channels, level, region: Region, sides, cfg: SearchConfig, coarse):
+    """The coarse stage of :func:`_search` on one region of ``sides`` grid points per free axis:
+    each trial's first best grid point (flat index), its value where the trial took ``coarse``'s
+    fields, and whether its fast ranking tied, each (T,)."""
+    trials, num_paths = channels[0][1].shape
+    fast = cfg.refine and 0 < len(region.free_axes) <= sum(c.shape[1] - 1 for _, c in channels)
+    margin = 1.0 + _RANK_MARGIN * max(1.0, np.abs([region.origin, region.upper]).max())
+    start, best, ties = np.empty(trials, dtype=int), np.empty(trials), np.zeros(trials, dtype=bool)
+    blocks = _blocks(trials, max([math.prod(sides), num_paths] + [n * num_paths for n in sides]))
+    if fast:  # buffers for every tile: at most util._BLOCK_ELEMENTS points, or one row of one trial
+        rows = _blocks(sides[0], blocks[0].stop * math.prod(sides[1:]))[0].stop
+        field = np.empty((blocks[0].stop, rows, *sides[1:]), dtype=complex)
+        powers = np.empty((len(channels), *field.shape))
+    for blk in blocks:
+        sel = np.arange(blk.start, blk.stop)
+        if fast:
+            start[blk], ties[blk] = _rank([_split_tables(d[blk], c[blk], region, cfg.coarse_step)
+                                           for d, c in channels], level, margin, field, powers)
+            sel = sel[ties[blk]]
+        if sel.size:
+            values = level(*map(_power, coarse(region, sel))).reshape(sel.size, -1)
+            start[sel], best[sel] = values.argmax(axis=1), values.max(axis=1)
+    return start, best, ties
+
+
+def _tiles(tables, level, field, powers):
+    """``level`` of the fields of :func:`_split_tables`' ``tables`` (one list per channel, for Tb
+    trials) in tiles of ``field.shape[1]`` rows of the first free axis, computed in ``field`` and
+    ``powers`` (channels, *field.shape): ``(flat index of the tile's first point, values (Tb,
+    points))`` per tile, the values a view of ``powers``."""
+    (size, length), (rows, *sides) = tables[0][0].shape[:2], field.shape[1:]
+    for top in range(0, length, rows):
+        count = min(rows, length - top)
+        tile, maps = field[:size, :count], powers[:, :size, :count]
+        for (head, *rest), power in zip(tables, maps):
+            _power(_grid_product([head[:, top:top + count], *rest], out=tile), out=power)
+        yield top * math.prod(sides), level(*maps).reshape(size, -1)
+
+
+def _rank(tables, level, margin: float, field, powers):
+    """Each trial's first best grid point on :func:`_tiles`, and whether its fast maximum fails
+    to beat every other point by the factor ``margin``: ``(flat index, tied)``, each (Tb,).
+    A later tile's maximum replaces a trial's best only when it is strictly larger."""
+    size = len(tables[0][0])
+    trial, start, (peak, second) = np.arange(size), np.zeros(size, dtype=int), np.full((2, size), -np.inf)
+    for offset, values in _tiles(tables, level, field, powers):
+        best = values.argmax(axis=1)
+        top = values[trial, best]
+        values[trial, best] = -np.inf
+        new = top > peak
+        second = np.where(new, np.maximum(peak, values.max(axis=1)), np.maximum(second, top))
+        start[new], peak[new] = best[new] + offset, top[new]
+    return start, ~(peak > margin * second)
+
+
 def _refine(channels, level, x, trial, lo, hi, free, step):
     """Compass-search S searches from ``x`` (S, 3) in lockstep, moving ``x``; (values, iterations).
 
@@ -152,7 +192,8 @@ def _refine(channels, level, x, trial, lo, hi, free, step):
     """
     # Candidate 2k moves a search up along axis free[k], candidate 2k + 1 down.
     num_paths, moves = channels[0][1].shape[1], 2 * np.arange(len(free))
-    objective = lambda r, t: level(*[(field_response(r, d[t]) @ c[t, :, None])[..., 0] for d, c in channels])
+    objective = lambda r, t: level(*[_power((field_response(r, d[t]) @ c[t, :, None])[..., 0])
+                                     for d, c in channels])
     fx, taken = np.empty(len(x)), np.zeros(len(x), dtype=int)
     for blk in _blocks(len(x), 2 * len(free) * num_paths):
         fx[blk] = objective(x[blk, None], trial[blk])[:, 0]
@@ -218,7 +259,7 @@ def snr_gradient(spec: ChannelSpec, r, axes=(0, 1)) -> np.ndarray:
     restricted to the given axes.
     """
     dirs = spec.rx_directions
-    terms = spec.coefficients * field_response(r, dirs)
+    terms = spec.coefficients * field_response(_points([r], "position")[0], dirs)
     full = -4.0 * np.pi * np.imag(np.conj(terms.sum()) * (dirs.T @ terms))
     return full[list(axes)]
 

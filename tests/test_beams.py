@@ -59,6 +59,9 @@ def test_layout_validation():
             array_gain(layout, np.ones(len(layout), dtype=complex), 0.0)
         with pytest.raises(ValueError, match="finite"):
             steering_vector(layout, 0.0)
+    for weights in ([math.nan, 1.0], [1.0, math.inf], [1.0, complex(0.0, math.nan)]):
+        with pytest.raises(ValueError, match="weights must be finite"):
+            array_gain([0.0, 0.5], weights, 0.0)
 
 
 def test_matched_filter_reaches_full_gain():

@@ -162,10 +162,10 @@ def test_sweep_summary_counts_the_search_work(tmp_path, monkeypatch, kind):
     # channel; a 20% margin leaves some of the L = 4 rankings tied.
     exact, fields = [], positioning._fields_on_grid
 
-    def counting_fields(d, c, region, step, split=False):
-        if not split and d.shape[1] > 1 and region.free_axes:
+    def counting_fields(d, c, region, step):
+        if d.shape[1] > 1 and region.free_axes:
             exact.append(len(d))
-        return fields(d, c, region, step, split)
+        return fields(d, c, region, step)
     monkeypatch.setattr(positioning, "_fields_on_grid", counting_fields)
     monkeypatch.setattr(positioning, "_RANK_MARGIN", 0.2)
     one = run_experiment(cfg, output_dir=str(tmp_path / "one"))

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -124,6 +125,12 @@ def test_gradient_vanishes_at_constructive_peak(two_path):
     peak = d_in / (d_in @ d_in)
     assert abs(abs(channel_gain(two_path, peak)) ** 2 - 4.0) < 1e-9
     assert np.linalg.norm(snr_gradient(two_path, peak)) < 1e-6
+
+
+@pytest.mark.parametrize("r", [[math.nan, 0.0, 0.0], [0.0, math.inf, 0.0], [0.3, -0.7], [[0.3, -0.7, 0.0]]])
+def test_gradient_rejects_bad_positions(two_path, r):
+    with pytest.raises(ValueError, match="position"):
+        snr_gradient(two_path, r)
 
 
 def test_degenerate_region_forces_reference_snr():
@@ -366,19 +373,88 @@ def test_any_ranking_margin_gives_the_exact_values(monkeypatch, kind, margin):
         assert row.tobytes() == reference_trials(kind, 4, region, 8, 26, cfg).tobytes()
 
 
+@pytest.fixture
+def ranked_tiles(monkeypatch):
+    """Copies of the fast level tiles every ranking scans while the test runs: one list of
+    (Tb, points) tiles per block of trials."""
+    ranked, tiles = [], positioning._tiles
+
+    def recording(*args):
+        for offset, values in tiles(*args):
+            if offset == 0:
+                ranked.append([])
+            ranked[-1].append(values.copy())
+            yield offset, values
+    monkeypatch.setattr(positioning, "_tiles", recording)
+    return ranked
+
+
 @pytest.mark.parametrize("kind", ["snr", "sinr"])
-@pytest.mark.parametrize("case", ["1-axis", "2-axes", "3-axes", "L=2", "far-off"])
-def test_fast_maps_stay_inside_the_ranking_margin(case, kind):
+@pytest.mark.parametrize("case", ["1-axis", "2-axes", "3-axes", "grid-over-block", "L=2", "far-off"])
+def test_fast_maps_stay_inside_the_ranking_margin(case, kind, ranked_tiles):
     region, num_paths, step, trials = BATCH_CASES[case]
     level, streams = positioning._SWEEP_LEVELS[kind]
     channels = [[_stochastic_paths(num_paths, (27, t, *s))[:2] for t in range(trials)] for s in streams]
     channels = [(np.stack([d for d, _ in ch]), np.stack([c for _, c in ch])) for ch in channels]
-    exact, fast = (level(*[_fields_on_grid(d, c, region, step, split)[0] for d, c in channels])
-                   for split in (False, True))
-    grid = tuple(range(1, exact.ndim))
-    error = np.abs(fast - exact).max(axis=grid) / exact.max(axis=grid)
+    positioning._search(channels, level, [region], SearchConfig(coarse_step=step))
+    if len(region.free_axes) > len(channels) * (num_paths - 1):
+        assert ranked_tiles == []  # the SNR searches of the 3-axis box and of two paths rank exactly
+        return
+    # The tiles of each block of trials, side by side, against the exact maps of every trial.
+    fast = np.concatenate([np.concatenate(block, axis=1) for block in ranked_tiles])
+    exact = level(*[positioning._power(_fields_on_grid(d, c, region, step)[0]) for d, c in channels])
+    exact = exact.reshape(trials, -1)
+    error = np.abs(fast - exact).max(axis=1) / exact.max(axis=1)
     scale = max(1.0, np.abs([region.origin, region.upper]).max())
     assert (error <= positioning._RANK_MARGIN * scale / 1000).all()
+    if case == "grid-over-block":  # a 201 x 201 grid spans two tiles of a trial
+        assert {len(block) for block in ranked_tiles} == {2}
+
+
+@pytest.mark.parametrize("kind", ["snr", "sinr"])
+@pytest.mark.parametrize("case", sorted(BATCH_CASES))
+def test_tiles_merge_to_the_reference_values(monkeypatch, ranked_tiles, case, kind):
+    region, num_paths, step, trials = BATCH_CASES[case]
+    cfg = SearchConfig(coarse_step=step)
+    _, _, ties = positioning._sweep(kind, num_paths, [region], trials, 21, cfg)
+    ranked_tiles.clear()
+    # 200-element blocks: the 201 x 201 grids take one row per tile and the 81 x 81 grid two,
+    # while the 1-axis, 2-axis and 3-axis grids pack 4, 2 and 2 trials into one tile.
+    monkeypatch.setattr(util, "_BLOCK_ELEMENTS", 200)
+    values, _, tiled_ties = positioning._sweep(kind, num_paths, [region], trials, 21, cfg)
+    assert values[0].tobytes() == reference_trials(kind, num_paths, region, trials, 21, cfg).tobytes()
+    assert tiled_ties.tobytes() == ties.tobytes()
+    tiles, sizes = {len(block) for block in ranked_tiles}, {len(block[0]) for block in ranked_tiles}
+    if case in ("grid-over-block", "L=2", "far-off") and ranked_tiles:
+        assert min(tiles) > 1 and sizes == {1}
+    if case in ("1-axis", "2-axes", "3-axes") and ranked_tiles:
+        assert tiles == {1} and max(sizes) > 1
+
+
+def test_later_tiles_win_only_when_strictly_larger():
+    # One path, 4 x 2 grids of |a_i b_j|^2 in tiles of one row: the first trial peaks at 4 in
+    # rows 1 and 3, the second at 4 in row 1, then at 9 in row 3, where 4 becomes its runner-up.
+    a = np.array([[1, 2, 0.5, 2], [1, 2, 0.5, 3]], dtype=complex)[..., None]
+    b = np.array([[1, 0.5], [1, 0.5]], dtype=complex)[..., None]
+    level = positioning._snr_level(1.0)
+    buffers = np.empty((2, 1, 2), dtype=complex), np.empty((1, 2, 1, 2))
+    assert [values.shape for _, values in positioning._tiles([[a, b]], level, *buffers)] == [(2, 2)] * 4
+    for margin, tied in [(1.0, [True, False]), (2.0, [True, False]), (2.5, [True, True])]:
+        start, ties = positioning._rank([[a, b]], level, margin, *buffers)
+        assert start.tolist() == [2, 6] and ties.tolist() == tied
+
+
+def test_refined_sweep_memory_stays_bounded_on_fine_grids():
+    # A 1001 x 1001 grid per trial: two whole complex maps would take 32 MB, a tile of 32 rows 0.5 MB.
+    cfg = SearchConfig(coarse_step=0.02)
+    positioning._sweep("sinr", 5, [Region.square(1.0)], 1, 29, cfg)  # numpy.random imports its modules
+    tracemalloc.start()
+    try:
+        _, _, ties = positioning._sweep("sinr", 5, [Region.square(20.0)], 2, 29, cfg)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert not ties.any() and peak < 2 * 2 ** 20
 
 
 def test_single_path_and_coarse_sweeps_build_no_split_tables(split_tables):

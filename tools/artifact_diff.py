@@ -2,23 +2,25 @@
 
 Usage, from anywhere inside the repository:
 
-    python3 tools/artifact_diff.py <git-rev>
+    python3 tools/artifact_diff.py <git-rev> [--full]
 
-Runs ``masim run`` on each ``configs/*.json`` (``--trials 2`` for the
-``snr``, ``sinr`` and ``mimo`` kinds) twice: once with the working tree's
-sources and configs, once with those of ``<git-rev>``, checked out in a
-temporary ``git worktree``.  Prints ``same`` or ``DIFF`` for every CSV and
-every ``summary.json`` (compared without its ``wall_time_s``) and exits 1
-on any difference, 2 when a run fails.  When a differing file keeps its
-layout (the same CSV header and row lengths, or the same JSON keys), the
-DIFF line also gives the largest absolute change of its numbers and the
-largest change relative to the ``<git-rev>`` value.  BLAS runs on one
-thread on both sides.  Needs only the standard library, git and the
-Python that runs it (with numpy).
+Runs ``masim run`` on each ``configs/*.json`` twice: once with the
+working tree's sources and configs, once with those of ``<git-rev>``,
+checked out in a temporary ``git worktree``.  The ``snr``, ``sinr`` and
+``mimo`` kinds run with ``--trials 2``; ``--full`` runs every config as
+shipped (the 500-trial sweeps and the 200-seed ``mimo``).  Prints ``same``
+or ``DIFF`` for every CSV and every ``summary.json`` (compared without its
+``wall_time_s``) and exits 1 on any difference, 2 when a run fails.  When a
+differing file keeps its layout (the same CSV header and row lengths, or
+the same JSON keys), the DIFF line also gives the largest absolute change
+of its numbers and the largest change relative to the ``<git-rev>`` value.
+BLAS runs on one thread on both sides.  Needs only the standard library,
+git and the Python that runs it (with numpy).
 """
 
 from __future__ import annotations
 
+import argparse
 import json
 import math
 import os
@@ -33,14 +35,15 @@ TRIAL_KINDS = ("snr", "sinr", "mimo")
 ONE_THREAD = {name: "1" for name in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS")}
 
 
-def run_configs(tree: Path, out: Path) -> None:
-    """Run every ``tree/configs/*.json`` with ``tree``'s sources into ``out/<config name>/``."""
+def run_configs(tree: Path, out: Path, full: bool) -> None:
+    """Run every ``tree/configs/*.json`` with ``tree``'s sources into ``out/<config name>/``, with
+    ``--trials 2`` for the kinds that take it unless ``full``."""
     env = dict(os.environ, PYTHONPATH=str(tree / "src"), **ONE_THREAD)
     env.pop("MASIM_OUTPUT_DIR", None)
     for config in sorted((tree / "configs").glob("*.json")):
         command = [sys.executable, "-m", "masim.cli", "run", "-c", str(config),
                    "-o", str(out / config.stem)]
-        if json.loads(config.read_text()).get("kind") in TRIAL_KINDS:
+        if not full and json.loads(config.read_text()).get("kind") in TRIAL_KINDS:
             command += ["--trials", "2"]
         done = subprocess.run(command, cwd=tree, env=env, capture_output=True, text=True)
         if done.returncode != 0:
@@ -101,14 +104,15 @@ def largest_change(tree: Path, base: Path) -> str:
 
 
 def main(argv: list[str]) -> int:
-    if len(argv) != 1:
-        print(__doc__, file=sys.stderr)
-        return 2
+    parser = argparse.ArgumentParser(description=__doc__, formatter_class=argparse.RawDescriptionHelpFormatter)
+    parser.add_argument("rev")
+    parser.add_argument("--full", action="store_true", help="run every config as shipped, without --trials 2")
+    args = parser.parse_args(argv)
     with tempfile.TemporaryDirectory(prefix="artifact-diff-") as tmp:
         tmp = Path(tmp)
-        with checkout(argv[0], "artifact-diff-rev-") as base:
-            run_configs(ROOT, tmp / "tree")
-            run_configs(base, tmp / "base")
+        with checkout(args.rev, "artifact-diff-rev-") as base:
+            run_configs(ROOT, tmp / "tree", args.full)
+            run_configs(base, tmp / "base", args.full)
         files = sorted({p.relative_to(side) for side in (tmp / "tree", tmp / "base")
                         for p in side.rglob("*") if p.is_file()})
         differ = 0
@@ -119,7 +123,7 @@ def main(argv: list[str]) -> int:
             differ += not same
             detail = f"  ({largest_change(a, b)})" if both and not same else ""
             print(f"{'same' if same else 'DIFF'}  {rel}{detail}")
-    print(f"{len(files) - differ} same, {differ} differ (working tree against {argv[0]})")
+    print(f"{len(files) - differ} same, {differ} differ (working tree against {args.rev})")
     return 1 if differ else 0
 
 
