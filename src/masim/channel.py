@@ -219,14 +219,8 @@ def _fields_on_grid(directions, coefficients, region: Region, step: float):
     """:func:`field_on_grid` of T channels stacked as (T, L, 3) directions and (T, L) coefficients,
     with a leading trial axis; each trial's values equal its own channel's, bit for bit."""
     coords = region.grid_coords(step)
-    axes = region.free_axes
-    base = _collapsed(directions, coefficients, region)
-    if len(axes) == 0:
-        return base.sum(axis=-1), coords
-    factors = [field_response(c[:, None], directions[..., [a]]) for c, a in zip(coords, axes)]
-    if len(axes) == 1:
-        return (factors[0] @ base[..., None])[..., 0], coords
-    return _grid_product([factors[0] * base[:, None], *factors[1:]]), coords
+    fields = _grid_product(_axis_tables(directions, coefficients, region, step, split=False))
+    return fields.reshape(len(directions), *map(len, coords)), coords
 
 
 def _collapsed(directions, coefficients, region: Region) -> np.ndarray:
@@ -246,14 +240,16 @@ def _grid_product(tables, out=None) -> np.ndarray:
     return np.einsum("til,tjl,tkl->tijk", *tables, out=out)
 
 
-def _split_tables(directions, coefficients, region: Region, step: float) -> list[np.ndarray]:
-    """The :func:`_split_response` table (T, n, L) of each free axis of the region's grid for T
-    stacked channels, the first carrying :func:`_collapsed`'s coefficients: their
-    :func:`_grid_product` is :func:`_fields_on_grid`'s fields up to _SPLIT_ERROR."""
-    tables = [_split_response(region.origin[a], step, len(c), directions[..., [a]])
+def _axis_tables(directions, coefficients, region: Region, step: float, split: bool) -> list[np.ndarray]:
+    """One table (T, n, L) per free axis of the region's grid for T stacked channels, the first
+    carrying :func:`_collapsed`'s coefficients (a point region's one table holds just those, n = 1):
+    :func:`field_response`'s entries, or with ``split`` :func:`_split_response`'s.  Their
+    :func:`_grid_product` is :func:`_fields_on_grid`'s fields, within _SPLIT_ERROR when split."""
+    tables = [_split_response(region.origin[a], step, len(c), directions[..., [a]]) if split
+              else field_response(c[:, None], directions[..., [a]])
               for c, a in zip(region.grid_coords(step), region.free_axes)]
-    tables[0] = tables[0] * _collapsed(directions, coefficients, region)[:, None]
-    return tables
+    base = _collapsed(directions, coefficients, region)[:, None]
+    return [tables[0] * base, *tables[1:]] if tables else [base]
 
 
 # Bound on the error of a _split_response entry relative to field_response's,

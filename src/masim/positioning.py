@@ -5,10 +5,10 @@ pattern search with halving steps, so returned objectives dominate every
 coarse grid point by construction.  Monte Carlo trials run as a batch: one
 draw per trial serves every region size, one kernel computes the coarse
 fields of a block of trials, and one refine moves the searches of every
-region and trial of the block in lockstep.  A refined search's coarse grid,
-which only picks its start, is ranked in row tiles of bounded size, so its
-memory does not grow with the grid.  An analytic power gradient is
-provided for local optimization studies.
+region and trial of the block in lockstep.  Every coarse grid of a sweep,
+ranked on fast phase tables or scanned on exact ones, is read in row tiles
+of bounded size, so its memory does not grow with the grid.  An analytic power
+gradient is provided for local optimization studies.
 """
 
 from __future__ import annotations
@@ -18,8 +18,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .channel import (_SPLIT_ERROR, ChannelSpec, Region, _fields_on_grid, _grid_product, _points, _split_tables,
-                      _stochastic_paths, field_on_grid, field_response)
+from .channel import (_SPLIT_ERROR, ChannelSpec, Region, _axis_tables, _grid_product, _points, _stochastic_paths,
+                      field_on_grid, field_response)
 from .util import _blocks, write_csv_atomic
 
 __all__ = [
@@ -94,25 +94,17 @@ def _search(channels, level, regions, cfg: SearchConfig, coarse=None):
 
     ``channels`` holds one ``(directions (T, L, 3), coefficients (T, L))``
     pair per argument of ``level``, which maps those channels' powers to
-    the objective.  ``coarse(region, trials)``, by default :func:`_fields_on_grid`,
-    returns the channels' fields on the region's coarse grid for an index array
-    of trials, each (Tb, *grid).  Each (region, trial) search starts from its
-    first best grid point; with ``cfg.refine``, the searches of all regions
-    with the same free axes then take one :func:`_refine`, which counts
-    1 + 2 * |axes| evaluations per iteration a search takes.  A refined map
-    with at least as many independent phases <d_l - d_1, r> (L - 1 per channel)
-    as free axes is ranked on split phase tables by :func:`_rank` (one with fewer
-    is constant along a line through each maximum, so it could only tie): a trial
-    whose fast maximum does not win by _RANK_MARGIN is a tie, and takes ``coarse``'s.
+    the objective.  Each (region, trial) search starts from its first best
+    point of :func:`_coarse`'s grid scan; with ``cfg.refine``, the searches of
+    all regions with the same free axes then take one :func:`_refine`, which
+    counts 1 + 2 * |axes| evaluations per iteration a search takes.
     """
     trials = len(channels[0][1])
-    coarse = coarse or (lambda region, sel: [_fields_on_grid(d[sel], c[sel], region, cfg.coarse_step)[0]
-                                             for d, c in channels])
     x, best = np.empty((len(regions), trials, 3)), np.empty((len(regions), trials))
     ties = np.empty((len(regions), trials), dtype=bool)
     for i, region in enumerate(regions):
         coords = region.grid_coords(cfg.coarse_step)
-        start, best[i], ties[i] = _coarse(channels, level, region, [len(c) for c in coords], cfg, coarse)
+        start, best[i], ties[i] = _coarse(channels, level, region, [len(c) for c in coords] or [1], cfg, coarse)
         x[i] = region.grid_position(coords, start)
     evals = np.zeros((len(regions), trials), dtype=int)
     for axes in dict.fromkeys(r.free_axes for r in regions if cfg.refine and r.free_axes):
@@ -128,33 +120,39 @@ def _search(channels, level, regions, cfg: SearchConfig, coarse=None):
 
 
 def _coarse(channels, level, region: Region, sides, cfg: SearchConfig, coarse):
-    """The coarse stage of :func:`_search` on one region of ``sides`` grid points per free axis:
-    each trial's first best grid point (flat index), its value where the trial took ``coarse``'s
-    fields, and whether its fast ranking tied, each (T,)."""
+    """The coarse stage of :func:`_search` on one region of ``sides`` grid points per free axis
+    (one for a point): each trial's first best grid point (flat index), its value where the trial
+    took the exact scan, and whether its fast ranking tied, each (T,).  Every scan reads tiles of
+    at most util._BLOCK_ELEMENTS points, or one row of one trial.  A refined map with at least as
+    many independent phases <d_l - d_1, r> (L - 1 per channel) as free axes ranks on split phase
+    tables (with fewer, it is constant along a line through each maximum, so it could only tie);
+    a trial whose fast maximum does not win by _RANK_MARGIN ties, and like every other map takes
+    the exact tables, or the exact fields (Tb, *grid) per channel of ``coarse(region, trials)``."""
     trials, num_paths = channels[0][1].shape
     fast = cfg.refine and 0 < len(region.free_axes) <= sum(c.shape[1] - 1 for _, c in channels)
     margin = 1.0 + _RANK_MARGIN * max(1.0, np.abs([region.origin, region.upper]).max())
     start, best, ties = np.empty(trials, dtype=int), np.empty(trials), np.zeros(trials, dtype=bool)
     blocks = _blocks(trials, max([math.prod(sides), num_paths] + [n * num_paths for n in sides]))
-    if fast:  # buffers for every tile: at most util._BLOCK_ELEMENTS points, or one row of one trial
-        rows = _blocks(sides[0], blocks[0].stop * math.prod(sides[1:]))[0].stop
-        field = np.empty((blocks[0].stop, rows, *sides[1:]), dtype=complex)
-        powers = np.empty((len(channels), *field.shape))
+    rows = _blocks(sides[0], blocks[0].stop * math.prod(sides[1:]))[0].stop
+    field = np.empty((blocks[0].stop, rows, *sides[1:]), dtype=complex)  # one buffer for every tile
+    powers = np.empty((len(channels), *field.shape))
+    tiles = lambda sel, split: _tiles([_axis_tables(d[sel], c[sel], region, cfg.coarse_step, split)
+                                       for d, c in channels], level, field, powers)
     for blk in blocks:
         sel = np.arange(blk.start, blk.stop)
         if fast:
-            start[blk], ties[blk] = _rank([_split_tables(d[blk], c[blk], region, cfg.coarse_step)
-                                           for d, c in channels], level, margin, field, powers)
+            start[blk], _, ties[blk] = _rank(tiles(blk, True), margin)
             sel = sel[ties[blk]]
         if sel.size:
-            values = level(*map(_power, coarse(region, sel))).reshape(sel.size, -1)
-            start[sel], best[sel] = values.argmax(axis=1), values.max(axis=1)
+            exact = tiles(sel, False) if coarse is None else [
+                (0, level(*map(_power, coarse(region, sel))).reshape(sel.size, -1))]
+            start[sel], best[sel], _ = _rank(exact)
     return start, best, ties
 
 
 def _tiles(tables, level, field, powers):
-    """``level`` of the fields of :func:`_split_tables`' ``tables`` (one list per channel, for Tb
-    trials) in tiles of ``field.shape[1]`` rows of the first free axis, computed in ``field`` and
+    """``level`` of the fields of :func:`_axis_tables`' ``tables`` (one list per channel, for Tb
+    trials) in tiles of ``field.shape[1]`` rows of the first table, computed in ``field`` and
     ``powers`` (channels, *field.shape): ``(flat index of the tile's first point, values (Tb,
     points))`` per tile, the values a view of ``powers``."""
     (size, length), (rows, *sides) = tables[0][0].shape[:2], field.shape[1:]
@@ -166,20 +164,23 @@ def _tiles(tables, level, field, powers):
         yield top * math.prod(sides), level(*maps).reshape(size, -1)
 
 
-def _rank(tables, level, margin: float, field, powers):
-    """Each trial's first best grid point on :func:`_tiles`, and whether its fast maximum fails
-    to beat every other point by the factor ``margin``: ``(flat index, tied)``, each (Tb,).
-    A later tile's maximum replaces a trial's best only when it is strictly larger."""
-    size = len(tables[0][0])
-    trial, start, (peak, second) = np.arange(size), np.zeros(size, dtype=int), np.full((2, size), -np.inf)
-    for offset, values in _tiles(tables, level, field, powers):
+def _rank(tiles, margin=None):
+    """Each trial's first best grid point over ``tiles`` (as from :func:`_tiles`), its value, and
+    whether it fails to beat every other point by the factor ``margin``: ``(flat index, peak,
+    tied)``, each (Tb,).  A later tile's maximum replaces a trial's best only when it is strictly
+    larger.  An exact scan takes no margin: it keeps no runner-up, and no trial ties."""
+    for offset, values in tiles:
+        if offset == 0:  # every scan opens at the grid's first point
+            trial, start = np.arange(len(values)), np.zeros(len(values), dtype=int)
+            peak, second = np.full((2, len(values)), -np.inf)
         best = values.argmax(axis=1)
         top = values[trial, best]
-        values[trial, best] = -np.inf
         new = top > peak
-        second = np.where(new, np.maximum(peak, values.max(axis=1)), np.maximum(second, top))
+        if margin is not None:
+            values[trial, best] = -np.inf
+            second = np.where(new, np.maximum(peak, values.max(axis=1)), np.maximum(second, top))
         start[new], peak[new] = best[new] + offset, top[new]
-    return start, ~(peak > margin * second)
+    return start, peak, ~(peak > margin * second) if margin is not None else np.zeros(len(peak), dtype=bool)
 
 
 def _refine(channels, level, x, trial, lo, hi, free, step):

@@ -9,9 +9,9 @@ from itertools import islice
 # Lines per write call: a block is a small fraction of any large artifact.
 _BLOCK_LINES = 2048
 # Batched trials or searches are processed in blocks whose arrays hold at
-# most this many elements, or one trial's array where that is larger (an
-# exact coarse map or a phase table); the tiles of a fast coarse ranking
-# hold at most this many grid points, or one row of one trial.
+# most this many elements, or one trial's array where that is larger (a
+# phase table); the tiles of every coarse scan hold at most this many grid
+# points, or one row of one trial.
 _BLOCK_ELEMENTS = 2 ** 15
 
 

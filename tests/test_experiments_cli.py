@@ -158,15 +158,15 @@ def test_sweep_summary_counts_the_search_work(tmp_path, monkeypatch, kind):
     calls = []
     counting = lambda r, d: calls.append(math.prod(np.shape(r)[:-1])) or field_response(r, d)
     monkeypatch.setattr(positioning, "field_response", counting)
-    # Every tied ranking of an L > 1 region with free axes takes the exact fields of its trial, once per
+    # Every tied ranking of an L > 1 region with free axes builds the exact tables of its trial, once per
     # channel; a 20% margin leaves some of the L = 4 rankings tied.
-    exact, fields = [], positioning._fields_on_grid
+    exact, tables = [], positioning._axis_tables
 
-    def counting_fields(d, c, region, step):
-        if d.shape[1] > 1 and region.free_axes:
+    def counting_tables(d, c, region, step, split):
+        if not split and d.shape[1] > 1 and region.free_axes:
             exact.append(len(d))
-        return fields(d, c, region, step)
-    monkeypatch.setattr(positioning, "_fields_on_grid", counting_fields)
+        return tables(d, c, region, step, split)
+    monkeypatch.setattr(positioning, "_axis_tables", counting_tables)
     monkeypatch.setattr(positioning, "_RANK_MARGIN", 0.2)
     one = run_experiment(cfg, output_dir=str(tmp_path / "one"))
     evaluations, ties = (n // (2 if kind == "sinr" else 1) for n in (sum(calls), sum(exact)))

@@ -375,17 +375,17 @@ def test_any_ranking_margin_gives_the_exact_values(monkeypatch, kind, margin):
 
 @pytest.fixture
 def ranked_tiles(monkeypatch):
-    """Copies of the fast level tiles every ranking scans while the test runs: one list of
-    (Tb, points) tiles per block of trials."""
-    ranked, tiles = [], positioning._tiles
+    """Copies of the fast level tiles every split-table ranking (one with a margin) scans while the
+    test runs: one list of (Tb, points) tiles per block of trials.  Exact scans are not recorded."""
+    ranked, rank = [], positioning._rank
 
-    def recording(*args):
-        for offset, values in tiles(*args):
-            if offset == 0:
-                ranked.append([])
-            ranked[-1].append(values.copy())
-            yield offset, values
-    monkeypatch.setattr(positioning, "_tiles", recording)
+    def recording(tiles, margin=None):
+        if margin is None:
+            return rank(tiles)
+        block = []
+        ranked.append(block)
+        return rank(((offset, block.append(values.copy()) or values) for offset, values in tiles), margin)
+    monkeypatch.setattr(positioning, "_rank", recording)
     return ranked
 
 
@@ -438,19 +438,34 @@ def test_later_tiles_win_only_when_strictly_larger():
     b = np.array([[1, 0.5], [1, 0.5]], dtype=complex)[..., None]
     level = positioning._snr_level(1.0)
     buffers = np.empty((2, 1, 2), dtype=complex), np.empty((1, 2, 1, 2))
-    assert [values.shape for _, values in positioning._tiles([[a, b]], level, *buffers)] == [(2, 2)] * 4
+    tiles = lambda: positioning._tiles([[a, b]], level, *buffers)
+    assert [values.shape for _, values in tiles()] == [(2, 2)] * 4
     for margin, tied in [(1.0, [True, False]), (2.0, [True, False]), (2.5, [True, True])]:
-        start, ties = positioning._rank([[a, b]], level, margin, *buffers)
-        assert start.tolist() == [2, 6] and ties.tolist() == tied
+        start, peak, ties = positioning._rank(tiles(), margin)
+        assert start.tolist() == [2, 6] and peak.tolist() == [4, 9] and ties.tolist() == tied
+    # The exact scan keeps the first of the first trial's equal maxima in rows 1 and 3, as the
+    # whole map's argmax does, and no trial ties.
+    start, peak, ties = positioning._rank(tiles())
+    whole = level(positioning._power(positioning._grid_product([a, b]))).reshape(2, -1)
+    assert start.tolist() == whole.argmax(axis=1).tolist() == [2, 6]
+    assert peak.tobytes() == whole.max(axis=1).tobytes() and not ties.any()
 
 
-def test_refined_sweep_memory_stays_bounded_on_fine_grids():
+# (kind, path count, refine): a fast-ranked SINR sweep, the exact SNR sweeps of one and two
+# paths and an unrefined SINR sweep, which scan their exact tables in tiles too.
+MEMORY_CASES = {"sinr-5-refine": ("sinr", 5, True), "snr-1-refine": ("snr", 1, True),
+                "snr-2-refine": ("snr", 2, True), "sinr-5-coarse": ("sinr", 5, False)}
+
+
+@pytest.mark.parametrize("case", MEMORY_CASES)
+def test_refined_sweep_memory_stays_bounded_on_fine_grids(case):
     # A 1001 x 1001 grid per trial: two whole complex maps would take 32 MB, a tile of 32 rows 0.5 MB.
-    cfg = SearchConfig(coarse_step=0.02)
-    positioning._sweep("sinr", 5, [Region.square(1.0)], 1, 29, cfg)  # numpy.random imports its modules
+    kind, num_paths, refine = MEMORY_CASES[case]
+    cfg = SearchConfig(coarse_step=0.02, refine=refine)
+    positioning._sweep(kind, num_paths, [Region.square(1.0)], 1, 29, cfg)  # numpy.random imports its modules
     tracemalloc.start()
     try:
-        _, _, ties = positioning._sweep("sinr", 5, [Region.square(20.0)], 2, 29, cfg)
+        _, _, ties = positioning._sweep(kind, num_paths, [Region.square(20.0)], 2, 29, cfg)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
