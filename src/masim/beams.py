@@ -8,14 +8,11 @@ Array gain is |w^H a(u)|^2 / ||w||^2, bounded by the element count.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .channel import MIN_SPACING, grid_count
-from .gainmap import DB_FLOOR
-from .util import write_csv_atomic
 
 __all__ = [
     "MIN_SPACING",
@@ -29,8 +26,6 @@ __all__ = [
     "beam_pattern",
     "SpacingSearchResult",
     "optimize_uniform_spacing",
-    "write_pattern_csv",
-    "write_spacing_csv",
 ]
 
 
@@ -183,15 +178,3 @@ def optimize_uniform_spacing(num_elements: int, objective: str, u_params,
     best = int(np.argmax(values))
     return SpacingSearchResult(spacing=float(spacings[best]), objective=float(values[best]),
                                scan=np.column_stack([spacings, values]))
-
-
-def write_pattern_csv(pattern: BeamPattern, path: str) -> None:
-    """Export as ``u,gain_linear,gain_db`` (exact zeros floored at ``DB_FLOOR``)."""
-    gain = pattern.gain.tolist()
-    # math.log10, not np.log10, whose last digit can differ.
-    db = [10.0 * math.log10(g) if g > 0.0 else DB_FLOOR for g in gain]
-    write_csv_atomic(path, "u,gain_linear,gain_db", (pattern.u.tolist(), gain, db))
-
-
-def write_spacing_csv(result: SpacingSearchResult, path: str) -> None:
-    write_csv_atomic(path, "d_lambda,objective", result.scan.T.tolist())

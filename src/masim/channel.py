@@ -4,7 +4,10 @@ All positions and region sizes are expressed in wavelength units, so the
 carrier wavelength never appears in a phase formula: a path with arrival
 direction d contributes ``coeff * exp(+1j * 2*pi * <d, r>)`` at position
 ``r``.  The ``+j`` sign convention applies identically on the Tx side and
-is written in one place, :func:`field_response`.
+is written here in one place, :func:`field_response`.  ``beams`` keeps its
+own 1-D copy, ``exp(j*2*pi*x*u)`` over element positions x and direction
+cosines u: routing it through :func:`field_response` moves the last bits
+of the beam artifacts (the pattern's dB values at its nulls by tens of dB).
 """
 
 from __future__ import annotations
@@ -46,6 +49,15 @@ def _points(points, name: str, stacked: bool = False) -> np.ndarray:
     if not np.isfinite(p).all():
         raise ValueError(f"{name} must be finite")
     return p
+
+
+def _levels(levels, name: str = "rho", positive: bool = False) -> np.ndarray:
+    """``levels`` (a linear SNR level or several) as a float array, each finite and >= 0, or > 0
+    when ``positive``.  The one home of this rule; anything else raises ValueError."""
+    rho = np.array(levels, dtype=float)
+    if not (np.isfinite(rho).all() and ((rho > 0) if positive else (rho >= 0)).all()):
+        raise ValueError(f"{name} must be finite and {'positive' if positive else 'nonnegative'}, got {levels}")
+    return rho
 
 
 def grid_count(extent: float, step: float) -> int:
@@ -211,16 +223,9 @@ def field_on_grid(spec: ChannelSpec, region: Region, step: float):
     plane-wave phase across axes, so cost scales with the grid perimeter
     rather than its area.
     """
-    values, coords = _fields_on_grid(spec.rx_directions[None], spec.coefficients[None], region, step)
-    return values[0, ...], coords
-
-
-def _fields_on_grid(directions, coefficients, region: Region, step: float):
-    """:func:`field_on_grid` of T channels stacked as (T, L, 3) directions and (T, L) coefficients,
-    with a leading trial axis; each trial's values equal its own channel's, bit for bit."""
     coords = region.grid_coords(step)
-    fields = _grid_product(_axis_tables(directions, coefficients, region, step, split=False))
-    return fields.reshape(len(directions), *map(len, coords)), coords
+    tables = _axis_tables(spec.rx_directions[None], spec.coefficients[None], region, step, split=False)
+    return _grid_product(tables).reshape([len(c) for c in coords]), coords
 
 
 def _collapsed(directions, coefficients, region: Region) -> np.ndarray:
@@ -244,7 +249,7 @@ def _axis_tables(directions, coefficients, region: Region, step: float, split: b
     """One table (T, n, L) per free axis of the region's grid for T stacked channels, the first
     carrying :func:`_collapsed`'s coefficients (a point region's one table holds just those, n = 1):
     :func:`field_response`'s entries, or with ``split`` :func:`_split_response`'s.  Their
-    :func:`_grid_product` is :func:`_fields_on_grid`'s fields, within _SPLIT_ERROR when split."""
+    :func:`_grid_product` is the channels' fields on the grid, within _SPLIT_ERROR when split."""
     tables = [_split_response(region.origin[a], step, len(c), directions[..., [a]]) if split
               else field_response(c[:, None], directions[..., [a]])
               for c, a in zip(region.grid_coords(step), region.free_axes)]

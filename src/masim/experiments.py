@@ -15,6 +15,7 @@ import os
 import shutil
 import tempfile
 import time
+from itertools import chain, repeat
 
 import numpy as np
 
@@ -253,7 +254,12 @@ def _run_gainmap(cfg, outdir):
     spec = (sample_stochastic_channel(cfg["num_paths"], (cfg["seed"], 0)) if cfg["paths"] is None
             else channel_spec_from_records(cfg["paths"]))
     gm = gainmap.evaluate_map(spec, Region.square(cfg["region_size"]), cfg["step"])
-    gainmap.write_gain_map_csv(gm, os.path.join(outdir, "gain_map.csv"))
+    # Row-major x,y,gain_db rows; each coordinate is formatted once and its string repeated.
+    ys = list(map(str, gm.coords1.tolist()))
+    write_csv_atomic(os.path.join(outdir, "gain_map.csv"), "x,y,gain_db", (
+        chain.from_iterable(repeat(x, len(ys)) for x in map(str, gm.coords0.tolist())),
+        chain.from_iterable(repeat(ys, len(gm.coords0))),
+        chain.from_iterable(row.tolist() for row in gm.values)))
     return {"max_db": gm.max_db, "min_db": gm.min_db, "argmax": list(gm.argmax),
             "argmin": list(gm.argmin), "spread_db": gm.max_db - gm.min_db}
 
@@ -281,7 +287,7 @@ def _run_level_sweep(cfg, outdir):
             mean_db, half = _mean_db_and_halfwidth(values)
             rows.append((num_paths, size, trials, mean_db))
             summary[f"L{num_paths}_A{size:g}"] = {"metric_db": mean_db, "halfwidth_db": half}
-    positioning.write_sweep_csv(rows, os.path.join(outdir, f"{kind}_sweep.csv"))
+    write_csv_atomic(os.path.join(outdir, f"{kind}_sweep.csv"), "L,A_lambda,trials,metric_db", zip(*rows))
     grid_points = sum(grid_count(size, cfg["coarse_step"]) ** 2 for size in cfg["region_sizes"])
     summary["counters"] = {"searches": len(rows) * trials, "refine_evaluations": evals,
                            "coarse_points": len(cfg["path_counts"]) * trials * grid_points,
@@ -293,7 +299,7 @@ def _run_beam(cfg, outdir):
     n, objective, u1, u2 = cfg["num_elements"], cfg["objective"], cfg["u1"], cfg["u2"]
     scan = beams.optimize_uniform_spacing(n, objective, (u1, u2), (MIN_SPACING, cfg["d_max"]),
                                           cfg["d_step"])
-    beams.write_spacing_csv(scan, os.path.join(outdir, "spacing_scan.csv"))
+    write_csv_atomic(os.path.join(outdir, "spacing_scan.csv"), "d_lambda,objective", scan.scan.T.tolist())
 
     fpa_layout = beams.uniform_layout(n, 0.5)
     ma_layout = beams.uniform_layout(n, scan.spacing)
@@ -305,8 +311,12 @@ def _run_beam(cfg, outdir):
         ma_w = beams.null_steer_weights(ma_layout, u1, u2)
     summary = {"best_spacing": scan.spacing, "best_objective": scan.objective}
     for name, layout, w in (("fpa", fpa_layout, fpa_w), ("ma", ma_layout, ma_w)):
-        beams.write_pattern_csv(beams.beam_pattern(layout, w, cfg["pattern_points"]),
-                                os.path.join(outdir, f"pattern_{name}.csv"))
+        pattern = beams.beam_pattern(layout, w, cfg["pattern_points"])
+        gain = pattern.gain.tolist()
+        # math.log10, not np.log10, whose last digit can differ; exact nulls are floored.
+        db = [10.0 * math.log10(g) if g > 0.0 else gainmap.DB_FLOOR for g in gain]
+        write_csv_atomic(os.path.join(outdir, f"pattern_{name}.csv"), "u,gain_linear,gain_db",
+                         (pattern.u.tolist(), gain, db))
         summary[f"{name}_gain_u1"] = beams.array_gain(layout, w, u1)
         summary[f"{name}_gain_u2"] = beams.array_gain(layout, w, u2)
     return summary
@@ -329,7 +339,8 @@ def _run_mimo(cfg, outdir):
                          for snr_db, cf, cm in zip(snrs[blk], fpa, ma)]
                 passes += sum(map(len, trace))
     rows.sort(key=lambda r: (r[0], r[1], r[2]))
-    mimo.write_capacity_csv(rows, os.path.join(outdir, "capacity_sweep.csv"))
+    write_csv_atomic(os.path.join(outdir, "capacity_sweep.csv"), "snr_db,L,seed,capacity_fpa,capacity_ma",
+                     zip(*rows))
     summary = {"ma_ge_fpa_all_seeds": all(r[4] >= r[3] - 1e-12 for r in rows), "mean_gain_bits": {}}
     for snr_db in cfg["snr_db_list"]:
         for num_paths in cfg["path_counts"]:

@@ -3,14 +3,12 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import chain, repeat
 
 import numpy as np
 
 from .channel import ChannelSpec, Region, field_on_grid
-from .util import write_csv_atomic
 
-__all__ = ["DB_FLOOR", "GainMap", "evaluate_map", "write_gain_map_csv"]
+__all__ = ["DB_FLOOR", "GainMap", "evaluate_map"]
 
 # Exact nulls are floored so exported maps stay finite.
 DB_FLOOR = -120.0
@@ -55,15 +53,3 @@ def evaluate_map(spec: ChannelSpec, region: Region, step: float) -> GainMap:
         argmax=region.grid_position(coords, imax),
         argmin=region.grid_position(coords, imin),
     )
-
-
-def write_gain_map_csv(gain_map: GainMap, path: str) -> None:
-    """Export as ``x,y,gain_db`` rows in row-major order."""
-    n0, n1 = gain_map.values.shape
-    # Each coordinate is formatted once and its string repeated.
-    xs = map(str, gain_map.coords0.tolist())
-    ys = list(map(str, gain_map.coords1.tolist()))
-    write_csv_atomic(path, "x,y,gain_db", (
-        chain.from_iterable(repeat(x, n1) for x in xs),
-        chain.from_iterable(repeat(ys, n0)),
-        chain.from_iterable(row.tolist() for row in gain_map.values)))

@@ -13,8 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .channel import MIN_SPACING, ChannelSpec, Region, _points, field_response
-from .util import write_csv_atomic
+from .channel import MIN_SPACING, ChannelSpec, Region, _levels, _points, field_response
 
 __all__ = [
     "RxPlacement",
@@ -25,7 +24,6 @@ __all__ = [
     "capacity_waterfilling",
     "SequentialSearchResult",
     "sequential_position_search",
-    "write_capacity_csv",
 ]
 
 _SPACING_SLACK = 1e-9
@@ -63,12 +61,12 @@ class RxPlacement:
         self.positions = p
 
 
-def tx_ula(num_elements: int, spacing: float = 0.5) -> np.ndarray:
-    """Tx positions (N, 3): uniform linear array along x at the origin."""
+def tx_ula(num_elements: int) -> np.ndarray:
+    """Tx positions (N, 3): uniform linear array along x at the origin, MIN_SPACING apart."""
     if num_elements < 1:
         raise ValueError("need at least one element")
     t = np.zeros((num_elements, 3))
-    t[:, 0] = np.arange(num_elements) * spacing
+    t[:, 0] = np.arange(num_elements) * MIN_SPACING
     return t
 
 
@@ -109,22 +107,24 @@ def _row_replacement_capacities(h: np.ndarray, m: int, rows: np.ndarray, a: np.n
     return (np.log1p(gains).sum(axis=1)[:, None] + np.log1p(a[:, None] * quad)) / math.log(2.0)
 
 
-def capacity_identity_cov(h_matrix, rho: float, num_tx: int | None = None) -> float:
+def _matrix(h_matrix) -> np.ndarray:
+    """``h_matrix`` as a complex matrix of finite entries with at least one column, else ValueError."""
+    h = np.asarray(h_matrix, dtype=complex)
+    if not (h.ndim == 2 and h.shape[1] >= 1 and np.isfinite(h).all()):
+        raise ValueError(f"H must be a finite matrix with at least one column, got shape {h.shape}")
+    return h
+
+
+def capacity_identity_cov(h_matrix, rho: float) -> float:
     """Capacity with an identity transmit covariance scaled by 1/N.
 
     ``C = log2 det(I_M + (rho/N) H H^H)`` in bits/s/Hz, where ``rho`` is the
-    total transmit SNR and ``N`` the number of transmit antennas (defaults
-    to the column count of H).
+    total transmit SNR and ``N`` the number of transmit antennas, the
+    column count of H.
     """
-    if not rho >= 0:
-        raise ValueError(f"rho must be nonnegative, got {rho}")
-    h = np.asarray(h_matrix, dtype=complex)
-    if h.ndim != 2:
-        raise ValueError("H must be a matrix")
-    n = h.shape[1] if num_tx is None else int(num_tx)
-    if n < 1:
-        raise ValueError(f"num_tx must be at least 1, got {n}")
-    return float(_capacity_batch(h, rho, n))
+    _levels(rho)
+    h = _matrix(h_matrix)
+    return float(_capacity_batch(h, rho, h.shape[1]))
 
 
 @dataclass(eq=False)
@@ -149,10 +149,8 @@ def capacity_waterfilling(h_matrix, rho_total: float) -> WaterfillingResult:
     Solves max sum log2(1 + p_k s_k^2) subject to sum p_k = rho_total,
     p_k >= 0 by the active-set water-filling rule.
     """
-    h = np.asarray(h_matrix, dtype=complex)
-    if not (rho_total > 0 and h.ndim == 2 and np.isfinite(h).all()):
-        raise ValueError(f"need rho_total > 0 and a finite matrix H, got {rho_total} and shape {h.shape}")
-    s = np.linalg.svd(h, compute_uv=False)
+    _levels(rho_total, "rho_total", positive=True)
+    s = np.linalg.svd(_matrix(h_matrix), compute_uv=False)
     gains = s ** 2
     active = gains > gains.max() * 1e-15 if gains.size and gains.max() > 0 else np.zeros_like(gains, bool)
     if not active.any():
@@ -210,9 +208,7 @@ def _searches(spec: ChannelSpec, region: Region, num_rx: int, tx_positions, rhos
     (S, num_rx, 3), the FPA and final capacities (S,) and the list of capacities after every pass.
     """
     t = _antenna_positions(tx_positions, "tx")
-    rho = np.array(rhos, dtype=float).reshape(-1, 1)
-    if not (np.isfinite(rho).all() and (rho >= 0).all()):
-        raise ValueError(f"rho must be finite and nonnegative, got {rhos}")
+    rho = _levels(rhos).reshape(-1, 1)
     if not spec.has_tx:
         raise ValueError("every path needs a departure direction for MIMO channels")
     start = _initial_ula_placement(region, num_rx)
@@ -271,9 +267,3 @@ def sequential_position_search(spec: ChannelSpec, region: Region, num_rx: int,
         initial_capacity=float(initial[0]),
         pass_capacities=passes[0],
     )
-
-
-def write_capacity_csv(rows, path: str) -> None:
-    """Export rows ``(snr_db, L, seed, capacity_fpa, capacity_ma)``."""
-    rows = [(float(s), int(l), int(k), float(cf), float(cm)) for s, l, k, cf, cm in rows]
-    write_csv_atomic(path, "snr_db,L,seed,capacity_fpa,capacity_ma", zip(*rows))

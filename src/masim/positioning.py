@@ -18,9 +18,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .channel import (_SPLIT_ERROR, ChannelSpec, Region, _axis_tables, _grid_product, _points, _stochastic_paths,
-                      field_on_grid, field_response)
-from .util import _blocks, write_csv_atomic
+from .channel import (_SPLIT_ERROR, ChannelSpec, Region, _axis_tables, _grid_product, _levels, _points,
+                      _stochastic_paths, field_on_grid, field_response)
+from .util import _blocks
 
 __all__ = [
     "SearchConfig",
@@ -28,7 +28,6 @@ __all__ = [
     "max_sinr_position",
     "snr_gradient",
     "level_trials",
-    "write_sweep_csv",
 ]
 
 
@@ -53,7 +52,8 @@ class SearchConfig:
 
 def _power(h, out=None) -> np.ndarray:
     """``|h|**2``, computed in place in one new array or in ``out``: coarse maps are a sweep's
-    largest arrays.  (``h.real**2 + h.imag**2`` is no faster.)"""
+    largest arrays.  ``h.real**2 + h.imag**2`` is faster on small tiles, but its last bits differ,
+    and the exact maps, hence the sweeps' values, are defined by ``np.abs``'s."""
     p = np.abs(h, out=out)
     return np.square(p, out=p)
 
@@ -221,8 +221,7 @@ def _refine(channels, level, x, trial, lo, hi, free, step):
 
 def _position(specs, make_level, region: Region, cfg: SearchConfig | None, *rhos):
     """:func:`_search` as one trial of ``make_level(*rhos)`` over the channels ``specs``: ``(position, value)``."""
-    if not all(math.isfinite(rho) and rho >= 0 for rho in rhos):
-        raise ValueError(f"rho must be finite and nonnegative, got {rhos}")
+    _levels(rhos)
     cfg = cfg or SearchConfig()
     channels = [(s.rx_directions[None], s.coefficients[None]) for s in specs]
     # field_on_grid through this module's binding: perfbench's tracer test expects its span.
@@ -292,9 +291,3 @@ def _sweep(kind: str, num_paths: int, regions, trials: int, seed: int, cfg: Sear
         channels = [(np.stack([d[0] for d in ds]), np.stack([d[1] for d in ds])) for ds in draws]
         _, values[:, blk], evals[:, blk], ties[:, blk] = _search(channels, level, regions, cfg)
     return values, evals, ties
-
-
-def write_sweep_csv(rows, path: str) -> None:
-    """Export sweep rows ``(L, A_lambda, trials, metric_db)``."""
-    rows = [(int(l), float(a), int(n), float(m)) for l, a, n, m in rows]
-    write_csv_atomic(path, "L,A_lambda,trials,metric_db", zip(*rows))

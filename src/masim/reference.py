@@ -31,7 +31,7 @@ def two_path_spec() -> ChannelSpec:
     return ChannelSpec(rx, np.ones(len(rx)))
 
 
-def four_path_spec(seed: int = FOUR_PATH_SEED) -> ChannelSpec:
-    """Four unit-power paths with seed-pinned random arrival angles."""
-    rng = np.random.default_rng(seed)
+def four_path_spec() -> ChannelSpec:
+    """Four unit-power paths with random arrival angles drawn from FOUR_PATH_SEED."""
+    rng = np.random.default_rng(FOUR_PATH_SEED)
     return ChannelSpec(_sample_hemisphere(rng, 4), np.ones(4))

@@ -5,7 +5,8 @@ import pytest
 
 from masim.beams import (array_gain, beam_pattern, null_steer_weights,
                          optimize_uniform_spacing, steering_vector,
-                         two_beam_weights_fpa, uniform_layout, write_pattern_csv)
+                         two_beam_weights_fpa, uniform_layout)
+from masim.experiments import run_experiment
 
 
 def dirichlet_overlap(n, spacing, du):
@@ -246,10 +247,14 @@ def test_pattern_energy_quadrature_matches_sinc_sum():
 
 
 def test_pattern_csv(tmp_path):
+    run_experiment({"kind": "beam", "seed": 0, "num_elements": 4, "objective": "two-beam", "u1": 0.4,
+                    "u2": -0.4, "pattern_points": 5}, str(tmp_path))
     layout = uniform_layout(4, 0.5)
-    pattern = beam_pattern(layout, steering_vector(layout, 0.0), 5)
-    path = tmp_path / "p.csv"
-    write_pattern_csv(pattern, str(path))
-    lines = path.read_text().splitlines()
-    assert lines[0] == "u,gain_linear,gain_db"
-    assert len(lines) == 6
+    pattern = beam_pattern(layout, two_beam_weights_fpa(layout, 0.4, -0.4).weights, 5)
+    for name in ("pattern_fpa.csv", "pattern_ma.csv"):
+        lines = (tmp_path / name).read_text().splitlines()
+        assert lines[0] == "u,gain_linear,gain_db"
+        assert len(lines) == 6
+    rows = [tuple(map(float, line.split(","))) for line in (tmp_path / "pattern_fpa.csv").read_text().splitlines()[1:]]
+    assert [r[:2] for r in rows] == list(zip(pattern.u, pattern.gain))
+    assert [r[2] for r in rows] == [10.0 * math.log10(g) for g in pattern.gain]

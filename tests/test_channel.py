@@ -4,7 +4,7 @@ import math
 import numpy as np
 import pytest
 
-from masim.channel import (_SPLIT_ERROR, ChannelSpec, Region, _axis_tables, _fields_on_grid, _grid_product,
+from masim.channel import (_SPLIT_ERROR, ChannelSpec, Region, _axis_tables, _grid_product,
                            _split_response, _stochastic_paths, angles_from_direction,
                            channel_gain, channel_spec_from_records,
                            direction_from_angles, field_on_grid, field_response,
@@ -279,12 +279,13 @@ def test_field_response_broadcasts_over_stacked_directions():
 def test_stacked_fields_on_grid_match_one_call_per_channel(extents):
     specs = [sample_stochastic_channel(5, (36, t)) for t in range(3)]
     region = Region(origin=[-1.0, 0.5, 0.25], extents=extents)
-    stacked, coords = _fields_on_grid(np.stack([s.rx_directions for s in specs]),
-                                      np.stack([s.coefficients for s in specs]), region, 0.3)
-    assert stacked.shape == (3,) + tuple(len(c) for c in coords)
+    tables = _axis_tables(np.stack([s.rx_directions for s in specs]), np.stack([s.coefficients for s in specs]),
+                          region, 0.3, split=False)
+    stacked = _grid_product(tables)
     for t, spec in enumerate(specs):
-        values, _ = field_on_grid(spec, region, 0.3)
-        assert isinstance(values, np.ndarray) and values.tobytes() == stacked[t].tobytes()
+        values, coords = field_on_grid(spec, region, 0.3)
+        assert isinstance(values, np.ndarray) and values.shape == tuple(len(c) for c in coords)
+        assert values.tobytes() == stacked[t].tobytes()
 
 
 # (region, step): axes of 1 and 2 points, 1, 2 and 3 free axes, and 401-point
@@ -309,10 +310,10 @@ def test_split_tables_match_field_response_within_bound(case):
         split = _split_response(region.origin[a], step, len(c), directions[..., [a]])
         assert split.shape == exact.shape and np.abs(split - exact).max() <= bound
     # Each field sums L products of one table entry per free axis, rounded in its own order.
-    exact, coords = _fields_on_grid(directions, coefficients, region, step)
+    exact = _grid_product(_axis_tables(directions, coefficients, region, step, split=False))
     split = _grid_product(_axis_tables(directions, coefficients, region, step, split=True))
     assert split.shape == exact.shape
-    slack = len(coords) * bound + 4 * 20 * np.finfo(float).eps
+    slack = len(region.free_axes) * bound + 4 * 20 * np.finfo(float).eps
     assert (np.abs(split - exact).reshape(3, -1).max(axis=1) <= slack * np.abs(coefficients).sum(axis=1)).all()
 
 

@@ -3,7 +3,9 @@ import pytest
 
 from conftest import brute_force_power_scan
 from masim.channel import ChannelSpec, Region, channel_gain, direction_from_angles
-from masim.gainmap import DB_FLOOR, evaluate_map, write_gain_map_csv
+from masim.experiments import run_experiment
+from masim.gainmap import DB_FLOOR, evaluate_map
+from masim.reference import TWO_PATH_ANGLES
 
 
 def test_single_path_flat_map(region4):
@@ -123,9 +125,11 @@ def test_rejects_bad_step_and_non_planar_region(two_path):
 
 def test_csv_export_row_major_and_deterministic(tmp_path, two_path):
     gm = evaluate_map(two_path, Region.square(1.0), 0.5)
-    p1, p2 = tmp_path / "a.csv", tmp_path / "b.csv"
-    write_gain_map_csv(gm, str(p1))
-    write_gain_map_csv(gm, str(p2))
+    paths = [{"theta": theta, "phi": phi, "coeff_re": 1.0, "coeff_im": 0.0} for theta, phi in TWO_PATH_ANGLES]
+    for run in ("a", "b"):
+        run_experiment({"kind": "gainmap", "seed": 0, "region_size": 1.0, "step": 0.5, "paths": paths},
+                       str(tmp_path / run))
+    p1, p2 = tmp_path / "a" / "gain_map.csv", tmp_path / "b" / "gain_map.csv"
     assert p1.read_bytes() == p2.read_bytes()
     lines = p1.read_text().splitlines()
     assert lines[0] == "x,y,gain_db"

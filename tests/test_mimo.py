@@ -92,9 +92,21 @@ def test_spacing_violations_rejected():
 def test_capacity_identity_reference_values():
     assert abs(capacity_identity_cov(np.eye(4, dtype=complex), 4.0) - 4.0) < 1e-12
     assert capacity_identity_cov(np.eye(4, dtype=complex), 0.0) == 0.0
-    for rho, num_tx in ((-1.0, None), (np.nan, None), (4.0, 0)):
+    for h, rho in ((np.eye(4), -1.0), (np.eye(4), np.nan), (np.zeros((4, 0)), 4.0)):
         with pytest.raises(ValueError):
-            capacity_identity_cov(np.eye(4, dtype=complex), rho, num_tx)
+            capacity_identity_cov(h, rho)
+
+
+# The level rule of every capacity: rho finite and >= 0 (> 0 for water-filling), H finite.
+@pytest.mark.parametrize("capacity, h, rho", [
+    (capacity_identity_cov, np.eye(2), math.inf),
+    (capacity_identity_cov, math.nan * np.eye(2), 1.0),
+    (capacity_waterfilling, np.eye(2), math.inf),
+    (capacity_waterfilling, np.eye(2), 0.0),
+], ids=["identity-inf-rho", "identity-nan-h", "waterfilling-inf-rho", "waterfilling-zero-rho"])
+def test_capacities_reject_levels_and_matrices_off_the_rule(capacity, h, rho):
+    with pytest.raises(ValueError, match="finite"):
+        capacity(h, rho)
 
 
 def test_capacity_identity_matches_singular_value_formula():

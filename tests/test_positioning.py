@@ -8,7 +8,7 @@ import masim.channel as channel
 import masim.positioning as positioning
 import masim.util as util
 from conftest import brute_force_power_scan
-from masim.channel import (ChannelSpec, Region, _fields_on_grid, _stochastic_paths, channel_gain,
+from masim.channel import (ChannelSpec, Region, _axis_tables, _grid_product, _stochastic_paths, channel_gain,
                            direction_from_angles, field_on_grid, sample_stochastic_channel)
 from masim.positioning import SearchConfig, level_trials, max_sinr_position, max_snr_position, snr_gradient
 
@@ -402,7 +402,8 @@ def test_fast_maps_stay_inside_the_ranking_margin(case, kind, ranked_tiles):
         return
     # The tiles of each block of trials, side by side, against the exact maps of every trial.
     fast = np.concatenate([np.concatenate(block, axis=1) for block in ranked_tiles])
-    exact = level(*[positioning._power(_fields_on_grid(d, c, region, step)[0]) for d, c in channels])
+    exact = level(*[positioning._power(_grid_product(_axis_tables(d, c, region, step, split=False)))
+                    for d, c in channels])
     exact = exact.reshape(trials, -1)
     error = np.abs(fast - exact).max(axis=1) / exact.max(axis=1)
     scale = max(1.0, np.abs([region.origin, region.upper]).max())

@@ -4,12 +4,17 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from masim.beams import BeamPattern, beam_pattern, steering_vector, uniform_layout, write_pattern_csv
-from masim.channel import ChannelSpec, Region, direction_from_angles
-from masim.gainmap import DB_FLOOR, evaluate_map, write_gain_map_csv
-from masim.mimo import write_capacity_csv
-from masim.positioning import write_sweep_csv
+import masim.beams as beams
+from masim.beams import BeamPattern
+from masim.channel import ChannelSpec, Region, direction_from_angles, sample_stochastic_channel
+from masim.experiments import run_experiment
+from masim.gainmap import DB_FLOOR, evaluate_map
+from masim.mimo import sequential_position_search, tx_ula
 from masim.util import write_csv_atomic, write_json_atomic
+
+# Two paths of equal power and opposite sign: their field cancels exactly at the origin.
+FLOORED_PATHS = [{"theta": 0.0, "phi": 0.0, "coeff_re": 1.0, "coeff_im": 0.0},
+                 {"theta": 0.7, "phi": 0.3, "coeff_re": -1.0, "coeff_im": 0.0}]
 
 
 def reference_csv(path, header, rows):
@@ -27,70 +32,80 @@ def floored_gain_map():
     return gm
 
 
-def nulled_pattern():
-    layout = uniform_layout(4, 0.5)
-    pattern = beam_pattern(layout, steering_vector(layout, 0.2), 101)
-    gain = pattern.gain.copy()
-    gain[::7] = 0.0
-    return BeamPattern(u=pattern.u, gain=gain)
-
-
-def gain_map_case(path):
+def gain_map_case(out, monkeypatch):
+    run_experiment({"kind": "gainmap", "seed": 0, "region_size": 2.0, "step": 0.25, "paths": FLOORED_PATHS},
+                   str(out))
     gm = floored_gain_map()
-    write_gain_map_csv(gm, path)
-    return "x,y,gain_db", ((float(x), float(y), float(gm.values[i, j]))
-                           for i, x in enumerate(gm.coords0) for j, y in enumerate(gm.coords1))
+    return [(out / "gain_map.csv", "x,y,gain_db", ((float(x), float(y), float(gm.values[i, j]))
+                                                    for i, x in enumerate(gm.coords0)
+                                                    for j, y in enumerate(gm.coords1)))]
 
 
-def pattern_case(path):
-    pattern = nulled_pattern()
-    write_pattern_csv(pattern, path)
-    return "u,gain_linear,gain_db", (
+def pattern_case(out, monkeypatch):
+    patterns, beam_pattern = [], beams.beam_pattern
+
+    def nulled_pattern(layout, weights, grid_points):
+        pattern = beam_pattern(layout, weights, grid_points)
+        gain = pattern.gain.copy()
+        gain[::7] = 0.0
+        patterns.append(BeamPattern(u=pattern.u, gain=gain))
+        return patterns[-1]
+
+    monkeypatch.setattr(beams, "beam_pattern", nulled_pattern)
+    run_experiment({"kind": "beam", "seed": 0, "num_elements": 4, "objective": "two-beam",
+                    "u1": 0.2, "u2": -0.3, "pattern_points": 101}, str(out))
+    # The runner samples the FPA pattern, then the MA one.
+    return [(out / name, "u,gain_linear,gain_db", (
         (float(u), float(g), float(10.0 * math.log10(g) if g > 0.0 else DB_FLOOR))
-        for u, g in zip(pattern.u, pattern.gain))
+        for u, g in zip(pattern.u, pattern.gain)))
+        for name, pattern in zip(["pattern_fpa.csv", "pattern_ma.csv"], patterns, strict=True)]
 
 
-def scalars_case(path):
+def scalars_case(out, monkeypatch):
     floats = [-0.0, 5e-324, 1e-05, 1e16, 1.7976931348623157e308, 0.1 + 0.2]
     ints = list(range(-2, 4))
     np_ints = list(np.arange(10, 16, dtype=np.int64))
     strs = ["a", "b", "c", "d", "e", "f"]
-    write_csv_atomic(path, "f,i,n,s", (floats, iter(ints), np_ints, strs))
-    return "f,i,n,s", zip(floats, ints, np_ints, strs)
+    write_csv_atomic(str(out / "new.csv"), "f,i,n,s", (floats, iter(ints), np_ints, strs))
+    return [(out / "new.csv", "f,i,n,s", zip(floats, ints, np_ints, strs))]
 
 
-def one_row_case(path):
-    write_csv_atomic(path, "a,b", ([7], [0.5]))
-    return "a,b", [(7, 0.5)]
+def one_row_case(out, monkeypatch):
+    write_csv_atomic(str(out / "new.csv"), "a,b", ([7], [0.5]))
+    return [(out / "new.csv", "a,b", [(7, 0.5)])]
 
 
-def zero_row_case(path):
-    write_csv_atomic(path, "a,b", ([], []))
-    return "a,b", []
+def zero_row_case(out, monkeypatch):
+    write_csv_atomic(str(out / "new.csv"), "a,b", ([], []))
+    return [(out / "new.csv", "a,b", [])]
 
 
-def sweep_case(path):
-    rows = [(np.int64(5), np.float64(2.5), 20, np.float64(13.1)), (15, 0.1 + 0.2, 3, -0.0)]
-    write_sweep_csv(rows, path)
-    return "L,A_lambda,trials,metric_db", ((int(l), float(a), int(n), float(m)) for l, a, n, m in rows)
+def sweep_case(out, monkeypatch):
+    cfg = {"kind": "snr", "seed": 4, "path_counts": [1, 3], "region_sizes": [0.0, 0.3, 1.5], "trials": 3,
+           "coarse_step": 0.5}
+    results = run_experiment(cfg, str(out))["results"]
+    return [(out / "snr_sweep.csv", "L,A_lambda,trials,metric_db", (
+        (l, a, 3, results[f"L{l}_A{a:g}"]["metric_db"]) for l in cfg["path_counts"] for a in cfg["region_sizes"]))]
 
 
-def empty_sweep_case(path):
-    write_sweep_csv([], path)
-    return "L,A_lambda,trials,metric_db", []
-
-
-def empty_capacity_case(path):
-    write_capacity_csv([], path)
-    return "snr_db,L,seed,capacity_fpa,capacity_ma", []
+def capacity_case(out, monkeypatch):
+    cfg = {"kind": "mimo", "seed": 5, "num_tx": 2, "num_rx": 2, "path_counts": [1, 3],
+           "snr_db_list": [-5.0, 10.0], "seeds": 2, "region_size": 1.0, "step": 0.25}
+    run_experiment(cfg, str(out))
+    # Each row's search run alone, which the lockstep searches of a run equal bit for bit.
+    searches = {(snr_db, l, k): sequential_position_search(
+        sample_stochastic_channel(l, (cfg["seed"], l, k), include_tx=True), Region.square(1.0), 2, tx_ula(2),
+        10.0 ** (snr_db / 10.0), 0.25) for snr_db in cfg["snr_db_list"] for l in cfg["path_counts"] for k in range(2)}
+    return [(out / "capacity_sweep.csv", "snr_db,L,seed,capacity_fpa,capacity_ma",
+             (key + (r.initial_capacity, r.capacity) for key, r in searches.items()))]
 
 
 @pytest.mark.parametrize("case", [gain_map_case, pattern_case, scalars_case, one_row_case,
-                                  zero_row_case, sweep_case, empty_sweep_case, empty_capacity_case])
-def test_column_writer_matches_row_writer_bytes(tmp_path, case):
-    header, rows = case(str(tmp_path / "new.csv"))
-    reference_csv(str(tmp_path / "old.csv"), header, rows)
-    assert (tmp_path / "new.csv").read_bytes() == (tmp_path / "old.csv").read_bytes()
+                                  zero_row_case, sweep_case, capacity_case])
+def test_column_writer_matches_row_writer_bytes(tmp_path, monkeypatch, case):
+    for path, header, rows in case(tmp_path, monkeypatch):
+        reference_csv(str(tmp_path / "old.csv"), header, rows)
+        assert path.read_bytes() == (tmp_path / "old.csv").read_bytes()
 
 
 def test_unequal_columns_leave_nothing(tmp_path):
