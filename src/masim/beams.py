@@ -33,8 +33,8 @@ def uniform_layout(num_elements: int, spacing: float) -> np.ndarray:
     """Element positions 0, d, 2d, ... for a uniform linear array."""
     if num_elements < 1:
         raise ValueError("need at least one element")
-    if spacing < MIN_SPACING:
-        raise ValueError(f"spacing must be at least {MIN_SPACING} wavelengths")
+    if not MIN_SPACING <= spacing < np.inf:
+        raise ValueError(f"spacing must be finite and at least {MIN_SPACING} wavelengths, got {spacing}")
     return np.arange(num_elements) * float(spacing)
 
 
@@ -159,8 +159,6 @@ def optimize_uniform_spacing(num_elements: int, objective: str, u_params,
     lo, hi = float(d_range[0]), float(d_range[1])
     if lo < MIN_SPACING or hi < lo:
         raise ValueError(f"spacing range must lie within [{MIN_SPACING}, inf)")
-    if d_step <= 0:
-        raise ValueError("d_step must be positive")
     if objective not in ("two-beam", "null-steer"):
         raise ValueError("objective must be 'two-beam' or 'null-steer'")
     spacings = lo + np.arange(grid_count(hi - lo, d_step)) * d_step

@@ -62,6 +62,8 @@ def _levels(levels, name: str = "rho", positive: bool = False) -> np.ndarray:
 
 def grid_count(extent: float, step: float) -> int:
     """floor(extent/step) + 1 grid points; the 1e-9 slack keeps an endpoint lost to rounding."""
+    if not (0 < step < math.inf and 0 <= extent < math.inf):
+        raise ValueError(f"grid step must be finite and > 0, extent finite and >= 0; got {step}, {extent}")
     return int(math.floor(extent / step + 1e-9)) + 1
 
 
@@ -163,10 +165,8 @@ class Region:
 
     def grid_coords(self, step: float) -> list[np.ndarray]:
         """Per-free-axis grid coordinates, :func:`grid_count` points each."""
-        if step <= 0:
-            raise ValueError("grid step must be positive")
-        return [self.origin[a] + np.arange(grid_count(self.extents[a], step)) * step
-                for a in self.free_axes]
+        counts = [grid_count(extent, step) for extent in self.extents]  # checks the step of a point too
+        return [self.origin[a] + np.arange(counts[a]) * step for a in self.free_axes]
 
     def grid_position(self, coords, flat_index) -> np.ndarray:
         """Position of the grid point(s) at row-major ``flat_index``.

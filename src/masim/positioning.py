@@ -7,8 +7,9 @@ draw per trial serves every region size, one kernel computes the coarse
 fields of a block of trials, and one refine moves the searches of every
 region and trial of the block in lockstep.  Every coarse grid of a sweep,
 ranked on fast phase tables or scanned on exact ones, is read in row tiles
-of bounded size, so its memory does not grow with the grid.  An analytic power
-gradient is provided for local optimization studies.
+of bounded size, so its memory does not grow with the grid.  A map that cannot
+vary (a point region, or one path per channel) takes its closed form instead.  An
+analytic power gradient is provided for local optimization studies.
 """
 
 from __future__ import annotations
@@ -18,8 +19,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .channel import (_SPLIT_ERROR, ChannelSpec, Region, _axis_tables, _grid_product, _levels, _points,
-                      _stochastic_paths, field_on_grid, field_response)
+from .channel import (_SPLIT_ERROR, ChannelSpec, Region, _axis_tables, _collapsed, _grid_product, _levels,
+                      _points, _stochastic_paths, field_on_grid, field_response)
 from .util import _blocks
 
 __all__ = [
@@ -94,20 +95,25 @@ def _search(channels, level, regions, cfg: SearchConfig, coarse=None):
 
     ``channels`` holds one ``(directions (T, L, 3), coefficients (T, L))``
     pair per argument of ``level``, which maps those channels' powers to
-    the objective.  Each (region, trial) search starts from its first best
-    point of :func:`_coarse`'s grid scan; with ``cfg.refine``, the searches of
-    all regions with the same free axes then take one :func:`_refine`, which
-    counts 1 + 2 * |axes| evaluations per iteration a search takes.
+    the objective.  A map without a phase <d_l - d_1, r> (a point region, or one path per
+    channel) is constant: it takes its value at the region's origin, with no scan or refine.
+    Each other (region, trial) search starts from its first best point of :func:`_coarse`'s
+    grid scan; with ``cfg.refine``, the searches of all regions with the same free axes then
+    take one :func:`_refine`, which counts 1 + 2 * |axes| evaluations per iteration a search takes.
     """
     trials = len(channels[0][1])
     x, best = np.empty((len(regions), trials, 3)), np.empty((len(regions), trials))
-    ties = np.empty((len(regions), trials), dtype=bool)
+    ties = np.zeros((len(regions), trials), dtype=bool)
+    flat = all(c.shape[1] == 1 for _, c in channels)
     for i, region in enumerate(regions):
+        if flat or not region.free_axes:
+            x[i], best[i] = region.origin, level(*[_power(_collapsed(d, c, region).sum(-1)) for d, c in channels])
+            continue
         coords = region.grid_coords(cfg.coarse_step)
-        start, best[i], ties[i] = _coarse(channels, level, region, [len(c) for c in coords] or [1], cfg, coarse)
+        start, best[i], ties[i] = _coarse(channels, level, region, [len(c) for c in coords], cfg, coarse)
         x[i] = region.grid_position(coords, start)
     evals = np.zeros((len(regions), trials), dtype=int)
-    for axes in dict.fromkeys(r.free_axes for r in regions if cfg.refine and r.free_axes):
+    for axes in dict.fromkeys(r.free_axes for r in regions if cfg.refine and r.free_axes and not flat):
         group, free = [i for i, r in enumerate(regions) if r.free_axes == axes], list(axes)
         lo = np.repeat([regions[i].origin[free] for i in group], trials, axis=0)
         hi = np.repeat([regions[i].upper[free] for i in group], trials, axis=0)
@@ -120,8 +126,8 @@ def _search(channels, level, regions, cfg: SearchConfig, coarse=None):
 
 
 def _coarse(channels, level, region: Region, sides, cfg: SearchConfig, coarse):
-    """The coarse stage of :func:`_search` on one region of ``sides`` grid points per free axis
-    (one for a point): each trial's first best grid point (flat index), its value where the trial
+    """The coarse stage of :func:`_search` on one region of ``sides`` grid points per free axis,
+    whose map varies: each trial's first best grid point (flat index), its value where the trial
     took the exact scan, and whether its fast ranking tied, each (T,).  Every scan reads tiles of
     at most util._BLOCK_ELEMENTS points, or one row of one trial.  A refined map with at least as
     many independent phases <d_l - d_1, r> (L - 1 per channel) as free axes ranks on split phase
@@ -129,10 +135,10 @@ def _coarse(channels, level, region: Region, sides, cfg: SearchConfig, coarse):
     a trial whose fast maximum does not win by _RANK_MARGIN ties, and like every other map takes
     the exact tables, or the exact fields (Tb, *grid) per channel of ``coarse(region, trials)``."""
     trials, num_paths = channels[0][1].shape
-    fast = cfg.refine and 0 < len(region.free_axes) <= sum(c.shape[1] - 1 for _, c in channels)
+    fast = cfg.refine and len(region.free_axes) <= sum(c.shape[1] - 1 for _, c in channels)
     margin = 1.0 + _RANK_MARGIN * max(1.0, np.abs([region.origin, region.upper]).max())
     start, best, ties = np.empty(trials, dtype=int), np.empty(trials), np.zeros(trials, dtype=bool)
-    blocks = _blocks(trials, max([math.prod(sides), num_paths] + [n * num_paths for n in sides]))
+    blocks = _blocks(trials, max([math.prod(sides)] + [n * num_paths for n in sides]))
     rows = _blocks(sides[0], blocks[0].stop * math.prod(sides[1:]))[0].stop
     field = np.empty((blocks[0].stop, rows, *sides[1:]), dtype=complex)  # one buffer for every tile
     powers = np.empty((len(channels), *field.shape))
@@ -234,8 +240,8 @@ def max_snr_position(spec: ChannelSpec, region: Region, cfg: SearchConfig | None
                      rho: float = 1.0):
     """Position maximizing ``rho * |h(r)|^2`` over the region.
 
-    Returns ``(position, snr_linear)``; the value dominates every coarse
-    grid point and the position lies inside the region.
+    Returns ``(position, snr_linear)``; the value dominates every coarse grid point (a
+    constant map's up to rounding) and the position lies inside the region.
     """
     return _position([spec], _snr_level, region, cfg, rho)
 
@@ -251,17 +257,16 @@ def max_sinr_position(signal: ChannelSpec, interference: ChannelSpec, region: Re
     return _position([signal, interference], _sinr_level, region, cfg, rho, rho_interference)
 
 
-def snr_gradient(spec: ChannelSpec, r, axes=(0, 1)) -> np.ndarray:
-    """Analytic in-plane gradient of the power gain ``|h(r)|^2``.
+def snr_gradient(spec: ChannelSpec, r) -> np.ndarray:
+    """Analytic in-plane gradient of the power gain ``|h(r)|^2``: its (x, y) components.
 
     grad |h|^2 = 2 Re[ conj(h) * sum_l c_l * j*2*pi*d_l * exp(j*2*pi*<d_l, r>) ]
-               = -4 pi Im[ conj(h) * sum_l c_l * d_l * exp(j*2*pi*<d_l, r>) ],
-    restricted to the given axes.
+               = -4 pi Im[ conj(h) * sum_l c_l * d_l * exp(j*2*pi*<d_l, r>) ].
     """
     dirs = spec.rx_directions
     terms = spec.coefficients * field_response(_points([r], "position")[0], dirs)
     full = -4.0 * np.pi * np.imag(np.conj(terms.sum()) * (dirs.T @ terms))
-    return full[list(axes)]
+    return full[:2]
 
 
 def level_trials(kind: str, num_paths: int, regions, trials: int, seed: int,

@@ -51,8 +51,9 @@ def test_every_cosine_input_is_checked(u):
 
 
 def test_layout_validation():
-    with pytest.raises(ValueError):
-        uniform_layout(8, 0.4)
+    for spacing in (0.4, math.inf, math.nan):
+        with pytest.raises(ValueError, match="spacing"):
+            uniform_layout(8, spacing)
     with pytest.raises(ValueError):
         array_gain(np.array([0.0, 0.3]), np.ones(2, dtype=complex), 0.0)
     for layout in ([0.0, math.nan, 1.0], [0.0, 1.0, math.inf], [math.nan]):
@@ -214,6 +215,11 @@ def test_optimize_spacing_rejects_bad_range():
         optimize_uniform_spacing(8, "two-beam", (0.4, -0.4), (0.3, 1.0), 0.01)
     with pytest.raises(ValueError):
         optimize_uniform_spacing(8, "bad-objective", (0.4, -0.4))
+    # A step that is not finite and positive, or a range that is not finite, has no grid.
+    for d_range, d_step in (((0.5, 1.0), math.inf), ((0.5, 1.0), math.nan), ((0.5, 1.0), 0.0),
+                            ((0.5, math.inf), 0.01), ((0.5, math.nan), 0.01)):
+        with pytest.raises(ValueError, match="grid step"):
+            optimize_uniform_spacing(8, "two-beam", (0.4, -0.4), d_range, d_step)
 
 
 def test_beam_pattern_peak_and_bounds():

@@ -7,7 +7,7 @@ import pytest
 from masim.channel import (_SPLIT_ERROR, ChannelSpec, Region, _axis_tables, _grid_product,
                            _split_response, _stochastic_paths, angles_from_direction,
                            channel_gain, channel_spec_from_records,
-                           direction_from_angles, field_on_grid, field_response,
+                           direction_from_angles, field_on_grid, field_response, grid_count,
                            sample_stochastic_channel)
 from masim.estimation import MeasurementSet, omp_estimate, refit_coefficients, simulate_measurements
 from masim.mimo import RxPlacement, build_channel_matrix, tx_ula
@@ -328,6 +328,14 @@ def test_grid_coords_dimensions():
     region = Region(origin=[0, 0, 0], extents=[4.0, 4.0, 0.0])
     coords = region.grid_coords(0.05)
     assert [c.size for c in coords] == [81, 81]
+    # The step must be finite and positive, the extent finite and nonnegative.
+    for step in (0.0, -0.1, math.inf, math.nan):
+        for r in (region, Region.square(0.0)):
+            with pytest.raises(ValueError, match="grid step"):
+                r.grid_coords(step)
+    for extent in (-1.0, math.inf, math.nan):
+        with pytest.raises(ValueError, match="grid step"):
+            grid_count(extent, 0.1)
 
 
 def test_region_lattice_points_match_meshgrid():

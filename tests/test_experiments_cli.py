@@ -158,12 +158,13 @@ def test_sweep_summary_counts_the_search_work(tmp_path, monkeypatch, kind):
     calls = []
     counting = lambda r, d: calls.append(math.prod(np.shape(r)[:-1])) or field_response(r, d)
     monkeypatch.setattr(positioning, "field_response", counting)
-    # Every tied ranking of an L > 1 region with free axes builds the exact tables of its trial, once per
-    # channel; a 20% margin leaves some of the L = 4 rankings tied.
+    # Every tied ranking builds the exact tables of its trial, once per channel; a 20% margin leaves
+    # some of the L = 4 rankings tied.  The constant maps (L = 1, and the point region) take no table.
     exact, tables = [], positioning._axis_tables
 
     def counting_tables(d, c, region, step, split):
-        if not split and d.shape[1] > 1 and region.free_axes:
+        assert d.shape[1] > 1 and region.free_axes
+        if not split:
             exact.append(len(d))
         return tables(d, c, region, step, split)
     monkeypatch.setattr(positioning, "_axis_tables", counting_tables)
@@ -171,8 +172,12 @@ def test_sweep_summary_counts_the_search_work(tmp_path, monkeypatch, kind):
     one = run_experiment(cfg, output_dir=str(tmp_path / "one"))
     evaluations, ties = (n // (2 if kind == "sinr" else 1) for n in (sum(calls), sum(exact)))
     assert evaluations > 0 and 0 < ties < 2 * 6
-    assert one["counters"] == {"searches": 2 * 3 * 6, "coarse_points": 2 * 6 * (1 + 6 ** 2 + 11 ** 2),
+    # A constant map's search counts one point and no refine evaluation.
+    assert one["counters"] == {"searches": 2 * 3 * 6, "coarse_points": 6 * (3 + 1 + 6 ** 2 + 11 ** 2),
                                "refine_evaluations": evaluations, "ranking_ties": ties}
+    flat = run_experiment({**cfg, "path_counts": [1]}, output_dir=str(tmp_path / "flat"))
+    assert flat["counters"] == {"searches": 3 * 6, "coarse_points": 3 * 6, "refine_evaluations": 0,
+                                "ranking_ties": 0}
     assert "counters" not in one["results"]
     monkeypatch.setattr(util, "_BLOCK_ELEMENTS", 1)  # one trial per draw, coarse and refine block
     many = run_experiment(cfg, output_dir=str(tmp_path / "many"))

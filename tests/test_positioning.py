@@ -153,17 +153,18 @@ def test_trials_deterministic():
 
 
 # Per-trial values of level_trials(kind, L, [Region.square(2.0)], 3, 7,
-# SearchConfig(coarse_step=0.25, refine)) from the separate SNR and SINR
-# search and trial loops that the shared ones replaced.
+# SearchConfig(coarse_step=0.25, refine)): for L = 4 from the separate SNR and
+# SINR search and trial loops that the shared ones replaced, for L = 1 the
+# closed form of a map without a phase, with or without refine.
 PINNED_TRIALS = {
     ("snr", 4, True): [104.54159092546715, 306.39251628460624, 125.44214554008855],
     ("snr", 4, False): [96.14386039247171, 303.13926395683046, 121.669104747706],
-    ("snr", 1, True): [43.41526935018296, 29.071748301876116, 97.4992495152538],
-    ("snr", 1, False): [43.415269350182975, 29.071748301876116, 97.4992495152538],
+    ("snr", 1, True): [43.41526935018295, 29.071748301876095, 97.49924951525377],
+    ("snr", 1, False): [43.41526935018295, 29.071748301876095, 97.49924951525377],
     ("sinr", 4, True): [32.335335964047424, 177.65783474187032, 29.739190292977234],
     ("sinr", 4, False): [30.116970728769445, 48.38828304729758, 26.930167090934532],
-    ("sinr", 1, True): [0.7146072603807632, 0.19003365070638098, 0.5392976010903952],
-    ("sinr", 1, False): [0.7146072603807632, 0.19003365070638098, 0.5392976010903952],
+    ("sinr", 1, True): [0.7146072603807628, 0.19003365070638076, 0.5392976010903947],
+    ("sinr", 1, False): [0.7146072603807628, 0.19003365070638076, 0.5392976010903947],
 }
 
 
@@ -172,12 +173,7 @@ def test_trials_match_pinned_values(key):
     kind, num_paths, refine = key
     cfg = SearchConfig(coarse_step=0.25, refine=refine)
     values = level_trials(kind, num_paths, [Region.square(2.0)], 3, 7, cfg)[0]
-    if num_paths > 1:
-        assert values.tolist() == PINNED_TRIALS[key]
-    else:
-        # A single path gives a flat coarse map, whose argmax (and so the
-        # refine's start) is decided by rounding-level differences.
-        np.testing.assert_allclose(values, PINNED_TRIALS[key], rtol=1e-12, atol=0)
+    assert values.tolist() == PINNED_TRIALS[key]
 
 
 def test_refinement_dominates_coarse_per_trial():
@@ -286,6 +282,43 @@ def test_batched_trials_match_per_trial_reference(case, kind, refine):
     cfg = SearchConfig(coarse_step=step, refine=refine)
     values = level_trials(kind, num_paths, [region], trials, 21, cfg)[0]
     assert values.tobytes() == reference_trials(kind, num_paths, region, trials, 21, cfg).tobytes()
+
+
+# Maps without a phase <d_l - d_1, r>: one path per channel on regions of 0 to 3 free axes and on a
+# far-off square, and four paths on a point off the origin.
+CONSTANT_CASES = {
+    "L=1-0-axes": (Region.square(0.0), 1),
+    "L=1-1-axis": (BATCH_CASES["1-axis"][0], 1),
+    "L=1-2-axes": (Region.square(2.0), 1),
+    "L=1-3-axes": (BATCH_CASES["3-axes"][0], 1),
+    "L=1-far-off": (BATCH_CASES["far-off"][0], 1),
+    "L=4-point": (Region(origin=[0.3, -1.7, 0.25], extents=[0.0, 0.0, 0.0]), 4),
+}
+
+
+@pytest.mark.parametrize("refine", [True, False], ids=["refine", "coarse"])
+@pytest.mark.parametrize("kind", ["snr", "sinr"])
+@pytest.mark.parametrize("case", sorted(CONSTANT_CASES))
+def test_constant_maps_take_the_closed_form(monkeypatch, case, kind, refine):
+    region, num_paths = CONSTANT_CASES[case]
+    cfg = SearchConfig(coarse_step=0.25, refine=refine)
+    monkeypatch.setattr(positioning, "_coarse", lambda *args: pytest.fail("a constant map reached the grid scan"))
+    values, evals, ties = positioning._sweep(kind, num_paths, [region], 5, 28, cfg)
+    signal, interference = (sample_stochastic_channel(num_paths, (29, s)) for s in (0, 1))
+    pos, value = {"snr": lambda: max_snr_position(signal, region, cfg, rho=100.0),
+                  "sinr": lambda: max_sinr_position(signal, interference, region, cfg)}[kind]()
+    # The grid-and-refine search of the reference reaches the closed form up to rounding.
+    np.testing.assert_allclose(values[0], reference_trials(kind, num_paths, region, 5, 28, cfg), rtol=1e-12, atol=0)
+    assert not evals.any() and not ties.any()
+    assert pos.tobytes() == region.origin.tobytes()
+    np.testing.assert_allclose(value, reference_position(kind, signal, interference, region, cfg)[1],
+                               rtol=1e-12, atol=0)
+
+
+@pytest.mark.parametrize("kind", ["snr", "sinr"])
+def test_one_path_values_do_not_depend_on_the_region(kind):
+    values = level_trials(kind, 1, [Region.square(a) for a in (0.0, 2.0, 5.0, 20.0)], 6, 30)
+    assert (values == values[0]).all()
 
 
 @pytest.fixture
