@@ -278,20 +278,17 @@ def _mean_db_and_halfwidth(values: np.ndarray) -> tuple[float, float | None]:
 def _run_level_sweep(cfg, outdir):
     kind, trials = cfg["kind"], cfg["trials"]
     search = positioning.SearchConfig(coarse_step=cfg["coarse_step"], refine=cfg["refine"])
-    rows, summary, evals, ties, points = [], {}, 0, 0, 0
+    regions = [Region.square(size) for size in cfg["region_sizes"]]
+    rows, summary, counters = [], {}, {}
     for num_paths in cfg["path_counts"]:
-        regions = [Region.square(size) for size in cfg["region_sizes"]]
-        sweep, refine, tied = positioning._sweep(kind, num_paths, regions, trials, cfg["seed"], search)
-        evals, ties = evals + int(refine.sum()), ties + int(tied.sum())
+        sweep, work = positioning._sweep(kind, num_paths, regions, trials, cfg["seed"], search)
+        counters = {name: counters.get(name, 0) + int(counts.sum()) for name, counts in work.items()}
         for size, values in zip(cfg["region_sizes"], sweep):
             mean_db, half = _mean_db_and_halfwidth(values)
             rows.append((num_paths, size, trials, mean_db))
             summary[f"L{num_paths}_A{size:g}"] = {"metric_db": mean_db, "halfwidth_db": half}
-            # A one-path map is constant: its search evaluates one point, as on a point region.
-            points += trials * (grid_count(size, cfg["coarse_step"]) ** 2 if num_paths > 1 else 1)
     write_csv_atomic(os.path.join(outdir, f"{kind}_sweep.csv"), "L,A_lambda,trials,metric_db", zip(*rows))
-    summary["counters"] = {"searches": len(rows) * trials, "refine_evaluations": evals,
-                           "coarse_points": points, "ranking_ties": ties}
+    summary["counters"] = {"searches": len(rows) * trials, **counters}
     return summary
 
 

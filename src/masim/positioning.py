@@ -90,29 +90,30 @@ _RANK_MARGIN = 1e5 * _SPLIT_ERROR
 
 
 def _search(channels, level, regions, cfg: SearchConfig, coarse=None):
-    """Best positions (R, T, 3), values (R, T), refine evaluations (R, T) and ranking ties (R, T)
-    of ``level`` over each of R regions for each of T trials.
+    """Best positions (R, T, 3), values (R, T) and work of ``level``'s search over each of R regions for
+    each of T trials: ``work`` maps "coarse_points", "refine_evaluations" and "ranking_ties" to (R, T) counts.
 
-    ``channels`` holds one ``(directions (T, L, 3), coefficients (T, L))``
-    pair per argument of ``level``, which maps those channels' powers to
-    the objective.  A map without a phase <d_l - d_1, r> (a point region, or one path per
-    channel) is constant: it takes its value at the region's origin, with no scan or refine.
-    Each other (region, trial) search starts from its first best point of :func:`_coarse`'s
-    grid scan; with ``cfg.refine``, the searches of all regions with the same free axes then
-    take one :func:`_refine`, which counts 1 + 2 * |axes| evaluations per iteration a search takes.
+    ``channels`` holds one ``(directions (T, L, 3), coefficients (T, L))`` pair per argument of
+    ``level``, which maps those channels' powers to the objective.  A map without a phase <d_l - d_1, r>
+    (a point region, or one path per channel) is constant: its one point, the region's origin, gives its
+    value, with no scan or refine.  Each other (region, trial) search starts from its first best point
+    of :func:`_coarse`'s scan of every grid point (a tied ranking's exact rescan counts as a tie, not as
+    more points); with ``cfg.refine``, the searches of all regions with the same free axes then take one
+    :func:`_refine`, which counts 1 + 2 * |axes| evaluations per iteration a search takes.
     """
     trials = len(channels[0][1])
     x, best = np.empty((len(regions), trials, 3)), np.empty((len(regions), trials))
-    ties = np.zeros((len(regions), trials), dtype=bool)
+    work = {name: np.zeros(best.shape, dtype=int) for name in ("coarse_points", "refine_evaluations", "ranking_ties")}
     flat = all(c.shape[1] == 1 for _, c in channels)
     for i, region in enumerate(regions):
         if flat or not region.free_axes:
             x[i], best[i] = region.origin, level(*[_power(_collapsed(d, c, region).sum(-1)) for d, c in channels])
+            work["coarse_points"][i] = 1
             continue
         coords = region.grid_coords(cfg.coarse_step)
-        start, best[i], ties[i] = _coarse(channels, level, region, [len(c) for c in coords], cfg, coarse)
-        x[i] = region.grid_position(coords, start)
-    evals = np.zeros((len(regions), trials), dtype=int)
+        sides = [len(c) for c in coords]
+        start, best[i], work["ranking_ties"][i] = _coarse(channels, level, region, sides, cfg, coarse)
+        x[i], work["coarse_points"][i] = region.grid_position(coords, start), math.prod(sides)
     for axes in dict.fromkeys(r.free_axes for r in regions if cfg.refine and r.free_axes and not flat):
         group, free = [i for i, r in enumerate(regions) if r.free_axes == axes], list(axes)
         lo = np.repeat([regions[i].origin[free] for i in group], trials, axis=0)
@@ -121,8 +122,8 @@ def _search(channels, level, regions, cfg: SearchConfig, coarse=None):
         fx, taken = _refine(channels, level, xs, np.tile(np.arange(trials), len(group)), lo, hi, free,
                             cfg.coarse_step / 2.0)
         x[group], best[group] = xs.reshape(*shape, 3), fx.reshape(shape)
-        evals[group] = (1 + 2 * len(free) * taken).reshape(shape)
-    return x, best, evals, ties
+        work["refine_evaluations"][group] = (1 + 2 * len(free) * taken).reshape(shape)
+    return x, best, work
 
 
 def _coarse(channels, level, region: Region, sides, cfg: SearchConfig, coarse):
@@ -232,7 +233,7 @@ def _position(specs, make_level, region: Region, cfg: SearchConfig | None, *rhos
     channels = [(s.rx_directions[None], s.coefficients[None]) for s in specs]
     # field_on_grid through this module's binding: perfbench's tracer test expects its span.
     coarse = lambda region, blk: [field_on_grid(s, region, cfg.coarse_step)[0][None] for s in specs]
-    x, value, _, _ = _search(channels, make_level(*rhos), [region], cfg, coarse)
+    x, value, _ = _search(channels, make_level(*rhos), [region], cfg, coarse)
     return x[0, 0], float(value[0, 0])
 
 
@@ -286,13 +287,14 @@ def level_trials(kind: str, num_paths: int, regions, trials: int, seed: int,
 
 
 def _sweep(kind: str, num_paths: int, regions, trials: int, seed: int, cfg: SearchConfig):
-    """:func:`level_trials`, the refine evaluations of each search and whether its fast ranking
-    tied (see :func:`_search`): each (regions, trials)."""
+    """:func:`level_trials` and the work of each search (see :func:`_search`): ``(values, work)``,
+    each array (regions, trials)."""
     level, streams = _SWEEP_LEVELS[kind]
-    (values, evals), ties = np.empty((2, len(regions), trials)), np.empty((len(regions), trials), dtype=bool)
+    values, work = np.empty((len(regions), trials)), []
     for blk in _blocks(trials, 3 * num_paths):
         draws = [[_stochastic_paths(num_paths, (seed, t, *s)) for t in range(blk.start, blk.stop)]
                  for s in streams]
         channels = [(np.stack([d[0] for d in ds]), np.stack([d[1] for d in ds])) for ds in draws]
-        _, values[:, blk], evals[:, blk], ties[:, blk] = _search(channels, level, regions, cfg)
-    return values, evals, ties
+        _, values[:, blk], done = _search(channels, level, regions, cfg)
+        work.append(done)
+    return values, {name: np.concatenate([w[name] for w in work], axis=1) for name in work[0]}

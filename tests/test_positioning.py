@@ -303,13 +303,14 @@ def test_constant_maps_take_the_closed_form(monkeypatch, case, kind, refine):
     region, num_paths = CONSTANT_CASES[case]
     cfg = SearchConfig(coarse_step=0.25, refine=refine)
     monkeypatch.setattr(positioning, "_coarse", lambda *args: pytest.fail("a constant map reached the grid scan"))
-    values, evals, ties = positioning._sweep(kind, num_paths, [region], 5, 28, cfg)
+    values, work = positioning._sweep(kind, num_paths, [region], 5, 28, cfg)
     signal, interference = (sample_stochastic_channel(num_paths, (29, s)) for s in (0, 1))
     pos, value = {"snr": lambda: max_snr_position(signal, region, cfg, rho=100.0),
                   "sinr": lambda: max_sinr_position(signal, interference, region, cfg)}[kind]()
     # The grid-and-refine search of the reference reaches the closed form up to rounding.
     np.testing.assert_allclose(values[0], reference_trials(kind, num_paths, region, 5, 28, cfg), rtol=1e-12, atol=0)
-    assert not evals.any() and not ties.any()
+    assert not work["refine_evaluations"].any() and not work["ranking_ties"].any()
+    assert (work["coarse_points"] == 1).all()  # the one point of the closed form, with no grid
     assert pos.tobytes() == region.origin.tobytes()
     np.testing.assert_allclose(value, reference_position(kind, signal, interference, region, cfg)[1],
                                rtol=1e-12, atol=0)
@@ -371,8 +372,12 @@ MERGED_CASES = {
 def test_merged_refine_matches_single_region_calls(case, kind, refine):
     regions, num_paths, trials = MERGED_CASES[case]
     cfg = SearchConfig(coarse_step=0.25, refine=refine)
-    merged, evals, _ = positioning._sweep(kind, num_paths, regions, trials, 24, cfg)
+    merged, work = positioning._sweep(kind, num_paths, regions, trials, 24, cfg)
+    evals = work["refine_evaluations"]
     assert merged.shape == evals.shape == (len(regions), trials)
+    # Each search counts its grid's points once, and a point region its one point.
+    for region, points in zip(regions, work["coarse_points"]):
+        assert (points == (math.prod(len(c) for c in region.grid_coords(0.25)) if region.free_axes else 1)).all()
     assert merged.tobytes() == level_trials(kind, num_paths, regions, trials, 24, cfg).tobytes()
     for region, values in zip(regions, merged):
         assert values.tobytes() == level_trials(kind, num_paths, [region], trials, 24, cfg)[0].tobytes()
@@ -395,7 +400,8 @@ def test_any_ranking_margin_gives_the_exact_values(monkeypatch, kind, margin):
     # the one block of 8 trials holds both tied and certified trials.
     monkeypatch.setattr(positioning, "_RANK_MARGIN", margin)
     regions, cfg = [Region.square(1.0), Region.square(2.0)], SearchConfig(coarse_step=0.2)
-    values, _, ties = positioning._sweep(kind, 4, regions, 8, 26, cfg)
+    values, work = positioning._sweep(kind, 4, regions, 8, 26, cfg)
+    ties = work["ranking_ties"]
     if margin == 0.0:
         assert not ties.any()
     elif margin == math.inf:
@@ -450,14 +456,14 @@ def test_fast_maps_stay_inside_the_ranking_margin(case, kind, ranked_tiles):
 def test_tiles_merge_to_the_reference_values(monkeypatch, ranked_tiles, case, kind):
     region, num_paths, step, trials = BATCH_CASES[case]
     cfg = SearchConfig(coarse_step=step)
-    _, _, ties = positioning._sweep(kind, num_paths, [region], trials, 21, cfg)
+    ties = positioning._sweep(kind, num_paths, [region], trials, 21, cfg)[1]["ranking_ties"]
     ranked_tiles.clear()
     # 200-element blocks: the 201 x 201 grids take one row per tile and the 81 x 81 grid two,
     # while the 1-axis, 2-axis and 3-axis grids pack 4, 2 and 2 trials into one tile.
     monkeypatch.setattr(util, "_BLOCK_ELEMENTS", 200)
-    values, _, tiled_ties = positioning._sweep(kind, num_paths, [region], trials, 21, cfg)
+    values, tiled = positioning._sweep(kind, num_paths, [region], trials, 21, cfg)
     assert values[0].tobytes() == reference_trials(kind, num_paths, region, trials, 21, cfg).tobytes()
-    assert tiled_ties.tobytes() == ties.tobytes()
+    assert tiled["ranking_ties"].tobytes() == ties.tobytes()
     tiles, sizes = {len(block) for block in ranked_tiles}, {len(block[0]) for block in ranked_tiles}
     if case in ("grid-over-block", "L=2", "far-off") and ranked_tiles:
         assert min(tiles) > 1 and sizes == {1}
@@ -499,7 +505,7 @@ def test_refined_sweep_memory_stays_bounded_on_fine_grids(case):
     positioning._sweep(kind, num_paths, [Region.square(1.0)], 1, 29, cfg)  # numpy.random imports its modules
     tracemalloc.start()
     try:
-        _, _, ties = positioning._sweep(kind, num_paths, [Region.square(20.0)], 2, 29, cfg)
+        ties = positioning._sweep(kind, num_paths, [Region.square(20.0)], 2, 29, cfg)[1]["ranking_ties"]
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
@@ -513,12 +519,14 @@ def test_single_path_and_coarse_sweeps_build_no_split_tables(split_tables):
         level_trials(kind, 3, regions, 3, 28, SearchConfig(coarse_step=0.25, refine=False))
     # Two paths: an SNR map has one phase <d_2 - d_1, r> for two free axes, so its ridges could only tie.
     region, num_paths, step, trials = BATCH_CASES["L=2"]
-    _, _, ties = positioning._sweep("snr", num_paths, [region], trials, 21, SearchConfig(coarse_step=step))
+    _, work = positioning._sweep("snr", num_paths, [region], trials, 21, SearchConfig(coarse_step=step))
+    ties = work["ranking_ties"]
     assert split_tables == [] and not ties.any()
     level_trials("snr", 3, regions, 3, 28, SearchConfig(coarse_step=0.25))
     assert len(split_tables) == 2  # one table per free axis of the one block of the square
     # A two-path SINR map has a phase per channel, so it ranks fast: two tables per channel and block.
     split_tables.clear()
-    _, _, ties = positioning._sweep("sinr", num_paths, [region], trials, 21, SearchConfig(coarse_step=step))
+    _, work = positioning._sweep("sinr", num_paths, [region], trials, 21, SearchConfig(coarse_step=step))
+    ties = work["ranking_ties"]
     blocks = len(util._blocks(trials, channel.grid_count(region.extents[0], step) ** 2))
     assert len(split_tables) == 2 * 2 * blocks and not ties.any()
