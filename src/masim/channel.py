@@ -220,11 +220,13 @@ def field_on_grid(spec: ChannelSpec, region: Region, step: float):
     Returns ``(values, coords)`` where ``values`` has one axis per free
     region axis (shape () for a degenerate region) and ``coords`` lists the
     grid coordinates along each free axis.  Uses the separability of the
-    plane-wave phase across axes, so cost scales with the grid perimeter
-    rather than its area.
+    plane-wave phase across axes and :func:`_axis_tables`' split phase
+    tables, so cost scales with the grid perimeter rather than its area; each
+    value is within ``len(free_axes) * _SPLIT_ERROR * max(1, M) * sum |c_l|``
+    of :func:`channel_gain`'s, M the grid's largest |coordinate|.
     """
     coords = region.grid_coords(step)
-    tables = _axis_tables(spec.rx_directions[None], spec.coefficients[None], region, step, split=False)
+    tables = _axis_tables(spec.rx_directions[None], spec.coefficients[None], region, step)
     return _grid_product(tables).reshape([len(c) for c in coords]), coords
 
 
@@ -245,13 +247,12 @@ def _grid_product(tables, out=None) -> np.ndarray:
     return np.einsum("til,tjl,tkl->tijk", *tables, out=out)
 
 
-def _axis_tables(directions, coefficients, region: Region, step: float, split: bool) -> list[np.ndarray]:
-    """One table (T, n, L) per free axis of the region's grid for T stacked channels, the first
-    carrying :func:`_collapsed`'s coefficients (a point region's one table holds just those, n = 1):
-    :func:`field_response`'s entries, or with ``split`` :func:`_split_response`'s.  Their
-    :func:`_grid_product` is the channels' fields on the grid, within _SPLIT_ERROR when split."""
-    tables = [_split_response(region.origin[a], step, len(c), directions[..., [a]]) if split
-              else field_response(c[:, None], directions[..., [a]])
+def _axis_tables(directions, coefficients, region: Region, step: float) -> list[np.ndarray]:
+    """One :func:`_split_response` table (T, n, L) per free axis of the region's grid for T stacked
+    channels, the first carrying :func:`_collapsed`'s coefficients (a point region's one table holds
+    just those, n = 1).  Their :func:`_grid_product` is the channels' fields on the grid, every grid
+    field of the package: each entry is within _SPLIT_ERROR * max(1, M) of :func:`field_response`'s."""
+    tables = [_split_response(region.origin[a], step, len(c), directions[..., [a]])
               for c, a in zip(region.grid_coords(step), region.free_axes)]
     base = _collapsed(directions, coefficients, region)[:, None]
     return [tables[0] * base, *tables[1:]] if tables else [base]

@@ -298,16 +298,11 @@ def _run_beam(cfg, outdir):
                                           cfg["d_step"])
     write_csv_atomic(os.path.join(outdir, "spacing_scan.csv"), "d_lambda,objective", scan.scan.T.tolist())
 
-    fpa_layout = beams.uniform_layout(n, 0.5)
-    ma_layout = beams.uniform_layout(n, scan.spacing)
-    if objective == "two-beam":
-        fpa_w = beams.two_beam_weights_fpa(fpa_layout, u1, u2).weights
-        ma_w = beams.steering_vector(ma_layout, u1)
-    else:
-        fpa_w = beams.null_steer_weights(fpa_layout, u1, u2)
-        ma_w = beams.null_steer_weights(ma_layout, u1, u2)
     summary = {"best_spacing": scan.spacing, "best_objective": scan.objective}
-    for name, layout, w in (("fpa", fpa_layout, fpa_w), ("ma", ma_layout, ma_w)):
+    for name, spacing in (("fpa", 0.5), ("ma", scan.spacing)):
+        layout = beams.uniform_layout(n, spacing)  # one weight rule per objective for both layouts
+        w = (beams.two_beam_weights_fpa(layout, u1, u2).weights if objective == "two-beam"
+             else beams.null_steer_weights(layout, u1, u2))
         pattern = beams.beam_pattern(layout, w, cfg["pattern_points"])
         gain = pattern.gain.tolist()
         # math.log10, not np.log10, whose last digit can differ; exact nulls are floored.

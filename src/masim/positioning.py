@@ -5,11 +5,11 @@ pattern search with halving steps, so returned objectives dominate every
 coarse grid point by construction.  Monte Carlo trials run as a batch: one
 draw per trial serves every region size, one kernel computes the coarse
 fields of a block of trials, and one refine moves the searches of every
-region and trial of the block in lockstep.  Every coarse grid of a sweep,
-ranked on fast phase tables or scanned on exact ones, is read in row tiles
-of bounded size, so its memory does not grow with the grid.  A map that cannot
-vary (a point region, or one path per channel) takes its closed form instead.  An
-analytic power gradient is provided for local optimization studies.
+region and trial of the block in lockstep.  Every coarse grid is read from the
+split phase tables of ``channel._axis_tables`` in row tiles of bounded size, so its
+memory does not grow with the grid.  A map that cannot vary (a point region, or
+one path per channel) takes its closed form instead.  An analytic power gradient
+is provided for local optimization studies.
 """
 
 from __future__ import annotations
@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .channel import (_SPLIT_ERROR, ChannelSpec, Region, _axis_tables, _collapsed, _grid_product, _levels,
+from .channel import (ChannelSpec, Region, _axis_tables, _collapsed, _grid_product, _levels,
                       _points, _stochastic_paths, field_on_grid, field_response)
 from .util import _blocks
 
@@ -54,7 +54,7 @@ class SearchConfig:
 def _power(h, out=None) -> np.ndarray:
     """``|h|**2``, computed in place in one new array or in ``out``: coarse maps are a sweep's
     largest arrays.  ``h.real**2 + h.imag**2`` is faster on small tiles, but its last bits differ,
-    and the exact maps, hence the sweeps' values, are defined by ``np.abs``'s."""
+    and the sweeps' values are defined by ``np.abs``'s."""
     p = np.abs(h, out=out)
     return np.square(p, out=p)
 
@@ -81,29 +81,21 @@ _SWEEP_LEVELS = {"snr": (_snr_level(_REF_LEVEL), [()]),
                  "sinr": (_sinr_level(_REF_LEVEL, _REF_LEVEL), [(), (1,)])}
 
 
-# A fast coarse map ranks a search's start only where its maximum beats every
-# other point by the relative margin _RANK_MARGIN * max(1, M), M the region's
-# largest |coordinate|: 1e5 times the phase tables' error bound, which the
-# path sum and the SINR's interference term amplify far less than 100-fold
-# (the maps' measured error is under 1.1e-13 at M = 10).
-_RANK_MARGIN = 1e5 * _SPLIT_ERROR
-
-
 def _search(channels, level, regions, cfg: SearchConfig, coarse=None):
     """Best positions (R, T, 3), values (R, T) and work of ``level``'s search over each of R regions for
-    each of T trials: ``work`` maps "coarse_points", "refine_evaluations" and "ranking_ties" to (R, T) counts.
+    each of T trials: ``work`` maps "coarse_points" and "refine_evaluations" to (R, T) counts.
 
     ``channels`` holds one ``(directions (T, L, 3), coefficients (T, L))`` pair per argument of
     ``level``, which maps those channels' powers to the objective.  A map without a phase <d_l - d_1, r>
     (a point region, or one path per channel) is constant: its one point, the region's origin, gives its
     value, with no scan or refine.  Each other (region, trial) search starts from its first best point
-    of :func:`_coarse`'s scan of every grid point (a tied ranking's exact rescan counts as a tie, not as
-    more points); with ``cfg.refine``, the searches of all regions with the same free axes then take one
-    :func:`_refine`, which counts 1 + 2 * |axes| evaluations per iteration a search takes.
+    of :func:`_coarse`'s scan of every grid point (``coarse`` is its one-trial hook); with ``cfg.refine``,
+    the searches of all regions with the same free axes then take one :func:`_refine`, which counts
+    1 + 2 * |axes| evaluations per iteration a search takes.
     """
     trials = len(channels[0][1])
     x, best = np.empty((len(regions), trials, 3)), np.empty((len(regions), trials))
-    work = {name: np.zeros(best.shape, dtype=int) for name in ("coarse_points", "refine_evaluations", "ranking_ties")}
+    work = {name: np.zeros(best.shape, dtype=int) for name in ("coarse_points", "refine_evaluations")}
     flat = all(c.shape[1] == 1 for _, c in channels)
     for i, region in enumerate(regions):
         if flat or not region.free_axes:
@@ -112,7 +104,7 @@ def _search(channels, level, regions, cfg: SearchConfig, coarse=None):
             continue
         coords = region.grid_coords(cfg.coarse_step)
         sides = [len(c) for c in coords]
-        start, best[i], work["ranking_ties"][i] = _coarse(channels, level, region, sides, cfg, coarse)
+        start, best[i] = _coarse(channels, level, region, sides, cfg.coarse_step, coarse)
         x[i], work["coarse_points"][i] = region.grid_position(coords, start), math.prod(sides)
     for axes in dict.fromkeys(r.free_axes for r in regions if cfg.refine and r.free_axes and not flat):
         group, free = [i for i, r in enumerate(regions) if r.free_axes == axes], list(axes)
@@ -126,35 +118,24 @@ def _search(channels, level, regions, cfg: SearchConfig, coarse=None):
     return x, best, work
 
 
-def _coarse(channels, level, region: Region, sides, cfg: SearchConfig, coarse):
+def _coarse(channels, level, region: Region, sides, step: float, coarse):
     """The coarse stage of :func:`_search` on one region of ``sides`` grid points per free axis,
-    whose map varies: each trial's first best grid point (flat index), its value where the trial
-    took the exact scan, and whether its fast ranking tied, each (T,).  Every scan reads tiles of
-    at most util._BLOCK_ELEMENTS points, or one row of one trial.  A refined map with at least as
-    many independent phases <d_l - d_1, r> (L - 1 per channel) as free axes ranks on split phase
-    tables (with fewer, it is constant along a line through each maximum, so it could only tie);
-    a trial whose fast maximum does not win by _RANK_MARGIN ties, and like every other map takes
-    the exact tables, or the exact fields (Tb, *grid) per channel of ``coarse(region, trials)``."""
+    whose map varies: each trial's first best grid point (flat index) and its value, each (T,).
+    The scan reads the fields of :func:`_axis_tables` in tiles of at most util._BLOCK_ELEMENTS
+    points, or one row of one trial; a one-trial grid that fits one tile reads its fields (1, *grid)
+    per channel from ``coarse(region)`` instead, when given."""
     trials, num_paths = channels[0][1].shape
-    fast = cfg.refine and len(region.free_axes) <= sum(c.shape[1] - 1 for _, c in channels)
-    margin = 1.0 + _RANK_MARGIN * max(1.0, np.abs([region.origin, region.upper]).max())
-    start, best, ties = np.empty(trials, dtype=int), np.empty(trials), np.zeros(trials, dtype=bool)
     blocks = _blocks(trials, max([math.prod(sides)] + [n * num_paths for n in sides]))
     rows = _blocks(sides[0], blocks[0].stop * math.prod(sides[1:]))[0].stop
+    if coarse is not None and rows == sides[0]:
+        return _rank([(0, level(*map(_power, coarse(region))).reshape(1, -1))])
+    start, best = np.empty(trials, dtype=int), np.empty(trials)
     field = np.empty((blocks[0].stop, rows, *sides[1:]), dtype=complex)  # one buffer for every tile
     powers = np.empty((len(channels), *field.shape))
-    tiles = lambda sel, split: _tiles([_axis_tables(d[sel], c[sel], region, cfg.coarse_step, split)
-                                       for d, c in channels], level, field, powers)
     for blk in blocks:
-        sel = np.arange(blk.start, blk.stop)
-        if fast:
-            start[blk], _, ties[blk] = _rank(tiles(blk, True), margin)
-            sel = sel[ties[blk]]
-        if sel.size:
-            exact = tiles(sel, False) if coarse is None else [
-                (0, level(*map(_power, coarse(region, sel))).reshape(sel.size, -1))]
-            start[sel], best[sel], _ = _rank(exact)
-    return start, best, ties
+        tables = [_axis_tables(d[blk], c[blk], region, step) for d, c in channels]
+        start[blk], best[blk] = _rank(_tiles(tables, level, field, powers))
+    return start, best
 
 
 def _tiles(tables, level, field, powers):
@@ -171,23 +152,19 @@ def _tiles(tables, level, field, powers):
         yield top * math.prod(sides), level(*maps).reshape(size, -1)
 
 
-def _rank(tiles, margin=None):
-    """Each trial's first best grid point over ``tiles`` (as from :func:`_tiles`), its value, and
-    whether it fails to beat every other point by the factor ``margin``: ``(flat index, peak,
-    tied)``, each (Tb,).  A later tile's maximum replaces a trial's best only when it is strictly
-    larger.  An exact scan takes no margin: it keeps no runner-up, and no trial ties."""
+def _rank(tiles):
+    """Each trial's first best grid point over ``tiles`` (as from :func:`_tiles`) and its value:
+    ``(flat index, peak)``, each (Tb,).  A later tile's maximum replaces a trial's best only when
+    it is strictly larger, so the first of equal maxima wins, as in the whole map's argmax."""
     for offset, values in tiles:
         if offset == 0:  # every scan opens at the grid's first point
             trial, start = np.arange(len(values)), np.zeros(len(values), dtype=int)
-            peak, second = np.full((2, len(values)), -np.inf)
+            peak = np.full(len(values), -np.inf)
         best = values.argmax(axis=1)
         top = values[trial, best]
         new = top > peak
-        if margin is not None:
-            values[trial, best] = -np.inf
-            second = np.where(new, np.maximum(peak, values.max(axis=1)), np.maximum(second, top))
         start[new], peak[new] = best[new] + offset, top[new]
-    return start, peak, ~(peak > margin * second) if margin is not None else np.zeros(len(peak), dtype=bool)
+    return start, peak
 
 
 def _refine(channels, level, x, trial, lo, hi, free, step):
@@ -232,7 +209,7 @@ def _position(specs, make_level, region: Region, cfg: SearchConfig | None, *rhos
     cfg = cfg or SearchConfig()
     channels = [(s.rx_directions[None], s.coefficients[None]) for s in specs]
     # field_on_grid through this module's binding: perfbench's tracer test expects its span.
-    coarse = lambda region, blk: [field_on_grid(s, region, cfg.coarse_step)[0][None] for s in specs]
+    coarse = lambda region: [field_on_grid(s, region, cfg.coarse_step)[0][None] for s in specs]
     x, value, _ = _search(channels, make_level(*rhos), [region], cfg, coarse)
     return x[0, 0], float(value[0, 0])
 

@@ -4,7 +4,7 @@ import math
 import numpy as np
 import pytest
 
-from masim.channel import (_SPLIT_ERROR, ChannelSpec, Region, _axis_tables, _grid_product,
+from masim.channel import (_SPLIT_ERROR, ChannelSpec, Region, _axis_tables, _collapsed, _grid_product,
                            _split_response, _stochastic_paths, angles_from_direction,
                            channel_gain, channel_spec_from_records,
                            direction_from_angles, field_on_grid, field_response, grid_count,
@@ -280,7 +280,7 @@ def test_stacked_fields_on_grid_match_one_call_per_channel(extents):
     specs = [sample_stochastic_channel(5, (36, t)) for t in range(3)]
     region = Region(origin=[-1.0, 0.5, 0.25], extents=extents)
     tables = _axis_tables(np.stack([s.rx_directions for s in specs]), np.stack([s.coefficients for s in specs]),
-                          region, 0.3, split=False)
+                          region, 0.3)
     stacked = _grid_product(tables)
     for t, spec in enumerate(specs):
         values, coords = field_on_grid(spec, region, 0.3)
@@ -305,16 +305,29 @@ def test_split_tables_match_field_response_within_bound(case):
     draws = [_stochastic_paths(20, (38, t)) for t in range(3)]
     directions, coefficients = np.stack([d[0] for d in draws]), np.stack([d[1] for d in draws])
     bound = _SPLIT_ERROR * max(1.0, np.abs([region.origin, region.upper]).max())
+    exact = []
     for c, a in zip(region.grid_coords(step), region.free_axes):
-        exact = field_response(c[:, None], directions[..., [a]])
+        exact.append(field_response(c[:, None], directions[..., [a]]))
         split = _split_response(region.origin[a], step, len(c), directions[..., [a]])
-        assert split.shape == exact.shape and np.abs(split - exact).max() <= bound
+        assert split.shape == exact[-1].shape and np.abs(split - exact[-1]).max() <= bound
     # Each field sums L products of one table entry per free axis, rounded in its own order.
-    exact = _grid_product(_axis_tables(directions, coefficients, region, step, split=False))
-    split = _grid_product(_axis_tables(directions, coefficients, region, step, split=True))
+    exact = _grid_product([exact[0] * _collapsed(directions, coefficients, region)[:, None], *exact[1:]])
+    split = _grid_product(_axis_tables(directions, coefficients, region, step))
     assert split.shape == exact.shape
     slack = len(region.free_axes) * bound + 4 * 20 * np.finfo(float).eps
     assert (np.abs(split - exact).reshape(3, -1).max(axis=1) <= slack * np.abs(coefficients).sum(axis=1)).all()
+
+
+def test_field_on_grid_far_off_stays_within_the_split_bound():
+    region, step = SPLIT_GRIDS["far-off"][0], 0.25
+    scale = max(1.0, np.abs([region.origin, region.upper]).max())
+    for seed in range(3):
+        spec = sample_stochastic_channel(6, (39, seed))
+        values, coords = field_on_grid(spec, region, step)
+        x, y = np.meshgrid(*coords, indexing="ij")
+        points = np.stack([x, y, np.full_like(x, region.origin[2])], axis=-1)
+        bound = len(region.free_axes) * _SPLIT_ERROR * scale * np.abs(spec.coefficients).sum()
+        assert np.abs(values - channel_gain(spec, points)).max() <= bound
 
 
 def test_region_validation_and_free_axes():

@@ -158,26 +158,23 @@ def test_sweep_summary_counts_the_search_work(tmp_path, monkeypatch, kind):
     calls = []
     counting = lambda r, d: calls.append(math.prod(np.shape(r)[:-1])) or field_response(r, d)
     monkeypatch.setattr(positioning, "field_response", counting)
-    # Every tied ranking builds the exact tables of its trial, once per channel; a 20% margin leaves
-    # some of the L = 4 rankings tied.  The constant maps (L = 1, and the point region) take no table.
-    exact, tables = [], positioning._axis_tables
+    # Every scanned grid builds its trials' tables, once per channel and block; the constant maps
+    # (L = 1, and the point region) take no table.
+    scanned, tables = [], positioning._axis_tables
 
-    def counting_tables(d, c, region, step, split):
+    def counting_tables(d, c, region, step):
         assert d.shape[1] > 1 and region.free_axes
-        if not split:
-            exact.append(len(d))
-        return tables(d, c, region, step, split)
+        scanned.append(len(d))
+        return tables(d, c, region, step)
     monkeypatch.setattr(positioning, "_axis_tables", counting_tables)
-    monkeypatch.setattr(positioning, "_RANK_MARGIN", 0.2)
     one = run_experiment(cfg, output_dir=str(tmp_path / "one"))
-    evaluations, ties = (n // (2 if kind == "sinr" else 1) for n in (sum(calls), sum(exact)))
-    assert evaluations > 0 and 0 < ties < 2 * 6
+    evaluations = sum(calls) // (2 if kind == "sinr" else 1)
+    assert evaluations > 0 and sum(scanned) == (2 if kind == "sinr" else 1) * 2 * 6
     # A constant map's search counts one point and no refine evaluation.
     assert one["counters"] == {"searches": 2 * 3 * 6, "coarse_points": 6 * (3 + 1 + 6 ** 2 + 11 ** 2),
-                               "refine_evaluations": evaluations, "ranking_ties": ties}
+                               "refine_evaluations": evaluations}
     flat = run_experiment({**cfg, "path_counts": [1]}, output_dir=str(tmp_path / "flat"))
-    assert flat["counters"] == {"searches": 3 * 6, "coarse_points": 3 * 6, "refine_evaluations": 0,
-                                "ranking_ties": 0}
+    assert flat["counters"] == {"searches": 3 * 6, "coarse_points": 3 * 6, "refine_evaluations": 0}
     assert "counters" not in one["results"]
     monkeypatch.setattr(util, "_BLOCK_ELEMENTS", 1)  # one trial per draw, coarse and refine block
     many = run_experiment(cfg, output_dir=str(tmp_path / "many"))
@@ -222,6 +219,14 @@ def gainmap_config(*paths, **changes):
 def beam_config(**changes):
     return {"kind": "beam", "seed": 0, "num_elements": 4, "objective": "two-beam",
             "u1": 0.4, "u2": -0.4} | changes
+
+
+def test_two_beam_run_gives_both_layouts_the_two_beam_weights(tmp_path):
+    # No spacing up to d_max = 1.0 aligns u = +-0.4 (that takes 1.25): a u1 steering vector on the
+    # MA layout would read 8 at u1 and 0.33 at u2, against the scan's best minimum of 4.81.
+    results = run_experiment(beam_config(num_elements=8, d_max=1.0), str(tmp_path))["results"]
+    assert results["ma_gain_u1"] == results["ma_gain_u2"] == pytest.approx(results["best_objective"], rel=1e-12)
+    assert results["fpa_gain_u2"] < results["ma_gain_u2"]
 
 
 def mimo_config(**changes):

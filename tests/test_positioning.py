@@ -4,12 +4,11 @@ import tracemalloc
 import numpy as np
 import pytest
 
-import masim.channel as channel
 import masim.positioning as positioning
 import masim.util as util
 from conftest import brute_force_power_scan
-from masim.channel import (ChannelSpec, Region, _axis_tables, _grid_product, _stochastic_paths, channel_gain,
-                           direction_from_angles, field_on_grid, sample_stochastic_channel)
+from masim.channel import (ChannelSpec, Region, channel_gain, direction_from_angles, field_on_grid,
+                           sample_stochastic_channel)
 from masim.positioning import SearchConfig, level_trials, max_sinr_position, max_snr_position, snr_gradient
 
 
@@ -154,15 +153,16 @@ def test_trials_deterministic():
 
 # Per-trial values of level_trials(kind, L, [Region.square(2.0)], 3, 7,
 # SearchConfig(coarse_step=0.25, refine)): for L = 4 from the separate SNR and
-# SINR search and trial loops that the shared ones replaced, for L = 1 the
-# closed form of a map without a phase, with or without refine.
+# SINR search and trial loops that the shared ones replaced (the unrefined
+# grid values since the grid reads split phase tables), for L = 1 the closed
+# form of a map without a phase, with or without refine.
 PINNED_TRIALS = {
     ("snr", 4, True): [104.54159092546715, 306.39251628460624, 125.44214554008855],
-    ("snr", 4, False): [96.14386039247171, 303.13926395683046, 121.669104747706],
+    ("snr", 4, False): [96.14386039247164, 303.13926395683046, 121.669104747706],
     ("snr", 1, True): [43.41526935018295, 29.071748301876095, 97.49924951525377],
     ("snr", 1, False): [43.41526935018295, 29.071748301876095, 97.49924951525377],
     ("sinr", 4, True): [32.335335964047424, 177.65783474187032, 29.739190292977234],
-    ("sinr", 4, False): [30.116970728769445, 48.38828304729758, 26.930167090934532],
+    ("sinr", 4, False): [30.11697072876944, 48.38828304729764, 26.930167090934525],
     ("sinr", 1, True): [0.7146072603807628, 0.19003365070638076, 0.5392976010903947],
     ("sinr", 1, False): [0.7146072603807628, 0.19003365070638076, 0.5392976010903947],
 }
@@ -259,9 +259,8 @@ def reference_trials(kind, num_paths, region, trials, seed, cfg):
 # (region, path count, coarse step, trials).  With 2^15-element blocks, the
 # 201^2 grid takes one trial per coarse block, and 300 paths split 50 trials
 # into several draw, coarse and refine blocks.  Two paths on a 20-wavelength
-# square give SNR ridge maps, which take the exact tables alone, and SINR
-# maps of two phases, which rank fast; the far-off square scales the ranking
-# margin with its coordinates.
+# square give SNR ridge maps and SINR maps of two phases; the far-off square
+# scales the phase tables' error with its coordinates.
 BATCH_CASES = {
     "0-axes": (Region.square(0.0), 4, 0.25, 5),
     "1-axis": (Region(origin=[-1.0, 0.5, 0.0], extents=[2.5, 0.0, 0.0]), 4, 0.25, 5),
@@ -309,7 +308,7 @@ def test_constant_maps_take_the_closed_form(monkeypatch, case, kind, refine):
                   "sinr": lambda: max_sinr_position(signal, interference, region, cfg)}[kind]()
     # The grid-and-refine search of the reference reaches the closed form up to rounding.
     np.testing.assert_allclose(values[0], reference_trials(kind, num_paths, region, 5, 28, cfg), rtol=1e-12, atol=0)
-    assert not work["refine_evaluations"].any() and not work["ranking_ties"].any()
+    assert not work["refine_evaluations"].any()
     assert (work["coarse_points"] == 1).all()  # the one point of the closed form, with no grid
     assert pos.tobytes() == region.origin.tobytes()
     np.testing.assert_allclose(value, reference_position(kind, signal, interference, region, cfg)[1],
@@ -323,15 +322,15 @@ def test_one_path_values_do_not_depend_on_the_region(kind):
 
 
 @pytest.fixture
-def split_tables(monkeypatch):
-    """The argument tuples of every _split_response call made while the test runs."""
-    built, split = [], channel._split_response
-    monkeypatch.setattr(channel, "_split_response", lambda *args: built.append(args) or split(*args))
-    return built
+def grid_fields(monkeypatch):
+    """The channels of every field_on_grid call the position searches make while the test runs."""
+    fields, grid = [], positioning.field_on_grid
+    monkeypatch.setattr(positioning, "field_on_grid", lambda spec, *args: fields.append(spec) or grid(spec, *args))
+    return fields
 
 
 @pytest.mark.parametrize("case", ["1-axis", "2-axes", "3-axes"])
-def test_position_search_matches_one_trial_reference(case, split_tables):
+def test_position_search_matches_one_trial_reference(case, grid_fields):
     region, num_paths, step, _ = BATCH_CASES[case]
     signal, interference = (sample_stochastic_channel(num_paths, (22, s)) for s in (0, 1))
     cfg = SearchConfig(coarse_step=step)
@@ -340,10 +339,8 @@ def test_position_search_matches_one_trial_reference(case, split_tables):
     for kind, (pos, value) in searches.items():
         ref_pos, ref_value = reference_position(kind, signal, interference, region, cfg)
         assert pos.tobytes() == ref_pos.tobytes() and value == ref_value and type(value) is float
-    # One table per free axis and channel of a search ranked fast: every search here but the SNR
-    # search on the 3-axis box, whose L = 3 map has two phases for three axes.
-    axes = len(region.free_axes)
-    assert len(split_tables) == (axes if num_paths - 1 >= axes else 0) + 2 * axes
+    # Each grid fits one tile, so each search reads one field_on_grid per channel.
+    assert grid_fields == [signal, signal, interference]
 
 
 def test_one_draw_serves_every_region_size():
@@ -393,62 +390,18 @@ def test_merged_refine_matches_single_region_calls(case, kind, refine):
         assert len(util._blocks(2 * trials, 2 * 2 * num_paths)) > 1
 
 
-@pytest.mark.parametrize("margin", [0.0, 0.05, 0.2, math.inf])
-@pytest.mark.parametrize("kind", ["snr", "sinr"])
-def test_any_ranking_margin_gives_the_exact_values(monkeypatch, kind, margin):
-    # Margins from none (a fast argmax is never tied) to infinite (always tied); in between,
-    # the one block of 8 trials holds both tied and certified trials.
-    monkeypatch.setattr(positioning, "_RANK_MARGIN", margin)
-    regions, cfg = [Region.square(1.0), Region.square(2.0)], SearchConfig(coarse_step=0.2)
-    values, work = positioning._sweep(kind, 4, regions, 8, 26, cfg)
-    ties = work["ranking_ties"]
-    if margin == 0.0:
-        assert not ties.any()
-    elif margin == math.inf:
-        assert ties.all()
-    else:
-        assert ties.any() and not ties.all()
-    for region, row in zip(regions, values):
-        assert row.tobytes() == reference_trials(kind, 4, region, 8, 26, cfg).tobytes()
-
-
 @pytest.fixture
 def ranked_tiles(monkeypatch):
-    """Copies of the fast level tiles every split-table ranking (one with a margin) scans while the
-    test runs: one list of (Tb, points) tiles per block of trials.  Exact scans are not recorded."""
+    """Copies of the level tiles every ranking scans while the test runs: one list of (Tb, points)
+    tiles per block of trials."""
     ranked, rank = [], positioning._rank
 
-    def recording(tiles, margin=None):
-        if margin is None:
-            return rank(tiles)
+    def recording(tiles):
         block = []
         ranked.append(block)
-        return rank(((offset, block.append(values.copy()) or values) for offset, values in tiles), margin)
+        return rank((offset, block.append(values.copy()) or values) for offset, values in tiles)
     monkeypatch.setattr(positioning, "_rank", recording)
     return ranked
-
-
-@pytest.mark.parametrize("kind", ["snr", "sinr"])
-@pytest.mark.parametrize("case", ["1-axis", "2-axes", "3-axes", "grid-over-block", "L=2", "far-off"])
-def test_fast_maps_stay_inside_the_ranking_margin(case, kind, ranked_tiles):
-    region, num_paths, step, trials = BATCH_CASES[case]
-    level, streams = positioning._SWEEP_LEVELS[kind]
-    channels = [[_stochastic_paths(num_paths, (27, t, *s))[:2] for t in range(trials)] for s in streams]
-    channels = [(np.stack([d for d, _ in ch]), np.stack([c for _, c in ch])) for ch in channels]
-    positioning._search(channels, level, [region], SearchConfig(coarse_step=step))
-    if len(region.free_axes) > len(channels) * (num_paths - 1):
-        assert ranked_tiles == []  # the SNR searches of the 3-axis box and of two paths rank exactly
-        return
-    # The tiles of each block of trials, side by side, against the exact maps of every trial.
-    fast = np.concatenate([np.concatenate(block, axis=1) for block in ranked_tiles])
-    exact = level(*[positioning._power(_grid_product(_axis_tables(d, c, region, step, split=False)))
-                    for d, c in channels])
-    exact = exact.reshape(trials, -1)
-    error = np.abs(fast - exact).max(axis=1) / exact.max(axis=1)
-    scale = max(1.0, np.abs([region.origin, region.upper]).max())
-    assert (error <= positioning._RANK_MARGIN * scale / 1000).all()
-    if case == "grid-over-block":  # a 201 x 201 grid spans two tiles of a trial
-        assert {len(block) for block in ranked_tiles} == {2}
 
 
 @pytest.mark.parametrize("kind", ["snr", "sinr"])
@@ -456,43 +409,40 @@ def test_fast_maps_stay_inside_the_ranking_margin(case, kind, ranked_tiles):
 def test_tiles_merge_to_the_reference_values(monkeypatch, ranked_tiles, case, kind):
     region, num_paths, step, trials = BATCH_CASES[case]
     cfg = SearchConfig(coarse_step=step)
-    ties = positioning._sweep(kind, num_paths, [region], trials, 21, cfg)[1]["ranking_ties"]
+    work = positioning._sweep(kind, num_paths, [region], trials, 21, cfg)[1]
     ranked_tiles.clear()
     # 200-element blocks: the 201 x 201 grids take one row per tile and the 81 x 81 grid two,
     # while the 1-axis, 2-axis and 3-axis grids pack 4, 2 and 2 trials into one tile.
     monkeypatch.setattr(util, "_BLOCK_ELEMENTS", 200)
     values, tiled = positioning._sweep(kind, num_paths, [region], trials, 21, cfg)
     assert values[0].tobytes() == reference_trials(kind, num_paths, region, trials, 21, cfg).tobytes()
-    assert tiled["ranking_ties"].tobytes() == ties.tobytes()
+    assert all(tiled[name].tobytes() == counts.tobytes() for name, counts in work.items())
     tiles, sizes = {len(block) for block in ranked_tiles}, {len(block[0]) for block in ranked_tiles}
-    if case in ("grid-over-block", "L=2", "far-off") and ranked_tiles:
+    if case in ("grid-over-block", "L=2", "far-off"):
         assert min(tiles) > 1 and sizes == {1}
-    if case in ("1-axis", "2-axes", "3-axes") and ranked_tiles:
+    if case in ("1-axis", "2-axes", "3-axes"):
         assert tiles == {1} and max(sizes) > 1
 
 
 def test_later_tiles_win_only_when_strictly_larger():
     # One path, 4 x 2 grids of |a_i b_j|^2 in tiles of one row: the first trial peaks at 4 in
-    # rows 1 and 3, the second at 4 in row 1, then at 9 in row 3, where 4 becomes its runner-up.
+    # rows 1 and 3, the second at 4 in row 1, then at 9 in row 3.
     a = np.array([[1, 2, 0.5, 2], [1, 2, 0.5, 3]], dtype=complex)[..., None]
     b = np.array([[1, 0.5], [1, 0.5]], dtype=complex)[..., None]
     level = positioning._snr_level(1.0)
     buffers = np.empty((2, 1, 2), dtype=complex), np.empty((1, 2, 1, 2))
     tiles = lambda: positioning._tiles([[a, b]], level, *buffers)
     assert [values.shape for _, values in tiles()] == [(2, 2)] * 4
-    for margin, tied in [(1.0, [True, False]), (2.0, [True, False]), (2.5, [True, True])]:
-        start, peak, ties = positioning._rank(tiles(), margin)
-        assert start.tolist() == [2, 6] and peak.tolist() == [4, 9] and ties.tolist() == tied
-    # The exact scan keeps the first of the first trial's equal maxima in rows 1 and 3, as the
-    # whole map's argmax does, and no trial ties.
-    start, peak, ties = positioning._rank(tiles())
+    # The scan keeps the first of the first trial's equal maxima in rows 1 and 3, as the whole
+    # map's argmax does.
+    start, peak = positioning._rank(tiles())
     whole = level(positioning._power(positioning._grid_product([a, b]))).reshape(2, -1)
-    assert start.tolist() == whole.argmax(axis=1).tolist() == [2, 6]
-    assert peak.tobytes() == whole.max(axis=1).tobytes() and not ties.any()
+    assert start.tolist() == whole.argmax(axis=1).tolist() == [2, 6] and peak.tolist() == [4, 9]
+    assert peak.tobytes() == whole.max(axis=1).tobytes()
 
 
-# (kind, path count, refine): a fast-ranked SINR sweep, the exact SNR sweeps of one and two
-# paths and an unrefined SINR sweep, which scan their exact tables in tiles too.
+# (kind, path count, refine): refined SINR sweeps and SNR sweeps of one and two paths, and an
+# unrefined SINR sweep.
 MEMORY_CASES = {"sinr-5-refine": ("sinr", 5, True), "snr-1-refine": ("snr", 1, True),
                 "snr-2-refine": ("snr", 2, True), "sinr-5-coarse": ("sinr", 5, False)}
 
@@ -505,28 +455,26 @@ def test_refined_sweep_memory_stays_bounded_on_fine_grids(case):
     positioning._sweep(kind, num_paths, [Region.square(1.0)], 1, 29, cfg)  # numpy.random imports its modules
     tracemalloc.start()
     try:
-        ties = positioning._sweep(kind, num_paths, [Region.square(20.0)], 2, 29, cfg)[1]["ranking_ties"]
+        positioning._sweep(kind, num_paths, [Region.square(20.0)], 2, 29, cfg)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert not ties.any() and peak < 2 * 2 ** 20
+    assert peak < 2 * 2 ** 20
 
 
-def test_single_path_and_coarse_sweeps_build_no_split_tables(split_tables):
-    regions = [Region.square(0.0), Region.square(2.0)]
-    for kind in ("snr", "sinr"):
-        level_trials(kind, 1, regions, 3, 28, SearchConfig(coarse_step=0.25))
-        level_trials(kind, 3, regions, 3, 28, SearchConfig(coarse_step=0.25, refine=False))
-    # Two paths: an SNR map has one phase <d_2 - d_1, r> for two free axes, so its ridges could only tie.
-    region, num_paths, step, trials = BATCH_CASES["L=2"]
-    _, work = positioning._sweep("snr", num_paths, [region], trials, 21, SearchConfig(coarse_step=step))
-    ties = work["ranking_ties"]
-    assert split_tables == [] and not ties.any()
-    level_trials("snr", 3, regions, 3, 28, SearchConfig(coarse_step=0.25))
-    assert len(split_tables) == 2  # one table per free axis of the one block of the square
-    # A two-path SINR map has a phase per channel, so it ranks fast: two tables per channel and block.
-    split_tables.clear()
-    _, work = positioning._sweep("sinr", num_paths, [region], trials, 21, SearchConfig(coarse_step=step))
-    ties = work["ranking_ties"]
-    blocks = len(util._blocks(trials, channel.grid_count(region.extents[0], step) ** 2))
-    assert len(split_tables) == 2 * 2 * blocks and not ties.any()
+@pytest.mark.parametrize("kind, num_paths", [("snr", 2), ("snr", 5), ("sinr", 5)])
+def test_one_trial_search_memory_stays_bounded_on_fine_grids(kind, num_paths, grid_fields):
+    # A 1001 x 1001 grid over many tiles: the search scans tiles as a sweep does, not whole maps.
+    signal, interference = (sample_stochastic_channel(num_paths, (29, s)) for s in (0, 1))
+    cfg = SearchConfig(coarse_step=0.02)
+    search = {"snr": lambda region: max_snr_position(signal, region, cfg),
+              "sinr": lambda region: max_sinr_position(signal, interference, region, cfg)}[kind]
+    search(Region.square(1.0))  # numpy.random imports its modules
+    grid_fields.clear()
+    tracemalloc.start()
+    try:
+        search(Region.square(20.0))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert grid_fields == [] and peak < 2 * 2 ** 20

@@ -60,6 +60,7 @@ def test_largest_change_reports_a_moved_number(tmp_path):
 
 
 @pytest.mark.parametrize("new, old, shown", [(True, False, "True against False"),
+                                             (True, 1, "True against 1"),
                                              (None, 0.5, "None against 0.5"),
                                              (0.25, None, "0.25 against None")])
 def test_largest_change_reports_a_non_numeric_leaf(tmp_path, new, old, shown):

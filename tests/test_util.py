@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 import masim.beams as beams
+import masim.gainmap as gainmap
 from masim.beams import BeamPattern
 from masim.channel import ChannelSpec, Region, direction_from_angles, sample_stochastic_channel
 from masim.experiments import run_experiment
@@ -25,14 +26,21 @@ def reference_csv(path, header, rows):
             fh.write(",".join(repr(v) if isinstance(v, float) else str(v) for v in row) + "\n")
 
 
+def anchored_map(spec, region, step):
+    """The gain map of ``region`` moved to start at the origin: the phase tables give a grid's first
+    point exactly, so FLOORED_PATHS cancel there."""
+    return evaluate_map(spec, Region(origin=[0.0, 0.0, 0.0], extents=region.extents), step)
+
+
 def floored_gain_map():
     spec = ChannelSpec([direction_from_angles(0.0, 0.0), direction_from_angles(0.7, 0.3)], [1.0, -1.0])
-    gm = evaluate_map(spec, Region.square(2.0), 0.25)
+    gm = anchored_map(spec, Region.square(2.0), 0.25)
     assert 0 < (gm.values == DB_FLOOR).sum() < gm.values.size
     return gm
 
 
 def gain_map_case(out, monkeypatch):
+    monkeypatch.setattr(gainmap, "evaluate_map", anchored_map)
     run_experiment({"kind": "gainmap", "seed": 0, "region_size": 2.0, "step": 0.25, "paths": FLOORED_PATHS},
                    str(out))
     gm = floored_gain_map()

@@ -89,7 +89,7 @@ def largest_change(tree: Path, base: Path) -> str:
         return "layout differs"
     worst_abs = worst_rel = 0.0
     for x, y in zip(new, old):
-        if x == y:
+        if x == y and type(x) is type(y):  # true == 1 in Python, but not in the file
             continue
         try:
             if isinstance(x, bool) or isinstance(y, bool):
