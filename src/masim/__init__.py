@@ -8,8 +8,8 @@ from .positioning import (SearchConfig, level_trials, max_sinr_position,
 from .beams import (array_gain, beam_pattern, null_steer_weights,
                     optimize_uniform_spacing, steering_vector,
                     two_beam_weights_fpa, uniform_layout)
-from .mimo import (RxPlacement, build_channel_matrix, capacity_identity_cov,
-                   capacity_waterfilling, sequential_position_search, tx_ula)
+from .mimo import (capacity_identity_cov, capacity_waterfilling, greedy_rx_placement,
+                   tx_ula)
 from .estimation import (FriEstimate, MeasurementSet,
                          cosine_grid_dictionary, omp_estimate,
                          plan_measurement_positions, reconstruct_and_score,

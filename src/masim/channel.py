@@ -251,7 +251,9 @@ def _axis_tables(directions, coefficients, region: Region, step: float) -> list[
     """One :func:`_split_response` table (T, n, L) per free axis of the region's grid for T stacked
     channels, the first carrying :func:`_collapsed`'s coefficients (a point region's one table holds
     just those, n = 1).  Their :func:`_grid_product` is the channels' fields on the grid, every grid
-    field of the package: each entry is within _SPLIT_ERROR * max(1, M) of :func:`field_response`'s."""
+    field of the package but one: each entry is within _SPLIT_ERROR * max(1, M) of
+    :func:`field_response`'s.  The exception is ``mimo._channel_rows``, which builds the MIMO
+    search's candidate-grid rows with :func:`field_response` itself."""
     tables = [_split_response(region.origin[a], step, len(c), directions[..., [a]])
               for c, a in zip(region.grid_coords(step), region.free_axes)]
     base = _collapsed(directions, coefficients, region)[:, None]

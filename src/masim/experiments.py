@@ -326,7 +326,8 @@ def _run_mimo(cfg, outdir):
             spec = sample_stochastic_channel(num_paths, (cfg["seed"], num_paths, s), include_tx=True)
             # Each search of a block scores candidates x num_tx products, complex and squared.
             for blk in _blocks(len(rhos), 2 * candidates * cfg["num_tx"]):
-                _, fpa, ma, trace = mimo._searches(spec, region, cfg["num_rx"], tx, rhos[blk], cfg["step"])
+                _, fpa, ma, trace = mimo.greedy_rx_placement(spec, region, cfg["num_rx"], tx, rhos[blk],
+                                                             cfg["step"])
                 rows += [(snr_db, num_paths, s, float(cf), float(cm))
                          for snr_db, cf, cm in zip(snrs[blk], fpa, ma)]
                 passes += sum(map(len, trace))

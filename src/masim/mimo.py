@@ -9,6 +9,7 @@ the natural two-sided extension of the scalar field response.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -16,14 +17,11 @@ import numpy as np
 from .channel import MIN_SPACING, ChannelSpec, Region, _levels, _points, field_response
 
 __all__ = [
-    "RxPlacement",
     "tx_ula",
-    "build_channel_matrix",
     "capacity_identity_cov",
     "WaterfillingResult",
     "capacity_waterfilling",
-    "SequentialSearchResult",
-    "sequential_position_search",
+    "greedy_rx_placement",
 ]
 
 _SPACING_SLACK = 1e-9
@@ -36,29 +34,6 @@ def _near(points: np.ndarray, others: np.ndarray) -> np.ndarray:
     """(K, P): whether point p of ``points`` (P, 3) lies under MIN_SPACING from point k of ``others``."""
     gaps = np.linalg.norm(points[None, :, :] - others[:, None, :], axis=2)
     return gaps < MIN_SPACING - _SPACING_SLACK
-
-
-def _antenna_positions(positions, side: str) -> np.ndarray:
-    """``positions`` as a float (K, 3) array of finite points pairwise MIN_SPACING apart."""
-    p = _points(positions, f"{side} positions")
-    if np.triu(_near(p, p), 1).any():
-        raise ValueError(f"{side} antenna positions must be at least {MIN_SPACING} wavelengths apart")
-    return p
-
-
-@dataclass(eq=False)
-class RxPlacement:
-    """Rx antenna positions with the pairwise half-wavelength constraint."""
-
-    positions: np.ndarray
-    region: Region | None = None
-
-    def __post_init__(self):
-        p = _antenna_positions(self.positions, "rx")
-        if self.region is not None and not all(self.region.contains(r) for r in p):
-            raise ValueError("all positions must lie inside the region")
-        p.flags.writeable = False
-        self.positions = p
 
 
 def tx_ula(num_elements: int) -> np.ndarray:
@@ -74,16 +49,6 @@ def _channel_rows(spec: ChannelSpec, t: np.ndarray, r: np.ndarray) -> np.ndarray
     """Channel-matrix rows (M, N) of the Rx positions ``r`` (M, 3) for the Tx positions ``t`` (N, 3)."""
     rx_side = field_response(r, spec.rx_directions) * spec.coefficients
     return rx_side @ field_response(t, spec.tx_directions).T
-
-
-def build_channel_matrix(spec: ChannelSpec, tx_positions, rx) -> np.ndarray:
-    """M x N channel matrix for the given Tx/Rx antenna positions."""
-    if not spec.has_tx:
-        raise ValueError("every path needs a departure direction for MIMO channels")
-    t = _antenna_positions(tx_positions, "tx")
-    if not isinstance(rx, RxPlacement):
-        rx = RxPlacement(rx)
-    return _channel_rows(spec, t, rx.positions)
 
 
 def _capacity_batch(h_batch: np.ndarray, rho: float, num_tx: int) -> np.ndarray:
@@ -172,16 +137,6 @@ def capacity_waterfilling(h_matrix, rho_total: float) -> WaterfillingResult:
                               water_level=float(mu), singular_values=s)
 
 
-@dataclass(eq=False)
-class SequentialSearchResult:
-    """Outcome of the greedy per-antenna placement search."""
-
-    placement: RxPlacement
-    capacity: float
-    initial_capacity: float
-    pass_capacities: list[float]
-
-
 def _initial_ula_placement(region: Region, num_rx: int) -> np.ndarray:
     axes = region.free_axes
     if not axes:
@@ -198,17 +153,31 @@ def _initial_ula_placement(region: Region, num_rx: int) -> np.ndarray:
     return positions
 
 
-def _searches(spec: ChannelSpec, region: Region, num_rx: int, tx_positions, rhos, step: float):
-    """The greedy search of :func:`sequential_position_search` on one channel at every total SNR
-    of ``rhos``, all advancing in lockstep.
+def greedy_rx_placement(spec: ChannelSpec, region: Region, num_rx: int, tx_positions, rhos,
+                        step: float = 0.1):
+    """Greedy capacity-maximizing placement of the Rx antennas on one channel, at every total SNR
+    of ``rhos``.
 
-    The channel's candidate rows are built once and serve every search; each antenna step scores
-    all running searches in one batch, and a search drops out under its own stopping rule, so each
-    result equals that of a search run alone.  Returns, per entry of ``rhos``, the placement
-    (S, num_rx, 3), the FPA and final capacities (S,) and the list of capacities after every pass.
+    Each search starts from a half-wavelength ULA at the region's centre (a valid fixed-antenna
+    placement, whose capacity is the FPA baseline) and moves each antenna in index order to the
+    best candidate grid point with the others fixed, skipping candidates under MIN_SPACING from
+    another antenna.  Passes repeat until one gains under ``_TOL_BITS`` or ``_MAX_PASSES`` are
+    done, so no capacity falls below its baseline.  The searches advance in lockstep: the
+    channel's candidate rows are built once, each antenna step scores every running search in one
+    batch, and a search drops out under its own stopping rule, so each result is bit for bit that
+    of the search at its level alone.  ``num_rx`` must be an integer >= 1 and ``rhos`` a sequence
+    of at least one level; else ValueError.  Returns, per level, the placement (S, num_rx, 3), the
+    FPA and final capacities (S,) and the list of capacities after every pass.
     """
-    t = _antenna_positions(tx_positions, "tx")
-    rho = _levels(rhos).reshape(-1, 1)
+    if isinstance(num_rx, bool) or not isinstance(num_rx, numbers.Integral) or num_rx < 1:
+        raise ValueError(f"num_rx must be an integer >= 1, got {num_rx!r}")
+    rho = _levels(rhos)
+    if rho.ndim != 1 or rho.size < 1:
+        raise ValueError(f"rhos must be a sequence of at least one level, got {rhos!r}")
+    rho = rho.reshape(-1, 1)
+    t = _points(tx_positions, "tx positions")
+    if np.triu(_near(t, t), 1).any():
+        raise ValueError(f"tx antenna positions must be at least {MIN_SPACING} wavelengths apart")
     if not spec.has_tx:
         raise ValueError("every path needs a departure direction for MIMO channels")
     start = _initial_ula_placement(region, num_rx)
@@ -246,24 +215,3 @@ def _searches(spec: ChannelSpec, region: Region, num_rx: int, tx_positions, rhos
         if not live.size:
             break
     return final_positions, initial, _capacity_batch(final_h, rho, len(t)), pass_capacities
-
-
-def sequential_position_search(spec: ChannelSpec, region: Region, num_rx: int,
-                               tx_positions, rho: float, step: float = 0.1) -> SequentialSearchResult:
-    """Greedy capacity-maximizing placement of the Rx antennas.
-
-    Starting from a half-wavelength ULA inside the region (a valid
-    fixed-antenna placement, whose capacity is the FPA baseline), each
-    antenna in index order is moved to the best candidate grid point with
-    the others fixed; candidates violating the pairwise spacing are
-    skipped.  Passes repeat until the per-pass improvement drops below
-    ``_TOL_BITS`` or ``_MAX_PASSES`` passes are done, so the returned capacity
-    never falls below the baseline.  This is :func:`_searches` at one SNR.
-    """
-    positions, initial, capacity, passes = _searches(spec, region, num_rx, tx_positions, [rho], step)
-    return SequentialSearchResult(
-        placement=RxPlacement(positions[0], region),
-        capacity=float(capacity[0]),
-        initial_capacity=float(initial[0]),
-        pass_capacities=passes[0],
-    )

@@ -10,7 +10,7 @@ from masim.channel import (_SPLIT_ERROR, ChannelSpec, Region, _axis_tables, _col
                            direction_from_angles, field_on_grid, field_response, grid_count,
                            sample_stochastic_channel)
 from masim.estimation import MeasurementSet, omp_estimate, refit_coefficients, simulate_measurements
-from masim.mimo import RxPlacement, build_channel_matrix, tx_ula
+from masim.mimo import greedy_rx_placement
 from masim.reference import two_path_spec
 
 
@@ -398,9 +398,8 @@ POSITIONS = [[0.0, 0.0, 0.0], [1.0, 0.0, 0.0]]
 DIRECTIONS = [[0.0, 0.0, 1.0], [1.0, 0.0, 0.0]]
 POINT_CHECKED = {  # caller of the one point check: (call on a points array, valid points)
     "channel_gain": (lambda p: channel_gain(two_path_spec(), p), POSITIONS),
-    "build_channel_matrix-tx": (lambda p: build_channel_matrix(_mimo_spec(), p, [[0.0, 0.0, 0.0]]), POSITIONS),
-    "build_channel_matrix-rx": (lambda p: build_channel_matrix(_mimo_spec(), tx_ula(1), p), POSITIONS),
-    "RxPlacement": (RxPlacement, POSITIONS),
+    "greedy_rx_placement-tx": (lambda p: greedy_rx_placement(_mimo_spec(), Region.square(1.0), 1, p, [1.0], 0.5),
+                               POSITIONS),
     "MeasurementSet": (lambda p: MeasurementSet(p, np.ones(len(p)), 0.0), POSITIONS),
     "omp_estimate": (lambda d: omp_estimate(_measurements(), d, 1), DIRECTIONS),
     "refit_coefficients": (lambda d: refit_coefficients(_measurements(), d), DIRECTIONS),

@@ -15,7 +15,7 @@ from masim.experiments import (ConfigError, load_config, run_experiment,
 from masim.gainmap import evaluate_map
 from masim.reference import two_path_spec
 from masim.channel import Region, field_response, sample_stochastic_channel
-from masim.mimo import sequential_position_search, tx_ula
+from masim.mimo import greedy_rx_placement, tx_ula
 
 CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
 
@@ -140,9 +140,9 @@ def test_mimo_summary_counts_the_greedy_work(tmp_path):
     cfg = mimo_config(path_counts=[3, 6], seeds=2, snr_db_list=[-10.0, 20.0])
     summary = run_experiment(cfg, output_dir=str(tmp_path / "m"))
     region, tx = Region.square(cfg["region_size"]), tx_ula(cfg["num_tx"])
-    passes = sum(len(sequential_position_search(
+    passes = sum(len(greedy_rx_placement(
         sample_stochastic_channel(num_paths, (cfg["seed"], num_paths, s), include_tx=True),
-        region, cfg["num_rx"], tx, 10.0 ** (snr_db / 10.0), cfg["step"]).pass_capacities)
+        region, cfg["num_rx"], tx, [10.0 ** (snr_db / 10.0)], cfg["step"])[3][0])
         for num_paths in cfg["path_counts"] for s in range(cfg["seeds"]) for snr_db in cfg["snr_db_list"])
     assert summary["counters"] == {"searches": 8, "greedy_passes": passes,
                                    "candidates_scored": passes * cfg["num_rx"] * 11 ** 2}

@@ -1,14 +1,14 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from masim.channel import (MIN_SPACING, ChannelSpec, Region, channel_gain,
                            direction_from_angles, sample_stochastic_channel)
-from masim.mimo import (RxPlacement, _capacity_batch, _channel_rows, _initial_ula_placement,
-                        _row_replacement_capacities, _searches, build_channel_matrix,
-                        capacity_identity_cov, capacity_waterfilling, sequential_position_search,
-                        tx_ula)
+from masim.mimo import (_capacity_batch, _channel_rows, _initial_ula_placement,
+                        _row_replacement_capacities, capacity_identity_cov, capacity_waterfilling,
+                        greedy_rx_placement, tx_ula)
 
 
 def explicit_channel_matrix(spec, tx, rx_positions):
@@ -48,8 +48,8 @@ def test_single_path_rank_one_unit_entries():
     rx_dir = direction_from_angles(0.6, 1.0)
     tx_dir = direction_from_angles(1.1, 4.0)
     spec = ChannelSpec([rx_dir], [1.0], [tx_dir])
-    rx = RxPlacement(np.array([[0, 0, 0], [0.6, 0, 0], [1.2, 0, 0]], dtype=float))
-    h = build_channel_matrix(spec, tx_ula(4), rx)
+    rx = np.array([[0, 0, 0], [0.6, 0, 0], [1.2, 0, 0]], dtype=float)
+    h = _channel_rows(spec, tx_ula(4), rx)
     np.testing.assert_allclose(np.abs(h), 1.0, atol=1e-12)
     s = np.linalg.svd(h, compute_uv=False)
     assert s[1] < 1e-12 * s[0]
@@ -59,7 +59,7 @@ def test_single_pair_reduces_to_channel_gain():
     spec = random_mimo_spec(5, 77)
     t = np.array([[0.3, 0.1, 0.0]])
     r = np.array([[1.0, -0.4, 0.2]])
-    h = build_channel_matrix(spec, t, RxPlacement(r))
+    h = _channel_rows(spec, t, r)
     # Fold the tx-side phase of each path into its coefficient.
     folded = ChannelSpec(spec.rx_directions,
                          spec.coefficients * np.exp(2j * np.pi * (spec.tx_directions @ t[0])))
@@ -70,7 +70,7 @@ def test_matrix_matches_explicit_construction():
     spec = random_mimo_spec(6, 78)
     tx = tx_ula(4)
     rx_positions = np.array([[0, 0, 0], [0.7, 0.2, 0], [0.1, 1.1, 0], [1.5, 1.5, 0]], dtype=float)
-    h = build_channel_matrix(spec, tx, RxPlacement(rx_positions))
+    h = _channel_rows(spec, tx, rx_positions)
     oracle = explicit_channel_matrix(spec, tx, rx_positions)
     np.testing.assert_allclose(h, oracle, atol=1e-12)
     np.testing.assert_allclose(np.linalg.svd(h, compute_uv=False),
@@ -78,15 +78,13 @@ def test_matrix_matches_explicit_construction():
 
 
 def test_spacing_violations_rejected():
-    with pytest.raises(ValueError):
-        RxPlacement(np.array([[0, 0, 0], [0.3, 0, 0]], dtype=float))
-    spec = random_mimo_spec(2, 79)
+    spec, region = random_mimo_spec(2, 79), Region.square(1.0)
     for bad_tx in ([[0, 0, 0], [0.2, 0, 0]], [[0, 0, 0], [np.nan, 0, 0]], [[0, 0, 0], [np.inf, 0, 0]]):
         with pytest.raises(ValueError):
-            build_channel_matrix(spec, bad_tx, RxPlacement(np.array([[0.0, 0, 0]])))
-    with pytest.raises(ValueError):
-        build_channel_matrix(ChannelSpec([direction_from_angles(0.1, 0)], [1.0]),
-                             tx_ula(2), RxPlacement(np.array([[0.0, 0, 0]])))
+            greedy_rx_placement(spec, region, 1, bad_tx, [1.0], step=0.5)
+    with pytest.raises(ValueError, match="departure direction"):
+        greedy_rx_placement(ChannelSpec([direction_from_angles(0.1, 0)], [1.0]),
+                            region, 1, tx_ula(2), [1.0], step=0.5)
 
 
 def test_capacity_identity_reference_values():
@@ -137,7 +135,7 @@ def test_capacity_identity_exact_for_rank_deficient_h_at_high_snr():
     # singular value is 4|c| and the capacity is log2(1 + rho/4 * 16|c|^2).  At 300 dB the
     # rounding of H's entries (singular values near 1e-16) adds under 0.01 bits.
     spec = sample_stochastic_channel(1, (3, 1, 0), include_tx=True)
-    h = build_channel_matrix(spec, tx_ula(4), tx_ula(4))
+    h = _channel_rows(spec, tx_ula(4), tx_ula(4))
     for snr_db, atol in ((200.0, 1e-9), (300.0, 0.01)):
         rho = 10.0 ** (snr_db / 10.0)
         exact = math.log2(1.0 + rho / 4.0 * 16.0 * abs(spec.coefficients[0]) ** 2)
@@ -205,11 +203,13 @@ def test_sequential_search_improves_and_respects_spacing():
     tx = tx_ula(4)
     for seed in range(5):
         spec = random_mimo_spec(8, (90, seed))
-        result = sequential_position_search(spec, region, 4, tx, rho=10.0, step=0.2)
-        assert result.capacity >= result.initial_capacity - 1e-12
-        trace = [result.initial_capacity] + result.pass_capacities
+        (positions,), (initial,), (capacity,), (passes,) = greedy_rx_placement(
+            spec, region, 4, tx, [10.0], step=0.2)
+        assert capacity >= initial - 1e-12
+        trace = [initial] + passes
         assert all(b >= a - 1e-12 for a, b in zip(trace, trace[1:]))
-        diffs = result.placement.positions[:, None, :] - result.placement.positions[None, :, :]
+        assert all(region.contains(r) for r in positions)
+        diffs = positions[:, None, :] - positions[None, :, :]
         dist = np.linalg.norm(diffs, axis=2) + 10 * np.eye(4)
         assert dist.min() >= 0.5 - 1e-9
 
@@ -220,17 +220,17 @@ def test_sequential_search_single_antenna_reaches_grid_maximum():
     region = Region.square(1.0)
     tx = tx_ula(2)
     spec = random_mimo_spec(6, 93)
-    result = sequential_position_search(spec, region, 1, tx, rho=10.0, step=0.25)
+    _, _, (capacity,), _ = greedy_rx_placement(spec, region, 1, tx, [10.0], step=0.25)
     coords = region.grid_coords(0.25)
-    best = max(capacity_identity_cov(build_channel_matrix(spec, tx, [[x, y, 0.0]]), 10.0)
+    best = max(capacity_identity_cov(_channel_rows(spec, tx, np.array([[x, y, 0.0]])), 10.0)
                for x in coords[0] for y in coords[1])
-    assert result.capacity == pytest.approx(best, rel=1e-12)
+    assert capacity == pytest.approx(best, rel=1e-12)
 
 
 def test_sequential_search_rejects_tiny_region():
     spec = random_mimo_spec(3, 91)
     with pytest.raises(ValueError):
-        sequential_position_search(spec, Region.square(1.0), 4, tx_ula(4), rho=10.0)
+        greedy_rx_placement(spec, Region.square(1.0), 4, tx_ula(4), [10.0])
 
 
 def test_ma_beats_fpa_more_with_richer_multipath():
@@ -241,8 +241,8 @@ def test_ma_beats_fpa_more_with_richer_multipath():
         g = []
         for seed in range(15):
             spec = random_mimo_spec(num_paths, (92, num_paths, seed))
-            result = sequential_position_search(spec, region, 4, tx, rho=10.0, step=0.1)
-            g.append(result.capacity - result.initial_capacity)
+            _, (initial,), (capacity,), _ = greedy_rx_placement(spec, region, 4, tx, [10.0], step=0.1)
+            g.append(capacity - initial)
         assert min(g) >= 0.0
         gains[num_paths] = float(np.mean(g))
     assert gains[15] > gains[5]
@@ -256,7 +256,7 @@ def reference_greedy_search(spec, region, num_rx, tx, rho, step):
     the number of steps in which every candidate was too near another antenna."""
     num_tx = len(tx)
     positions = _initial_ula_placement(region, num_rx)
-    h = build_channel_matrix(spec, tx, RxPlacement(positions, region))
+    h = _channel_rows(spec, tx, positions)
     capacity = float(_capacity_batch(h, rho, num_tx))
     coords = region.grid_coords(step)
     candidates = region.grid_position(coords, np.arange(math.prod(c.size for c in coords)))
@@ -328,11 +328,11 @@ def test_sequential_search_matches_full_capacity_reference(case):
         spec = random_mimo_spec(num_paths, (94, num_paths, seed))
         positions, capacity, passes, fully_blocked = reference_greedy_search(
             spec, region, num_rx, tx, rho, step)
-        result = sequential_position_search(spec, region, num_rx, tx, rho, step=step)
+        alone = greedy_rx_placement(spec, region, num_rx, tx, [rho], step=step)
         # The same search as the middle one of a lockstep batch of three SNRs.
-        batch = _searches(spec, region, num_rx, tx, [rho / 10.0, rho, rho * 10.0], step)
+        batch = greedy_rx_placement(spec, region, num_rx, tx, [rho / 10.0, rho, rho * 10.0], step)
         for got_positions, got_passes, got_capacity in (
-                (result.placement.positions, result.pass_capacities, result.capacity),
+                (alone[0][0], alone[3][0], alone[2][0]),
                 (batch[0][1], batch[3][1], batch[2][1])):
             np.testing.assert_array_equal(got_positions, positions)
             assert len(got_passes) == len(passes)
@@ -345,21 +345,21 @@ def test_sequential_search_matches_full_capacity_reference(case):
 def test_lockstep_searches_equal_one_search_calls():
     # Channels of L = 5 and 15, each at four SNRs in one lockstep call: the searches of a call
     # stop after different numbers of passes, and each result is bit for bit that of the
-    # search run alone.
+    # entry called at its level alone.
     region, tx = Region.square(3.0), tx_ula(4)
     rhos = [10.0 ** (snr_db / 10.0) for snr_db in (-10.0, 0.0, 10.0, 20.0)]
     stopped_apart = 0
     for num_paths in (5, 15):
         for seed in range(2):
             spec = random_mimo_spec(num_paths, (96, num_paths, seed))
-            positions, initial, capacity, passes = _searches(spec, region, 4, tx, rhos, 0.1)
+            positions, initial, capacity, passes = greedy_rx_placement(spec, region, 4, tx, rhos, 0.1)
             stopped_apart += len({len(p) for p in passes}) > 1
             for rho, *batched in zip(rhos, positions, initial, capacity, passes):
-                alone = sequential_position_search(spec, region, 4, tx, rho, step=0.1)
-                np.testing.assert_array_equal(batched[0], alone.placement.positions)
-                assert batched[1] == alone.initial_capacity
-                assert batched[2] == alone.capacity
-                assert batched[3] == alone.pass_capacities
+                alone = greedy_rx_placement(spec, region, 4, tx, [rho], step=0.1)
+                np.testing.assert_array_equal(batched[0], alone[0][0])
+                assert batched[1] == alone[1][0]
+                assert batched[2] == alone[2][0]
+                assert batched[3] == alone[3][0]
     assert stopped_apart > 0
 
 
@@ -367,14 +367,52 @@ def test_sequential_search_rejects_bad_tx_positions():
     spec = random_mimo_spec(3, 97)
     for tx in (5.0, [0.0, 0.0, 0.0], [[0.0, 0.0, 0.0], [0.2, 0.0, 0.0]]):
         with pytest.raises(ValueError, match="tx positions|tx antenna positions"):
-            sequential_position_search(spec, Region.square(2.0), 2, tx, 1.0)
+            greedy_rx_placement(spec, Region.square(2.0), 2, tx, [1.0])
 
 
 def test_sequential_search_rejects_bad_rho():
     spec = random_mimo_spec(3, 95)
     for rho in (np.nan, np.inf, -1.0):
         with pytest.raises(ValueError):
-            sequential_position_search(spec, Region.square(2.0), 2, tx_ula(2), rho=rho)
+            greedy_rx_placement(spec, Region.square(2.0), 2, tx_ula(2), [rho])
+
+
+@pytest.mark.parametrize("num_rx", [0, -1, 2.0, True, None])
+def test_greedy_search_rejects_num_rx_off_the_rule(num_rx):
+    with pytest.raises(ValueError, match="num_rx"):
+        greedy_rx_placement(random_mimo_spec(3, 98), Region.square(2.0), num_rx, tx_ula(2), [1.0])
+
+
+@pytest.mark.parametrize("rhos", [[], np.zeros(0), 10.0, [[1.0, 10.0]]],
+                         ids=["empty-list", "empty-array", "scalar", "nested"])
+def test_greedy_search_needs_a_sequence_of_levels(rhos):
+    with pytest.raises(ValueError, match="rhos"):
+        greedy_rx_placement(random_mimo_spec(3, 98), Region.square(2.0), 2, tx_ula(2), rhos)
+
+
+def test_greedy_search_returns_one_result_per_level():
+    region, rhos = Region.square(2.0), [10.0, 1000.0, 0.0]
+    spec = random_mimo_spec(6, 99)
+    positions, initial, capacity, passes = greedy_rx_placement(spec, region, 3, tx_ula(2), rhos, 0.2)
+    assert positions.shape == (3, 3, 3)
+    assert initial.shape == capacity.shape == (3,)
+    assert len(passes) == 3 and all(len(p) >= 1 for p in passes)
+    # Each level has its own search: the capacities grow with the SNR and read 0 at rho = 0.
+    assert capacity[0] < capacity[1] and capacity[2] == initial[2] == 0.0
+
+
+def test_greedy_search_memory_does_not_grow_with_candidates_squared():
+    # Region.square(10.0) at step 0.1 holds C = 10,201 candidates: one C x C boolean table would
+    # take 99 MiB, while the search's arrays grow with C alone.
+    spec, tx = random_mimo_spec(8, 100), tx_ula(4)
+    rhos = [10.0 ** (snr_db / 10.0) for snr_db in (-10.0, 0.0, 10.0, 20.0)]
+    tracemalloc.start()
+    try:
+        greedy_rx_placement(spec, Region.square(10.0), 4, tx, rhos, step=0.1)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 16 * 2 ** 20
 
 
 def test_waterfilling_rejects_bad_inputs():

@@ -10,7 +10,7 @@ from masim.beams import BeamPattern
 from masim.channel import ChannelSpec, Region, direction_from_angles, sample_stochastic_channel
 from masim.experiments import run_experiment
 from masim.gainmap import DB_FLOOR, evaluate_map
-from masim.mimo import sequential_position_search, tx_ula
+from masim.mimo import greedy_rx_placement, tx_ula
 from masim.util import write_csv_atomic, write_json_atomic
 
 # Two paths of equal power and opposite sign: their field cancels exactly at the origin.
@@ -101,11 +101,12 @@ def capacity_case(out, monkeypatch):
            "snr_db_list": [-5.0, 10.0], "seeds": 2, "region_size": 1.0, "step": 0.25}
     run_experiment(cfg, str(out))
     # Each row's search run alone, which the lockstep searches of a run equal bit for bit.
-    searches = {(snr_db, l, k): sequential_position_search(
+    searches = {(snr_db, l, k): greedy_rx_placement(
         sample_stochastic_channel(l, (cfg["seed"], l, k), include_tx=True), Region.square(1.0), 2, tx_ula(2),
-        10.0 ** (snr_db / 10.0), 0.25) for snr_db in cfg["snr_db_list"] for l in cfg["path_counts"] for k in range(2)}
+        [10.0 ** (snr_db / 10.0)], 0.25)
+        for snr_db in cfg["snr_db_list"] for l in cfg["path_counts"] for k in range(2)}
     return [(out / "capacity_sweep.csv", "snr_db,L,seed,capacity_fpa,capacity_ma",
-             (key + (r.initial_capacity, r.capacity) for key, r in searches.items()))]
+             (key + (float(fpa), float(ma)) for key, (_, (fpa,), (ma,), _) in searches.items()))]
 
 
 @pytest.mark.parametrize("case", [gain_map_case, pattern_case, scalars_case, one_row_case,
