@@ -5,9 +5,8 @@ from .channel import (ChannelSpec, Region, channel_gain, direction_from_angles,
 from .gainmap import GainMap, evaluate_map
 from .positioning import (SearchConfig, level_trials, max_sinr_position,
                           max_snr_position, snr_gradient)
-from .beams import (array_gain, beam_pattern, null_steer_weights,
-                    optimize_uniform_spacing, steering_vector,
-                    two_beam_weights_fpa, uniform_layout)
+from .beams import (array_gain, null_steer_weights, optimize_uniform_spacing,
+                    steering_vector, two_beam_weights, uniform_layout)
 from .mimo import (capacity_identity_cov, capacity_waterfilling, greedy_rx_placement,
                    tx_ula)
 from .estimation import (FriEstimate, MeasurementSet,

@@ -2,7 +2,8 @@
 multi-beam and null-steering weight synthesis, and uniform-spacing search.
 
 Directions are parameterized in the cosine domain u = cos(angle) in [-1, 1];
-element n at position x_n (wavelengths) responds with exp(j*2*pi*x_n*u).
+element n at position x_n (wavelengths) responds with exp(j*2*pi*x_n*u), the
+:func:`channel.field_response` of the 1-D coordinates x_n and u.
 Array gain is |w^H a(u)|^2 / ||w||^2, bounded by the element count.
 """
 
@@ -12,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .channel import MIN_SPACING, grid_count
+from .channel import MIN_SPACING, _count, field_response, grid_count
 
 __all__ = [
     "MIN_SPACING",
@@ -20,22 +21,19 @@ __all__ = [
     "steering_vector",
     "array_gain",
     "TwoBeamResult",
-    "two_beam_weights_fpa",
+    "two_beam_weights",
     "null_steer_weights",
-    "BeamPattern",
-    "beam_pattern",
     "SpacingSearchResult",
     "optimize_uniform_spacing",
 ]
 
 
 def uniform_layout(num_elements: int, spacing: float) -> np.ndarray:
-    """Element positions 0, d, 2d, ... for a uniform linear array."""
-    if num_elements < 1:
-        raise ValueError("need at least one element")
+    """Element positions 0, d, 2d, ... for a uniform linear array of ``num_elements`` (an integer >= 1)."""
+    n = _count(num_elements, "num_elements")
     if not MIN_SPACING <= spacing < np.inf:
         raise ValueError(f"spacing must be finite and at least {MIN_SPACING} wavelengths, got {spacing}")
-    return np.arange(num_elements) * float(spacing)
+    return np.arange(n) * float(spacing)
 
 
 def _check_layout(layout) -> np.ndarray:
@@ -66,17 +64,19 @@ def _check_weights(weights, n: int) -> np.ndarray:
 
 
 def steering_vector(layout, u: float) -> np.ndarray:
-    """Per-element phase response exp(j*2*pi*x_n*u) toward cosine direction u."""
-    return np.exp(2j * np.pi * _check_layout(layout) * _check_cosines(u))
+    """Per-element phase response exp(j*2*pi*x_n*u) toward the one cosine direction u."""
+    if np.ndim(u):
+        raise ValueError(f"a cosine-domain direction must be one number, got {u!r}")
+    return field_response(_check_layout(layout)[:, None], [[_check_cosines(u)]])[:, 0]
 
 
 def array_gain(layout, weights, u):
     """Array gain |w^H a(u)|^2 / ||w||^2; scalar or vectorized over u."""
     x = _check_layout(layout)
     w = _check_weights(weights, x.size)
-    a = np.exp(2j * np.pi * np.outer(_check_cosines(u), x))
+    a = field_response(np.atleast_1d(_check_cosines(u))[:, None], x[:, None])
     gain = np.abs(a @ np.conj(w)) ** 2 / float(np.vdot(w, w).real)
-    return float(gain[0]) if np.isscalar(u) or np.ndim(u) == 0 else gain
+    return float(gain[0]) if np.ndim(u) == 0 else gain
 
 
 @dataclass
@@ -85,23 +85,21 @@ class TwoBeamResult:
 
     weights: np.ndarray
     min_gain: float
-    degenerate: bool = False  # True when the two directions coincide
 
 
-def two_beam_weights_fpa(layout, u1: float, u2: float) -> TwoBeamResult:
+def two_beam_weights(layout, u1: float, u2: float) -> TwoBeamResult:
     """Two-beam weights w = a(u1) + exp(j*psi)*a(u2) maximizing min(G(u1), G(u2)).
 
     With c = <a(u1), a(u2)> = sum_n exp(j*2*pi*x_n*(u2-u1)), both beams get
     (N^2 + |c|^2 + 2N*Re(e^{j psi} c)) / (2N + 2*Re(e^{j psi} c)), which
     rises with Re(e^{j psi} c); so psi = -arg(c) and the gain is (N + |c|)/2.
-    Coincident directions give the matched filter (returned flagged).
+    Coincident directions give the matched filter 2*a(u1).
     """
     a1 = steering_vector(layout, u1)
     a2 = steering_vector(layout, u2)
     c = complex(np.vdot(a1, a2))
     return TwoBeamResult(weights=a1 + np.exp(-1j * np.angle(c)) * a2,
-                         min_gain=(a1.size + abs(c)) / 2.0,
-                         degenerate=abs(u1 - u2) < 1e-15)
+                         min_gain=(a1.size + abs(c)) / 2.0)
 
 
 def null_steer_weights(layout, u_signal: float, u_interference: float) -> np.ndarray:
@@ -119,22 +117,6 @@ def null_steer_weights(layout, u_signal: float, u_interference: float) -> np.nda
     if 1.0 - abs(rho) ** 2 < 1e-12:
         raise ValueError("steering vectors are collinear; nulling would cancel the signal")
     return a_s - rho * a_i
-
-
-@dataclass(eq=False)
-class BeamPattern:
-    """Linear array gain over a uniform cosine-domain grid."""
-
-    u: np.ndarray
-    gain: np.ndarray
-
-
-def beam_pattern(layout, weights, grid_points: int = 2001) -> BeamPattern:
-    """Sample the array gain on ``grid_points`` directions over [-1, 1]."""
-    if grid_points < 2:
-        raise ValueError("need at least two grid points")
-    u = np.linspace(-1.0, 1.0, grid_points)
-    return BeamPattern(u=u, gain=array_gain(layout, weights, u))
 
 
 @dataclass(eq=False)
@@ -167,7 +149,7 @@ def optimize_uniform_spacing(num_elements: int, objective: str, u_params,
     layouts = np.outer(spacings, uniform_layout(num_elements, 1.0))
     # Normalized steering overlap |<a(u1), a(u2)>|/N of every layout; hypot
     # rather than np.abs keeps the null-steer scan bit-identical to abs(complex).
-    overlap = np.mean(np.exp(2j * np.pi * layouts * (u2 - u1)), axis=1)
+    overlap = np.mean(field_response(layouts[..., None], [[u2 - u1]])[..., 0], axis=1)
     rho = np.hypot(overlap.real, overlap.imag)
     if objective == "two-beam":
         values = num_elements * (1.0 + rho) / 2.0

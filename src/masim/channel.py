@@ -4,15 +4,14 @@ All positions and region sizes are expressed in wavelength units, so the
 carrier wavelength never appears in a phase formula: a path with arrival
 direction d contributes ``coeff * exp(+1j * 2*pi * <d, r>)`` at position
 ``r``.  The ``+j`` sign convention applies identically on the Tx side and
-is written here in one place, :func:`field_response`.  ``beams`` keeps its
-own 1-D copy, ``exp(j*2*pi*x*u)`` over element positions x and direction
-cosines u: routing it through :func:`field_response` moves the last bits
-of the beam artifacts (the pattern's dB values at its nulls by tens of dB).
+is written here in one place, :func:`field_response`, which ``beams`` also
+calls on 1-D element positions and direction cosines.
 """
 
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -49,6 +48,14 @@ def _points(points, name: str, stacked: bool = False) -> np.ndarray:
     if not np.isfinite(p).all():
         raise ValueError(f"{name} must be finite")
     return p
+
+
+def _count(n, name: str) -> int:
+    """``n`` as an int, which must be an integer >= 1 and not a bool.  The one home of this rule;
+    anything else raises ValueError."""
+    if isinstance(n, bool) or not isinstance(n, numbers.Integral) or n < 1:
+        raise ValueError(f"{name} must be an integer >= 1, got {n!r}")
+    return int(n)
 
 
 def _levels(levels, name: str = "rho", positive: bool = False) -> np.ndarray:
@@ -218,7 +225,7 @@ def field_on_grid(spec: ChannelSpec, region: Region, step: float):
     """Sample the channel response on the region's grid.
 
     Returns ``(values, coords)`` where ``values`` has one axis per free
-    region axis (shape () for a degenerate region) and ``coords`` lists the
+    region axis (shape () for a point region) and ``coords`` lists the
     grid coordinates along each free axis.  Uses the separability of the
     plane-wave phase across axes and :func:`_axis_tables`' split phase
     tables, so cost scales with the grid perimeter rather than its area; each

@@ -122,7 +122,7 @@ def plan_measurement_positions(region: Region, num_positions: int,
         raise ValueError("strategy must be 'uniform-random' or 'grid'")
     if len(axes) == 0:
         if num_positions != 1:
-            raise ValueError("a degenerate region can host only one grid position")
+            raise ValueError("a point region can host only one grid position")
         return positions
     if len(axes) > 2:
         raise ValueError("grid strategy supports regions with at most two free axes")

@@ -299,16 +299,16 @@ def _run_beam(cfg, outdir):
     write_csv_atomic(os.path.join(outdir, "spacing_scan.csv"), "d_lambda,objective", scan.scan.T.tolist())
 
     summary = {"best_spacing": scan.spacing, "best_objective": scan.objective}
+    u = np.linspace(-1.0, 1.0, cfg["pattern_points"])
     for name, spacing in (("fpa", 0.5), ("ma", scan.spacing)):
         layout = beams.uniform_layout(n, spacing)  # one weight rule per objective for both layouts
-        w = (beams.two_beam_weights_fpa(layout, u1, u2).weights if objective == "two-beam"
+        w = (beams.two_beam_weights(layout, u1, u2).weights if objective == "two-beam"
              else beams.null_steer_weights(layout, u1, u2))
-        pattern = beams.beam_pattern(layout, w, cfg["pattern_points"])
-        gain = pattern.gain.tolist()
+        gain = beams.array_gain(layout, w, u).tolist()
         # math.log10, not np.log10, whose last digit can differ; exact nulls are floored.
         db = [10.0 * math.log10(g) if g > 0.0 else gainmap.DB_FLOOR for g in gain]
         write_csv_atomic(os.path.join(outdir, f"pattern_{name}.csv"), "u,gain_linear,gain_db",
-                         (pattern.u.tolist(), gain, db))
+                         (u.tolist(), gain, db))
         summary[f"{name}_gain_u1"] = beams.array_gain(layout, w, u1)
         summary[f"{name}_gain_u2"] = beams.array_gain(layout, w, u2)
     return summary

@@ -9,12 +9,11 @@ the natural two-sided extension of the scalar field response.
 from __future__ import annotations
 
 import math
-import numbers
 from dataclasses import dataclass
 
 import numpy as np
 
-from .channel import MIN_SPACING, ChannelSpec, Region, _levels, _points, field_response
+from .channel import MIN_SPACING, ChannelSpec, Region, _count, _levels, _points, field_response
 
 __all__ = [
     "tx_ula",
@@ -37,11 +36,11 @@ def _near(points: np.ndarray, others: np.ndarray) -> np.ndarray:
 
 
 def tx_ula(num_elements: int) -> np.ndarray:
-    """Tx positions (N, 3): uniform linear array along x at the origin, MIN_SPACING apart."""
-    if num_elements < 1:
-        raise ValueError("need at least one element")
-    t = np.zeros((num_elements, 3))
-    t[:, 0] = np.arange(num_elements) * MIN_SPACING
+    """Tx positions (N, 3): a ULA of ``num_elements`` (an integer >= 1) along x at the origin,
+    MIN_SPACING apart."""
+    n = _count(num_elements, "num_elements")
+    t = np.zeros((n, 3))
+    t[:, 0] = np.arange(n) * MIN_SPACING
     return t
 
 
@@ -169,8 +168,7 @@ def greedy_rx_placement(spec: ChannelSpec, region: Region, num_rx: int, tx_posit
     of at least one level; else ValueError.  Returns, per level, the placement (S, num_rx, 3), the
     FPA and final capacities (S,) and the list of capacities after every pass.
     """
-    if isinstance(num_rx, bool) or not isinstance(num_rx, numbers.Integral) or num_rx < 1:
-        raise ValueError(f"num_rx must be an integer >= 1, got {num_rx!r}")
+    num_rx = _count(num_rx, "num_rx")
     rho = _levels(rhos)
     if rho.ndim != 1 or rho.size < 1:
         raise ValueError(f"rhos must be a sequence of at least one level, got {rhos!r}")

@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 
 from masim.beams import (array_gain, null_steer_weights, steering_vector,
-                         two_beam_weights_fpa, uniform_layout)
+                         two_beam_weights, uniform_layout)
 from masim.channel import (ChannelSpec, Region, channel_gain, direction_from_angles,
                            field_response, sample_stochastic_channel)
 from masim.estimation import (cosine_grid_dictionary, omp_estimate,
@@ -118,7 +118,7 @@ def test_criterion_04_fig5_multibeam():
     w = steering_vector(ma, 0.4)
     g_pos = array_gain(ma, w, 0.4)
     g_neg = array_gain(ma, w, -0.4)
-    fpa = two_beam_weights_fpa(uniform_layout(8, 0.5), 0.4, -0.4)
+    fpa = two_beam_weights(uniform_layout(8, 0.5), 0.4, -0.4)
     ok = abs(g_pos - 8.0) < 1e-9 and abs(g_neg - 8.0) < 1e-9 \
         and 3.2 <= fpa.min_gain <= 4.8
     check("criterion 4 (Fig. 5 multi-beam)", ok,

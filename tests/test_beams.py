@@ -3,9 +3,9 @@ import math
 import numpy as np
 import pytest
 
-from masim.beams import (array_gain, beam_pattern, null_steer_weights,
-                         optimize_uniform_spacing, steering_vector,
-                         two_beam_weights_fpa, uniform_layout)
+from masim.beams import (array_gain, null_steer_weights, optimize_uniform_spacing,
+                         steering_vector, two_beam_weights, uniform_layout)
+from masim.channel import field_response
 from masim.experiments import run_experiment
 
 
@@ -32,6 +32,20 @@ def test_steering_vectors_coincide_at_grating_alignment():
     np.testing.assert_allclose(a1, a2, atol=1e-12)
 
 
+def test_steering_vector_and_array_gain_are_the_field_response():
+    # One phase formula: the beam responses are field_response on 1-D coordinates, bit for bit.
+    layout = np.cumsum(np.random.default_rng(22).uniform(0.5, 1.5, 7)) - 0.5
+    w = steering_vector(layout, 0.3) + 0.5j * steering_vector(layout, -0.6)
+    u = np.linspace(-1.0, 1.0, 101)
+    for v in u:
+        assert np.array_equal(steering_vector(layout, v), field_response(layout[:, None], [[v]])[:, 0])
+        # exp(j 2 pi x (-u)) is the exact conjugate of exp(j 2 pi x u).
+        assert np.array_equal(steering_vector(layout, -v), np.conj(steering_vector(layout, v)))
+    a = field_response(u[:, None], layout[:, None])
+    assert np.array_equal(array_gain(layout, w, u), np.abs(a @ np.conj(w)) ** 2 / float(np.vdot(w, w).real))
+    assert array_gain(layout, w, 0.3) == array_gain(layout, w, [0.3])[0]
+
+
 def test_steering_vector_rejects_out_of_range():
     with pytest.raises(ValueError):
         steering_vector(uniform_layout(4, 0.5), 1.1)
@@ -48,6 +62,26 @@ def test_every_cosine_input_is_checked(u):
             call()
     # One past the edge by at most 1e-12 is rounding, and is accepted.
     assert array_gain(layout, w, 1.0 + 1e-13) > 0.0
+
+
+@pytest.mark.parametrize("u", [[0.1, 0.3], [0.2], np.array([[0.1]])])
+def test_one_direction_is_one_cosine(u):
+    # A list of directions would give a vector that mixes them; only array_gain takes several.
+    layout = uniform_layout(2, 0.5)
+    for call in (lambda: steering_vector(layout, u), lambda: two_beam_weights(layout, u, 0.4),
+                 lambda: two_beam_weights(layout, 0.4, u), lambda: null_steer_weights(layout, u, 0.4),
+                 lambda: null_steer_weights(layout, 0.0, u)):
+        with pytest.raises(ValueError, match="cosine"):
+            call()
+
+
+@pytest.mark.parametrize("count", [2.5, True, 0, -1, None])
+def test_element_counts_are_integers(count):
+    with pytest.raises(ValueError, match="num_elements must be an integer >= 1"):
+        uniform_layout(count, 1.0)
+    with pytest.raises(ValueError, match="num_elements must be an integer >= 1"):
+        optimize_uniform_spacing(count, "two-beam", (0.4, -0.4))
+    assert np.array_equal(uniform_layout(np.int64(3), 1.0), [0.0, 1.0, 2.0])
 
 
 def test_layout_validation():
@@ -100,22 +134,22 @@ def test_grating_lobe_identity():
 
 
 def test_two_beam_fpa_half_gain():
-    result = two_beam_weights_fpa(uniform_layout(8, 0.5), 0.4, -0.4)
+    result = two_beam_weights(uniform_layout(8, 0.5), 0.4, -0.4)
     assert 3.2 <= result.min_gain <= 4.8
-    assert not result.degenerate
 
 
 def test_two_beam_symmetric_directions_balanced():
     layout = uniform_layout(8, 0.5)
-    result = two_beam_weights_fpa(layout, 0.35, -0.35)
+    result = two_beam_weights(layout, 0.35, -0.35)
     g1 = array_gain(layout, result.weights, 0.35)
     g2 = array_gain(layout, result.weights, -0.35)
     assert abs(g1 - g2) < 1e-6
 
 
 def test_two_beam_degenerate_single_direction():
-    result = two_beam_weights_fpa(uniform_layout(8, 0.5), 0.4, 0.4)
-    assert result.degenerate
+    layout = uniform_layout(8, 0.5)
+    result = two_beam_weights(layout, 0.4, 0.4)
+    assert np.array_equal(result.weights, 2 * steering_vector(layout, 0.4))  # the matched filter
     assert abs(result.min_gain - 8.0) < 1e-12
 
 
@@ -139,7 +173,7 @@ def test_two_beam_closed_form_matches_phase_scan():
     for spacing in 0.5 + np.arange(97) / 64.0:
         layout = uniform_layout(8, spacing)
         for u1, u2 in TWO_BEAM_PAIRS:
-            result = two_beam_weights_fpa(layout, u1, u2)
+            result = two_beam_weights(layout, u1, u2)
             scanned = scanned_two_beam_min_gains(layout, u1, u2)
             assert result.min_gain >= scanned.max() - 1e-12
             assert abs(result.min_gain - scanned.max()) <= 1e-6 * scanned.max()
@@ -158,9 +192,9 @@ def test_optimize_spacing_scan_matches_per_layout_loop():
         for d, value in result.scan:
             layout = uniform_layout(8, d)
             if objective == "two-beam":
-                expected = two_beam_weights_fpa(layout, u1, u2).min_gain
+                expected = two_beam_weights(layout, u1, u2).min_gain
             else:
-                rho = complex(np.mean(np.exp(2j * np.pi * layout * (u2 - u1))))
+                rho = complex(np.mean(field_response(layout[:, None], [[u2 - u1]])[:, 0]))
                 expected = 8 * (1.0 - abs(rho) ** 2)
                 assert value == expected  # the null-steer scan is bit-identical
             assert abs(value - expected) <= 1e-12 * max(1.0, abs(expected))
@@ -225,17 +259,18 @@ def test_optimize_spacing_rejects_bad_range():
 def test_beam_pattern_peak_and_bounds():
     layout = uniform_layout(8, 1.25)
     w = steering_vector(layout, 0.4)
-    pattern = beam_pattern(layout, w, 2001)
-    assert pattern.gain.max() <= 8.0 + 1e-9
-    assert abs(pattern.gain[np.argmin(np.abs(pattern.u - 0.4))] - 8.0) < 1e-9
-    assert abs(pattern.gain[np.argmin(np.abs(pattern.u + 0.4))] - 8.0) < 1e-9
+    u = np.linspace(-1.0, 1.0, 2001)
+    gain = array_gain(layout, w, u)
+    assert gain.max() <= 8.0 + 1e-9
+    assert abs(gain[np.argmin(np.abs(u - 0.4))] - 8.0) < 1e-9
+    assert abs(gain[np.argmin(np.abs(u + 0.4))] - 8.0) < 1e-9
 
 
 def test_beam_pattern_symmetric_for_real_weights():
     layout = uniform_layout(6, 0.75)
     w = np.array([1.0, 2.0, -0.5, -0.5, 2.0, 1.0], dtype=complex)
-    pattern = beam_pattern(layout, w, 801)
-    np.testing.assert_allclose(pattern.gain, pattern.gain[::-1], atol=1e-9)
+    gain = array_gain(layout, w, np.linspace(-1.0, 1.0, 801))
+    np.testing.assert_allclose(gain, gain[::-1], atol=1e-9)
 
 
 def test_pattern_energy_quadrature_matches_sinc_sum():
@@ -243,8 +278,8 @@ def test_pattern_energy_quadrature_matches_sinc_sum():
     rng = np.random.default_rng(21)
     layout = np.cumsum(rng.uniform(0.5, 1.2, 5)) - 0.5
     w = rng.standard_normal(5) + 1j * rng.standard_normal(5)
-    pattern = beam_pattern(layout, w, 20001)
-    quad = np.trapezoid(pattern.gain, pattern.u)
+    u = np.linspace(-1.0, 1.0, 20001)
+    quad = np.trapezoid(array_gain(layout, w, u), u)
     diff = layout[None, :] - layout[:, None]
     oracle = np.real(np.conj(w)[:, None] * w[None, :] * 2.0 * np.sinc(2.0 * diff)).sum()
     oracle /= float(np.vdot(w, w).real)
@@ -256,11 +291,12 @@ def test_pattern_csv(tmp_path):
     run_experiment({"kind": "beam", "seed": 0, "num_elements": 4, "objective": "two-beam", "u1": 0.4,
                     "u2": -0.4, "pattern_points": 5}, str(tmp_path))
     layout = uniform_layout(4, 0.5)
-    pattern = beam_pattern(layout, two_beam_weights_fpa(layout, 0.4, -0.4).weights, 5)
+    u = np.linspace(-1.0, 1.0, 5)
+    gain = array_gain(layout, two_beam_weights(layout, 0.4, -0.4).weights, u)
     for name in ("pattern_fpa.csv", "pattern_ma.csv"):
         lines = (tmp_path / name).read_text().splitlines()
         assert lines[0] == "u,gain_linear,gain_db"
         assert len(lines) == 6
     rows = [tuple(map(float, line.split(","))) for line in (tmp_path / "pattern_fpa.csv").read_text().splitlines()[1:]]
-    assert [r[:2] for r in rows] == list(zip(pattern.u, pattern.gain))
-    assert [r[2] for r in rows] == [10.0 * math.log10(g) for g in pattern.gain]
+    assert [r[:2] for r in rows] == list(zip(u, gain))
+    assert [r[2] for r in rows] == [10.0 * math.log10(g) for g in gain]

@@ -41,9 +41,9 @@ def test_uniform_random_positions_deterministic():
 
 
 def test_grid_rejects_unhostable_counts():
-    degenerate = Region(origin=[0, 0, 0], extents=[0, 0, 0])
+    point = Region(origin=[0, 0, 0], extents=[0, 0, 0])
     with pytest.raises(ValueError):
-        plan_measurement_positions(degenerate, 2, "grid")
+        plan_measurement_positions(point, 2, "grid")
     with pytest.raises(ValueError):
         plan_measurement_positions(Region.square(1.0), 0, "grid")
     with pytest.raises(ValueError):

@@ -383,6 +383,12 @@ def test_greedy_search_rejects_num_rx_off_the_rule(num_rx):
         greedy_rx_placement(random_mimo_spec(3, 98), Region.square(2.0), num_rx, tx_ula(2), [1.0])
 
 
+@pytest.mark.parametrize("count", [2.5, True, 0, None])
+def test_tx_ula_rejects_a_count_off_the_rule(count):
+    with pytest.raises(ValueError, match="num_elements must be an integer >= 1"):
+        tx_ula(count)
+
+
 @pytest.mark.parametrize("rhos", [[], np.zeros(0), 10.0, [[1.0, 10.0]]],
                          ids=["empty-list", "empty-array", "scalar", "nested"])
 def test_greedy_search_needs_a_sequence_of_levels(rhos):

@@ -52,11 +52,15 @@ def test_largest_change_reports_a_moved_number(tmp_path):
                                                      "wall_time_s": 1.0})
     base = write(tmp_path / "base", "summary.json", {"counters": {"coarse_points": 100, "searches": 6},
                                                      "wall_time_s": 7.0})
-    assert artifact_diff.largest_change(tree, base) == "max abs 10, max rel 0.1"
+    assert artifact_diff.largest_change(tree, base) == "1 of 2 values, max abs 10, max rel 0.1"
     # In a CSV, the largest changes of all cells, absolute and relative, may come from two cells.
-    tree = write(tmp_path / "tree", "sweep.csv", "L,metric_db\n1,4.0\n2,30.0\n")
-    base = write(tmp_path / "base", "sweep.csv", "L,metric_db\n1,2.0\n2,25.0\n")
-    assert artifact_diff.largest_change(tree, base) == "max abs 5, max rel 1"
+    tree = write(tmp_path / "tree", "sweep.csv", "L,metric_db\n1,4.0\n2,30.0\n3,7.5\n")
+    base = write(tmp_path / "base", "sweep.csv", "L,metric_db\n1,2.0\n2,25.0\n3,7.5\n")
+    assert artifact_diff.largest_change(tree, base) == "2 of 6 values, max abs 5, max rel 1"
+    # A cell written differently counts even where its number is the same.
+    tree = write(tmp_path / "tree", "sweep.csv", "L,metric_db\n1,2.50\n")
+    base = write(tmp_path / "base", "sweep.csv", "L,metric_db\n1,2.5\n")
+    assert artifact_diff.largest_change(tree, base) == "1 of 2 values, max abs 0, max rel 0"
 
 
 @pytest.mark.parametrize("new, old, shown", [(True, False, "True against False"),

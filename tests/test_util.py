@@ -6,7 +6,6 @@ import pytest
 
 import masim.beams as beams
 import masim.gainmap as gainmap
-from masim.beams import BeamPattern
 from masim.channel import ChannelSpec, Region, direction_from_angles, sample_stochastic_channel
 from masim.experiments import run_experiment
 from masim.gainmap import DB_FLOOR, evaluate_map
@@ -50,22 +49,23 @@ def gain_map_case(out, monkeypatch):
 
 
 def pattern_case(out, monkeypatch):
-    patterns, beam_pattern = [], beams.beam_pattern
+    patterns, array_gain = [], beams.array_gain
 
-    def nulled_pattern(layout, weights, grid_points):
-        pattern = beam_pattern(layout, weights, grid_points)
-        gain = pattern.gain.copy()
+    def nulled_pattern(layout, weights, u):
+        gain = array_gain(layout, weights, u)
+        if np.ndim(u) == 0:  # the summary's gains at u1 and u2
+            return gain
         gain[::7] = 0.0
-        patterns.append(BeamPattern(u=pattern.u, gain=gain))
-        return patterns[-1]
+        patterns.append((u, gain))
+        return gain
 
-    monkeypatch.setattr(beams, "beam_pattern", nulled_pattern)
+    monkeypatch.setattr(beams, "array_gain", nulled_pattern)
     run_experiment({"kind": "beam", "seed": 0, "num_elements": 4, "objective": "two-beam",
                     "u1": 0.2, "u2": -0.3, "pattern_points": 101}, str(out))
     # The runner samples the FPA pattern, then the MA one.
     return [(out / name, "u,gain_linear,gain_db", (
         (float(u), float(g), float(10.0 * math.log10(g) if g > 0.0 else DB_FLOOR))
-        for u, g in zip(pattern.u, pattern.gain)))
+        for u, g in zip(*pattern)))
         for name, pattern in zip(["pattern_fpa.csv", "pattern_ma.csv"], patterns, strict=True)]
 
 

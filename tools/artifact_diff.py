@@ -12,8 +12,9 @@ shipped (the 500-trial sweeps and the 200-seed ``mimo``).  Prints ``same``
 or ``DIFF`` for every CSV and every ``summary.json`` (compared without its
 ``wall_time_s``) and exits 1 on any difference, 2 when a run fails.  When a
 differing file keeps its layout (the same CSV header and row lengths, or
-the same JSON keys), the DIFF line also gives the largest absolute change
-of its numbers and the largest change relative to the ``<git-rev>`` value.
+the same JSON keys), the DIFF line also gives how many of its values differ
+("k of n values"), the largest absolute change of its numbers and the
+largest change relative to the ``<git-rev>`` value.
 BLAS runs on one thread on both sides.  Needs only the standard library,
 git and the Python that runs it (with numpy).
 """
@@ -82,12 +83,13 @@ def cells(path: Path) -> tuple[object, list]:
 
 
 def largest_change(tree: Path, base: Path) -> str:
-    """The largest absolute and relative change of the numbers of two files of one layout, or why
-    there is none to give."""
+    """How many values of two files of one layout differ, and the largest absolute and relative
+    change of their numbers, or why there is none to give."""
     (layout, new), (base_layout, old) = cells(tree), cells(base)
     if layout != base_layout:
         return "layout differs"
     worst_abs = worst_rel = 0.0
+    moved = 0
     for x, y in zip(new, old):
         if x == y and type(x) is type(y):  # true == 1 in Python, but not in the file
             continue
@@ -98,9 +100,10 @@ def largest_change(tree: Path, base: Path) -> str:
         except (TypeError, ValueError):
             return f"non-numeric value differs: {x!r} against {y!r}"
         change = abs(x - y)
+        moved += 1
         worst_abs = max(worst_abs, change)
         worst_rel = max(worst_rel, change / abs(y) if y else math.inf)
-    return f"max abs {worst_abs:.3g}, max rel {worst_rel:.3g}"
+    return f"{moved} of {len(new)} values, max abs {worst_abs:.3g}, max rel {worst_rel:.3g}"
 
 
 def main(argv: list[str]) -> int:
