@@ -59,8 +59,8 @@ def _count(n, name: str) -> int:
 
 
 def _levels(levels, name: str = "rho", positive: bool = False) -> np.ndarray:
-    """``levels`` (a linear SNR level or several) as a float array, each finite and >= 0, or > 0
-    when ``positive``.  The one home of this rule; anything else raises ValueError."""
+    """``levels`` (a linear SNR level or several, or a noise variance) as a float array, each finite
+    and >= 0, or > 0 when ``positive``.  The one home of this rule; anything else raises ValueError."""
     rho = np.array(levels, dtype=float)
     if not (np.isfinite(rho).all() and ((rho > 0) if positive else (rho >= 0)).all()):
         raise ValueError(f"{name} must be finite and {'positive' if positive else 'nonnegative'}, got {levels}")
@@ -315,9 +315,7 @@ def sample_stochastic_channel(num_paths: int, seed, include_tx: bool = False) ->
     ``seed`` is anything accepted by :func:`numpy.random.default_rng`; pass
     an ``(experiment_seed, trial_index)`` tuple to derive per-trial streams.
     """
-    if num_paths < 1:
-        raise ValueError("num_paths must be at least 1")
-    return ChannelSpec(*_stochastic_paths(num_paths, seed, include_tx))
+    return ChannelSpec(*_stochastic_paths(_count(num_paths, "num_paths"), seed, include_tx))
 
 
 def _stochastic_paths(num_paths: int, seed, include_tx: bool = False):

@@ -16,8 +16,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .channel import (ChannelSpec, Region, _complex_normal, _points, channel_gain, field_on_grid,
-                      field_response)
+from .channel import (ChannelSpec, Region, _complex_normal, _count, _levels, _points, channel_gain,
+                      field_on_grid, field_response)
 
 __all__ = [
     "MeasurementSet",
@@ -40,15 +40,14 @@ class MeasurementSet:
 
     positions: np.ndarray
     samples: np.ndarray
-    noise_var: float
 
     def __post_init__(self):
         p = _points(self.positions, "positions")
         y = np.asarray(self.samples, dtype=complex)
         if y.shape != (p.shape[0],):
             raise ValueError("need one complex sample per position")
-        if not (np.isfinite(y).all() and self.noise_var >= 0):
-            raise ValueError(f"samples must be finite and noise_var >= 0, got {self.noise_var}")
+        if not np.isfinite(y).all():
+            raise ValueError("samples must be finite")
         self.positions = p
         self.samples = y
 
@@ -64,7 +63,7 @@ def cosine_grid_dictionary(grid_size: int = 64) -> np.ndarray:
     dropped, the rest lifted to unit vectors (u, v, sqrt(1-u^2-v^2)) and
     returned as a (G, 3) array.
     """
-    if grid_size < 2:
+    if _count(grid_size, "grid_size") < 2:
         raise ValueError("grid_size must be at least 2")
     u = np.linspace(-1.0, 1.0, grid_size)
     uu, vv = np.meshgrid(u, u, indexing="ij")
@@ -109,8 +108,7 @@ def plan_measurement_positions(region: Region, num_positions: int,
     include the region corners.  Grid counts that cannot be hosted on the
     region's free axes are rejected.
     """
-    if num_positions < 1:
-        raise ValueError("need at least one position")
+    num_positions = _count(num_positions, "num_positions")
     axes = region.free_axes
     positions = np.tile(region.origin, (num_positions, 1))
     if strategy == "uniform-random":
@@ -134,13 +132,12 @@ def plan_measurement_positions(region: Region, num_positions: int,
 
 def simulate_measurements(spec: ChannelSpec, positions, noise_var: float, seed=0) -> MeasurementSet:
     """Synthetic sounding: y_k = h(r_k) + CSCG noise of the given variance."""
-    if noise_var < 0:
-        raise ValueError("noise variance must be nonnegative")
+    _levels(noise_var, "noise_var")
     p = np.asarray(positions, dtype=float)
     clean = np.asarray(channel_gain(spec, p))
     if noise_var > 0:
         clean = clean + _complex_normal(np.random.default_rng(seed), p.shape[0], noise_var)
-    return MeasurementSet(positions=p, samples=clean, noise_var=noise_var)
+    return MeasurementSet(positions=p, samples=clean)
 
 
 def omp_estimate(measurements: MeasurementSet, dictionary, max_paths: int) -> FriEstimate:
@@ -152,7 +149,7 @@ def omp_estimate(measurements: MeasurementSet, dictionary, max_paths: int) -> Fr
     drops to ``_EPS_RESIDUAL``.  Each atom is selected at most once.
     """
     dictionary = _points(dictionary, "dictionary")
-    if not 1 <= max_paths <= len(dictionary):
+    if _count(max_paths, "max_paths") > len(dictionary):
         raise ValueError(f"max_paths must lie in [1, {len(dictionary)}] (the atom count), got {max_paths}")
     if measurements.count < max_paths:
         raise ValueError("need at least as many measurements as paths sought")

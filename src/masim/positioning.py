@@ -7,9 +7,11 @@ draw per trial serves every region size, one kernel computes the coarse
 fields of a block of trials, and one refine moves the searches of every
 region and trial of the block in lockstep.  Every coarse grid is read from the
 split phase tables of ``channel._axis_tables`` in row tiles of bounded size, so its
-memory does not grow with the grid.  A map that cannot vary (a point region, or
-one path per channel) takes its closed form instead.  An analytic power gradient
-is provided for local optimization studies.
+memory does not grow with the grid: one loop computes each tile and keeps each
+trial's first best point, and a block of more than one trial always fits in one
+tile.  A map that cannot vary (a point region, or one path per channel) takes its
+closed form instead.  An analytic power gradient is provided for local
+optimization studies.
 """
 
 from __future__ import annotations
@@ -19,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .channel import (ChannelSpec, Region, _axis_tables, _collapsed, _grid_product, _levels,
+from .channel import (ChannelSpec, Region, _axis_tables, _collapsed, _count, _grid_product, _levels,
                       _points, _stochastic_paths, field_on_grid, field_response)
 from .util import _blocks
 
@@ -121,50 +123,37 @@ def _search(channels, level, regions, cfg: SearchConfig, coarse=None):
 def _coarse(channels, level, region: Region, sides, step: float, coarse):
     """The coarse stage of :func:`_search` on one region of ``sides`` grid points per free axis,
     whose map varies: each trial's first best grid point (flat index) and its value, each (T,).
-    The scan reads the fields of :func:`_axis_tables` in tiles of at most util._BLOCK_ELEMENTS
-    points, or one row of one trial; a one-trial grid that fits one tile reads its fields (1, *grid)
-    per channel from ``coarse(region)`` instead, when given."""
+
+    One loop scans each block of trials in tiles of rows of :func:`_axis_tables`' first table, each
+    of at most util._BLOCK_ELEMENTS points or one row of one trial, in one ``field`` and one
+    ``powers`` buffer.  A tile's maximum replaces a trial's best only when it is strictly larger, so
+    the first of equal maxima wins, as in the whole map's argmax.  By :func:`_blocks`' sizing, a
+    block of more than one trial always fits in one tile: only one-trial blocks span several.  A
+    one-trial grid that fits one tile reads its fields (1, *grid) per channel from ``coarse(region)``
+    instead, when given."""
     trials, num_paths = channels[0][1].shape
     blocks = _blocks(trials, max([math.prod(sides)] + [n * num_paths for n in sides]))
     rows = _blocks(sides[0], blocks[0].stop * math.prod(sides[1:]))[0].stop
     if coarse is not None and rows == sides[0]:
-        return _rank([(0, level(*map(_power, coarse(region))).reshape(1, -1))])
-    start, best = np.empty(trials, dtype=int), np.empty(trials)
-    field = np.empty((blocks[0].stop, rows, *sides[1:]), dtype=complex)  # one buffer for every tile
+        values = level(*map(_power, coarse(region))).reshape(1, -1)
+        return values.argmax(axis=1), values.max(axis=1)
+    start, best = np.zeros(trials, dtype=int), np.full(trials, -np.inf)
+    field = np.empty((blocks[0].stop, rows, *sides[1:]), dtype=complex)
     powers = np.empty((len(channels), *field.shape))
     for blk in blocks:
         tables = [_axis_tables(d[blk], c[blk], region, step) for d, c in channels]
-        start[blk], best[blk] = _rank(_tiles(tables, level, field, powers))
+        size, first, peak = blk.stop - blk.start, start[blk], best[blk]  # views of start and best
+        for row in range(0, sides[0], rows):
+            count = min(rows, sides[0] - row)
+            maps = powers[:, :size, :count]
+            for (head, *rest), power in zip(tables, maps):
+                _power(_grid_product([head[:, row:row + count], *rest], out=field[:size, :count]), out=power)
+            values = level(*maps).reshape(size, -1)
+            at = values.argmax(axis=1)
+            value = values[np.arange(size), at]
+            new = value > peak
+            first[new], peak[new] = at[new] + row * math.prod(sides[1:]), value[new]
     return start, best
-
-
-def _tiles(tables, level, field, powers):
-    """``level`` of the fields of :func:`_axis_tables`' ``tables`` (one list per channel, for Tb
-    trials) in tiles of ``field.shape[1]`` rows of the first table, computed in ``field`` and
-    ``powers`` (channels, *field.shape): ``(flat index of the tile's first point, values (Tb,
-    points))`` per tile, the values a view of ``powers``."""
-    (size, length), (rows, *sides) = tables[0][0].shape[:2], field.shape[1:]
-    for top in range(0, length, rows):
-        count = min(rows, length - top)
-        tile, maps = field[:size, :count], powers[:, :size, :count]
-        for (head, *rest), power in zip(tables, maps):
-            _power(_grid_product([head[:, top:top + count], *rest], out=tile), out=power)
-        yield top * math.prod(sides), level(*maps).reshape(size, -1)
-
-
-def _rank(tiles):
-    """Each trial's first best grid point over ``tiles`` (as from :func:`_tiles`) and its value:
-    ``(flat index, peak)``, each (Tb,).  A later tile's maximum replaces a trial's best only when
-    it is strictly larger, so the first of equal maxima wins, as in the whole map's argmax."""
-    for offset, values in tiles:
-        if offset == 0:  # every scan opens at the grid's first point
-            trial, start = np.arange(len(values)), np.zeros(len(values), dtype=int)
-            peak = np.full(len(values), -np.inf)
-        best = values.argmax(axis=1)
-        top = values[trial, best]
-        new = top > peak
-        start[new], peak[new] = best[new] + offset, top[new]
-    return start, peak
 
 
 def _refine(channels, level, x, trial, lo, hi, free, step):
@@ -258,8 +247,7 @@ def level_trials(kind: str, num_paths: int, regions, trials: int, seed: int,
     """
     if kind not in _SWEEP_LEVELS:
         raise ValueError(f"kind must be one of {tuple(_SWEEP_LEVELS)}, got {kind!r}")
-    if trials < 1 or num_paths < 1:
-        raise ValueError("trials and num_paths must be at least 1")
+    trials, num_paths = _count(trials, "trials"), _count(num_paths, "num_paths")
     return _sweep(kind, num_paths, regions, trials, seed, cfg or SearchConfig())[0]
 
 

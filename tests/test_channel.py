@@ -9,8 +9,11 @@ from masim.channel import (_SPLIT_ERROR, ChannelSpec, Region, _axis_tables, _col
                            channel_gain, channel_spec_from_records,
                            direction_from_angles, field_on_grid, field_response, grid_count,
                            sample_stochastic_channel)
-from masim.estimation import MeasurementSet, omp_estimate, refit_coefficients, simulate_measurements
-from masim.mimo import greedy_rx_placement
+from masim.beams import uniform_layout
+from masim.estimation import (MeasurementSet, cosine_grid_dictionary, omp_estimate, plan_measurement_positions,
+                              refit_coefficients, simulate_measurements)
+from masim.mimo import greedy_rx_placement, tx_ula
+from masim.positioning import level_trials
 from masim.reference import two_path_spec
 
 
@@ -400,7 +403,7 @@ POINT_CHECKED = {  # caller of the one point check: (call on a points array, val
     "channel_gain": (lambda p: channel_gain(two_path_spec(), p), POSITIONS),
     "greedy_rx_placement-tx": (lambda p: greedy_rx_placement(_mimo_spec(), Region.square(1.0), 1, p, [1.0], 0.5),
                                POSITIONS),
-    "MeasurementSet": (lambda p: MeasurementSet(p, np.ones(len(p)), 0.0), POSITIONS),
+    "MeasurementSet": (lambda p: MeasurementSet(p, np.ones(len(p))), POSITIONS),
     "omp_estimate": (lambda d: omp_estimate(_measurements(), d, 1), DIRECTIONS),
     "refit_coefficients": (lambda d: refit_coefficients(_measurements(), d), DIRECTIONS),
 }
@@ -424,4 +427,29 @@ def test_point_check_rejects_bad_points(caller, case):
     # Rejected by the check itself as a plain ValueError, not by LAPACK (a LinAlgError) further on.
     with pytest.raises(ValueError) as excinfo:
         call(_bad_points(valid, case))
+    assert excinfo.type is ValueError
+
+
+COUNT_CHECKED = {  # caller of the one count rule: (call on a count, valid count)
+    "sample_stochastic_channel": (lambda n: sample_stochastic_channel(n, 1), 2),
+    "level_trials-trials": (lambda n: level_trials("snr", 2, [Region.square(0.5)], n, 1), 2),
+    "level_trials-num_paths": (lambda n: level_trials("snr", n, [Region.square(0.5)], 2, 1), 2),
+    "plan_measurement_positions": (lambda n: plan_measurement_positions(Region.square(1.0), n, "grid"), 2),
+    "omp_estimate": (lambda n: omp_estimate(_measurements(), DIRECTIONS, n), 2),
+    "cosine_grid_dictionary": (lambda n: cosine_grid_dictionary(n), 3),  # 2 points give no atom
+    "uniform_layout": (lambda n: uniform_layout(n, 0.5), 2),
+    "tx_ula": (lambda n: tx_ula(n), 2),
+    "greedy_rx_placement-num_rx": (lambda n: greedy_rx_placement(_mimo_spec(), Region.square(1.0), n, POSITIONS,
+                                                                 [1.0], 0.5), 2),
+}
+
+
+@pytest.mark.parametrize("count", [2.5, True, 0, -1, None])
+@pytest.mark.parametrize("caller", COUNT_CHECKED)
+def test_count_rule_rejects_counts_off_the_rule(caller, count):
+    call, valid = COUNT_CHECKED[caller]
+    call(valid)
+    # Rejected by the rule itself as a plain ValueError, not as a TypeError or a silent truncation.
+    with pytest.raises(ValueError, match="must be an integer >= 1") as excinfo:
+        call(count)
     assert excinfo.type is ValueError

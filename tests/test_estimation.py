@@ -153,14 +153,16 @@ def test_omp_preconditions(two_path):
         omp_estimate(meas, np.zeros((0, 3)), 1)
 
 
-def test_measurement_set_rejects_non_finite_inputs():
+def test_measurement_set_rejects_non_finite_inputs(two_path):
     positions, samples = np.zeros((2, 3)), np.ones(2, dtype=complex)
     bad_positions, bad_samples = positions.copy(), samples.copy()
     bad_positions[1, 0], bad_samples[0] = np.nan, np.inf
-    for p, y, noise_var in ((bad_positions, samples, 0.0), (positions, bad_samples, 0.0),
-                            (positions, samples, np.nan), (positions, samples, -1.0)):
+    for p, y in ((bad_positions, samples), (positions, bad_samples)):
         with pytest.raises(ValueError):
-            MeasurementSet(p, y, noise_var)
+            MeasurementSet(p, y)
+    for noise_var in (np.nan, np.inf, -1.0):  # refused under the noise's own name
+        with pytest.raises(ValueError, match="noise_var must be finite and nonnegative"):
+            simulate_measurements(two_path, positions, noise_var)
 
 
 def test_omp_rejects_more_paths_than_atoms(two_path):

@@ -7,8 +7,8 @@ import pytest
 import masim.positioning as positioning
 import masim.util as util
 from conftest import brute_force_power_scan
-from masim.channel import (ChannelSpec, Region, channel_gain, direction_from_angles, field_on_grid,
-                           sample_stochastic_channel)
+from masim.channel import (ChannelSpec, Region, _grid_product, channel_gain, direction_from_angles,
+                           field_on_grid, sample_stochastic_channel)
 from masim.positioning import SearchConfig, level_trials, max_sinr_position, max_snr_position, snr_gradient
 
 
@@ -392,16 +392,15 @@ def test_merged_refine_matches_single_region_calls(case, kind, refine):
 
 @pytest.fixture
 def ranked_tiles(monkeypatch):
-    """Copies of the level tiles every ranking scans while the test runs: one list of (Tb, points)
-    tiles per block of trials."""
-    ranked, rank = [], positioning._rank
+    """The shape (Tb, rows, *sides[1:]) of every tile the coarse scans compute while the test
+    runs, once per channel: the ``out`` of each of their grid products."""
+    shapes, product = [], positioning._grid_product
 
-    def recording(tiles):
-        block = []
-        ranked.append(block)
-        return rank((offset, block.append(values.copy()) or values) for offset, values in tiles)
-    monkeypatch.setattr(positioning, "_rank", recording)
-    return ranked
+    def recording(tables, out=None):
+        shapes.append(out.shape)
+        return product(tables, out=out)
+    monkeypatch.setattr(positioning, "_grid_product", recording)
+    return shapes
 
 
 @pytest.mark.parametrize("kind", ["snr", "sinr"])
@@ -417,28 +416,37 @@ def test_tiles_merge_to_the_reference_values(monkeypatch, ranked_tiles, case, ki
     values, tiled = positioning._sweep(kind, num_paths, [region], trials, 21, cfg)
     assert values[0].tobytes() == reference_trials(kind, num_paths, region, trials, 21, cfg).tobytes()
     assert all(tiled[name].tobytes() == counts.tobytes() for name, counts in work.items())
-    tiles, sizes = {len(block) for block in ranked_tiles}, {len(block[0]) for block in ranked_tiles}
+    rows = len(region.grid_coords(step)[0]) if region.free_axes else None
+    sizes, spans = {shape[0] for shape in ranked_tiles}, {shape[1] for shape in ranked_tiles}
+    # A tile of more than one trial covers every row of the grid.
+    assert all(shape[1] == rows for shape in ranked_tiles if shape[0] > 1)
     if case in ("grid-over-block", "L=2", "far-off"):
-        assert min(tiles) > 1 and sizes == {1}
+        assert max(spans) < rows and sizes == {1}
     if case in ("1-axis", "2-axes", "3-axes"):
-        assert tiles == {1} and max(sizes) > 1
+        assert spans == {rows} and max(sizes) > 1
 
 
-def test_later_tiles_win_only_when_strictly_larger():
+def test_later_tiles_win_only_when_strictly_larger(monkeypatch, ranked_tiles):
     # One path, 4 x 2 grids of |a_i b_j|^2 in tiles of one row: the first trial peaks at 4 in
     # rows 1 and 3, the second at 4 in row 1, then at 9 in row 3.
     a = np.array([[1, 2, 0.5, 2], [1, 2, 0.5, 3]], dtype=complex)[..., None]
     b = np.array([[1, 0.5], [1, 0.5]], dtype=complex)[..., None]
     level = positioning._snr_level(1.0)
-    buffers = np.empty((2, 1, 2), dtype=complex), np.empty((1, 2, 1, 2))
-    tiles = lambda: positioning._tiles([[a, b]], level, *buffers)
-    assert [values.shape for _, values in tiles()] == [(2, 2)] * 4
+    monkeypatch.setattr(util, "_BLOCK_ELEMENTS", 2)
+    channel = [(np.zeros((1, 1, 3)), np.ones((1, 1), dtype=complex))]
+    start, peak = [], []
+    for t in range(2):  # each trial as a one-trial scan of its own tables
+        monkeypatch.setattr(positioning, "_axis_tables", lambda *args: [a[t:t + 1], b[t:t + 1]])
+        ranked_tiles.clear()
+        (first,), (top,) = positioning._coarse(channel, level, Region.square(1.0), [4, 2], 0.25, None)
+        assert ranked_tiles == [(1, 1, 2)] * 4
+        start.append(int(first))
+        peak.append(float(top))
     # The scan keeps the first of the first trial's equal maxima in rows 1 and 3, as the whole
     # map's argmax does.
-    start, peak = positioning._rank(tiles())
-    whole = level(positioning._power(positioning._grid_product([a, b]))).reshape(2, -1)
-    assert start.tolist() == whole.argmax(axis=1).tolist() == [2, 6] and peak.tolist() == [4, 9]
-    assert peak.tobytes() == whole.max(axis=1).tobytes()
+    whole = level(positioning._power(_grid_product([a, b]))).reshape(2, -1)
+    assert start == whole.argmax(axis=1).tolist() == [2, 6] and peak == [4, 9]
+    assert np.array(peak).tobytes() == whole.max(axis=1).tobytes()
 
 
 # (kind, path count, refine): refined SINR sweeps and SNR sweeps of one and two paths, and an
