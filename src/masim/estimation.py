@@ -63,8 +63,8 @@ def cosine_grid_dictionary(grid_size: int = 64) -> np.ndarray:
     dropped, the rest lifted to unit vectors (u, v, sqrt(1-u^2-v^2)) and
     returned as a (G, 3) array.
     """
-    if _count(grid_size, "grid_size") < 2:
-        raise ValueError("grid_size must be at least 2")
+    if _count(grid_size, "grid_size") < 3:
+        raise ValueError(f"grid_size must be at least 3 (a smaller grid has no atom in the disk), got {grid_size}")
     u = np.linspace(-1.0, 1.0, grid_size)
     uu, vv = np.meshgrid(u, u, indexing="ij")
     uu, vv = uu.ravel(), vv.ravel()
@@ -131,8 +131,9 @@ def plan_measurement_positions(region: Region, num_positions: int,
 
 
 def simulate_measurements(spec: ChannelSpec, positions, noise_var: float, seed=0) -> MeasurementSet:
-    """Synthetic sounding: y_k = h(r_k) + CSCG noise of the given variance."""
-    _levels(noise_var, "noise_var")
+    """Synthetic sounding: y_k = h(r_k) + CSCG noise of the given variance, one level."""
+    if _levels(noise_var, "noise_var").ndim:
+        raise ValueError(f"noise_var must be one level, got {noise_var!r}")
     p = np.asarray(positions, dtype=float)
     clean = np.asarray(channel_gain(spec, p))
     if noise_var > 0:

@@ -35,6 +35,14 @@ def _near(points: np.ndarray, others: np.ndarray) -> np.ndarray:
     return gaps < MIN_SPACING - _SPACING_SLACK
 
 
+def _grid_near(shape: tuple[int, ...], step: float) -> np.ndarray:
+    """(*shape, *shape) view: entry g is ``_near`` of grid point g against a grid of ``shape`` and ``step``."""
+    squares = sum(np.meshgrid(*((np.arange(1 - n, n) * step) ** 2 for n in shape), indexing="ij", sparse=True))
+    table = np.sqrt(squares) < MIN_SPACING - _SPACING_SLACK  # on the offsets 1-n ... n-1 of each axis
+    # Window n-1-g of the table holds the offsets c - g of every grid point c; flipped, it is entry g.
+    return np.flip(np.lib.stride_tricks.sliding_window_view(table, shape), tuple(range(len(shape))))
+
+
 def tx_ula(num_elements: int) -> np.ndarray:
     """Tx positions (N, 3): a ULA of ``num_elements`` (an integer >= 1) along x at the origin,
     MIN_SPACING apart."""
@@ -137,18 +145,13 @@ def capacity_waterfilling(h_matrix, rho_total: float) -> WaterfillingResult:
 
 
 def _initial_ula_placement(region: Region, num_rx: int) -> np.ndarray:
-    axes = region.free_axes
-    if not axes:
+    if not region.free_axes:
         raise ValueError("region has no free axis to host the antennas")
-    axis = max(axes, key=lambda a: region.extents[a])
-    needed = (num_rx - 1) * MIN_SPACING
-    if needed > region.extents[axis] + 1e-12:
-        raise ValueError(
-            f"region too small to host {num_rx} antennas at "
-            f"{MIN_SPACING} wavelength spacing")
+    axis = max(region.free_axes, key=lambda a: region.extents[a])
+    if (num_rx - 1) * MIN_SPACING > region.extents[axis] + 1e-12:
+        raise ValueError(f"region too small to host {num_rx} antennas at {MIN_SPACING} wavelength spacing")
     positions = np.tile(region.center, (num_rx, 1))
-    offsets = (np.arange(num_rx) - (num_rx - 1) / 2.0) * MIN_SPACING
-    positions[:, axis] = region.center[axis] + offsets
+    positions[:, axis] += (np.arange(num_rx) - (num_rx - 1) / 2.0) * MIN_SPACING
     return positions
 
 
@@ -172,7 +175,6 @@ def greedy_rx_placement(spec: ChannelSpec, region: Region, num_rx: int, tx_posit
     rho = _levels(rhos)
     if rho.ndim != 1 or rho.size < 1:
         raise ValueError(f"rhos must be a sequence of at least one level, got {rhos!r}")
-    rho = rho.reshape(-1, 1)
     t = _points(tx_positions, "tx positions")
     if np.triu(_near(t, t), 1).any():
         raise ValueError(f"tx antenna positions must be at least {MIN_SPACING} wavelengths apart")
@@ -180,14 +182,16 @@ def greedy_rx_placement(spec: ChannelSpec, region: Region, num_rx: int, tx_posit
         raise ValueError("every path needs a departure direction for MIMO channels")
     start = _initial_ula_placement(region, num_rx)
     coords = region.grid_coords(step)
-    candidates = region.grid_position(coords, np.arange(math.prod(c.size for c in coords)))
+    shape = tuple(c.size for c in coords)
+    candidates = region.grid_position(coords, np.arange(math.prod(shape)))
     rows = _channel_rows(spec, t, candidates)
     h = np.repeat(_channel_rows(spec, t, start)[None], rho.size, axis=0)
-    a = rho[:, 0] / len(t)
-    initial = _capacity_batch(h, rho, len(t))
+    a = rho / len(t)
+    initial = _capacity_batch(h, rho[:, None], len(t))
     capacity = initial.copy()
     positions = np.repeat(start[None], rho.size, axis=0)
     near = np.repeat(_near(candidates, start)[None], rho.size, axis=0)  # [s, k, c]: c too near antenna k
+    grid_near = _grid_near(shape, step)
 
     live = np.arange(rho.size)  # the running searches, whose state the arrays above hold
     final_positions, final_h = np.empty_like(positions), np.empty_like(h)
@@ -203,7 +207,7 @@ def greedy_rx_placement(spec: ChannelSpec, region: Region, num_rx: int, tx_posit
             capacity[up] = gain[up]
             positions[up, m] = candidates[best[up]]
             h[up, m] = rows[best[up]]
-            near[up, m] = _near(candidates, positions[up, m])
+            near[up, m] = grid_near[np.unravel_index(best[up], shape)].reshape(-1, len(candidates))
         for i, c in zip(live, capacity):
             pass_capacities[i].append(float(c))
         going = ~(capacity - before < _TOL_BITS)
@@ -212,4 +216,4 @@ def greedy_rx_placement(spec: ChannelSpec, region: Region, num_rx: int, tx_posit
             x[going] for x in (live, h, a, capacity, positions, near))
         if not live.size:
             break
-    return final_positions, initial, _capacity_batch(final_h, rho, len(t)), pass_capacities
+    return final_positions, initial, _capacity_batch(final_h, rho[:, None], len(t)), pass_capacities

@@ -92,6 +92,21 @@ def test_simulate_measurements_deterministic(two_path):
         simulate_measurements(two_path, pos, -0.1)
 
 
+@pytest.mark.parametrize("noise_var", [[0.1, 0.2], np.array([0.1, 0.2]), [0.1]], ids=["list", "array", "one-list"])
+def test_simulate_measurements_takes_one_noise_level(two_path, noise_var):
+    # A sequence is rejected by name before any sounding, not by a comparison with 0.
+    with pytest.raises(ValueError, match="noise_var must be one level"):
+        simulate_measurements(two_path, np.zeros((2, 3)), noise_var)
+
+
+@pytest.mark.parametrize("grid_size", [1, 2])
+def test_cosine_dictionary_without_atoms_is_rejected_by_grid_size(grid_size):
+    # A 2 x 2 grid's points (+-1, +-1) all lie outside the cosine disk; 3 is the smallest grid with atoms.
+    with pytest.raises(ValueError, match="grid_size must be at least 3"):
+        cosine_grid_dictionary(grid_size)
+    assert cosine_grid_dictionary(3).shape == (5, 3)
+
+
 def test_omp_single_path_matched_filter_first_pick():
     dictionary = cosine_grid_dictionary(64)
     spec_seed, pos_seed = OMP_EXAMPLE_SEEDS["L1_K8"]

@@ -6,7 +6,7 @@ import pytest
 
 from masim.channel import (MIN_SPACING, ChannelSpec, Region, channel_gain,
                            direction_from_angles, sample_stochastic_channel)
-from masim.mimo import (_capacity_batch, _channel_rows, _initial_ula_placement,
+from masim.mimo import (_capacity_batch, _channel_rows, _grid_near, _initial_ula_placement, _near,
                         _row_replacement_capacities, capacity_identity_cov, capacity_waterfilling,
                         greedy_rx_placement, tx_ula)
 
@@ -419,6 +419,40 @@ def test_greedy_search_memory_does_not_grow_with_candidates_squared():
     finally:
         tracemalloc.stop()
     assert peak < 16 * 2 ** 20
+
+
+STENCIL_REGIONS = {  # off-origin regions, so the grid coordinates carry rounding
+    "1-axis": Region([-1.3, 0.0, 0.2], [2.6, 0.0, 0.0]),
+    "2-axis": Region([0.7, -2.1, 0.0], [2.0, 1.5, 0.0]),
+    "3-axis": Region([-0.45, 0.3, 1.1], [1.0, 0.8, 0.6]),
+    "10-lambda": Region.square(10.0),
+}
+STENCIL_GRIDS = [(name, step) for name in ("1-axis", "2-axis", "3-axis")
+                 for step in (0.05, 0.1, 0.125, 0.25, 0.3, 1 / 6, 1 / 14, 1 / 30)] + [("10-lambda", 0.1)]
+
+
+@pytest.mark.parametrize("name, step", STENCIL_GRIDS, ids=[f"{n}-{s:.4g}" for n, s in STENCIL_GRIDS])
+def test_grid_near_windows_equal_near_at_every_grid_point(name, step):
+    # The window of _grid_near at grid point b equals _near of the candidates against point b, at
+    # every grid point, or at 2,000 sampled ones on a larger grid.  At steps 0.1 and 0.125 some
+    # gaps land on MIN_SPACING itself.
+    region = STENCIL_REGIONS[name]
+    coords = region.grid_coords(step)
+    shape = tuple(c.size for c in coords)
+    candidates = region.grid_position(coords, np.arange(math.prod(shape)))
+    points = np.arange(len(candidates))
+    if len(points) > 2000:
+        points = np.random.default_rng(len(points)).choice(points, 2000, replace=False)
+    grid_near = _grid_near(shape, step)
+    assert grid_near.shape == shape + shape
+    for b in np.array_split(points, -(-len(points) // 100)):
+        windows = grid_near[np.unravel_index(b, shape)].reshape(len(b), -1)
+        np.testing.assert_array_equal(windows, _near(candidates, candidates[b]))
+    # Not a vacuous match: along the first axis from a corner, the point k - 1 steps away is too
+    # near and the point k steps away, at least MIN_SPACING, is not.
+    k = math.ceil(MIN_SPACING / step - 1e-6)
+    corner = grid_near[(0,) * len(shape)]
+    assert corner[(k - 1,) + (0,) * (len(shape) - 1)] and not corner[(k,) + (0,) * (len(shape) - 1)]
 
 
 def test_waterfilling_rejects_bad_inputs():
