@@ -58,13 +58,16 @@ def _count(n, name: str) -> int:
     return int(n)
 
 
-def _levels(levels, name: str = "rho", positive: bool = False) -> np.ndarray:
+def _levels(levels, name: str = "rho", positive: bool = False, one: bool = False):
     """``levels`` (a linear SNR level or several, or a noise variance) as a float array, each finite
-    and >= 0, or > 0 when ``positive``.  The one home of this rule; anything else raises ValueError."""
+    and >= 0, or > 0 when ``positive``; with ``one``, a single level, as a float.  The one home of
+    this rule; anything else raises ValueError."""
     rho = np.array(levels, dtype=float)
+    if one and rho.ndim:
+        raise ValueError(f"{name} must be one level, got {levels!r}")
     if not (np.isfinite(rho).all() and ((rho > 0) if positive else (rho >= 0)).all()):
         raise ValueError(f"{name} must be finite and {'positive' if positive else 'nonnegative'}, got {levels}")
-    return rho
+    return float(rho) if one else rho
 
 
 def grid_count(extent: float, step: float) -> int:

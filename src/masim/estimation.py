@@ -132,8 +132,7 @@ def plan_measurement_positions(region: Region, num_positions: int,
 
 def simulate_measurements(spec: ChannelSpec, positions, noise_var: float, seed=0) -> MeasurementSet:
     """Synthetic sounding: y_k = h(r_k) + CSCG noise of the given variance, one level."""
-    if _levels(noise_var, "noise_var").ndim:
-        raise ValueError(f"noise_var must be one level, got {noise_var!r}")
+    noise_var = _levels(noise_var, "noise_var", one=True)
     p = np.asarray(positions, dtype=float)
     clean = np.asarray(channel_gain(spec, p))
     if noise_var > 0:

@@ -94,7 +94,7 @@ def capacity_identity_cov(h_matrix, rho: float) -> float:
     total transmit SNR and ``N`` the number of transmit antennas, the
     column count of H.
     """
-    _levels(rho)
+    rho = _levels(rho, one=True)
     h = _matrix(h_matrix)
     return float(_capacity_batch(h, rho, h.shape[1]))
 
@@ -121,7 +121,7 @@ def capacity_waterfilling(h_matrix, rho_total: float) -> WaterfillingResult:
     Solves max sum log2(1 + p_k s_k^2) subject to sum p_k = rho_total,
     p_k >= 0 by the active-set water-filling rule.
     """
-    _levels(rho_total, "rho_total", positive=True)
+    rho_total = _levels(rho_total, "rho_total", positive=True, one=True)
     s = np.linalg.svd(_matrix(h_matrix), compute_uv=False)
     gains = s ** 2
     active = gains > gains.max() * 1e-15 if gains.size and gains.max() > 0 else np.zeros_like(gains, bool)

@@ -7,11 +7,12 @@ draw per trial serves every region size, one kernel computes the coarse
 fields of a block of trials, and one refine moves the searches of every
 region and trial of the block in lockstep.  Every coarse grid is read from the
 split phase tables of ``channel._axis_tables`` in row tiles of bounded size, so its
-memory does not grow with the grid: one loop computes each tile and keeps each
-trial's first best point, and a block of more than one trial always fits in one
-tile.  A map that cannot vary (a point region, or one path per channel) takes its
-closed form instead.  An analytic power gradient is provided for local
-optimization studies.
+memory does not grow with the grid: one loop ranks each tile's rows in single
+precision, a rounding-error certificate picks the rows that may hold each trial's
+maximum, and only those are recomputed in double precision, which gives every
+value and start its whole double-precision map's bits.  A map that cannot vary (a
+point region, or one path per channel) takes its closed form instead.  An
+analytic power gradient is provided for local optimization studies.
 """
 
 from __future__ import annotations
@@ -23,6 +24,7 @@ import numpy as np
 
 from .channel import (ChannelSpec, Region, _axis_tables, _collapsed, _count, _grid_product, _levels,
                       _points, _stochastic_paths, field_on_grid, field_response)
+from . import util
 from .util import _blocks
 
 __all__ = [
@@ -54,19 +56,25 @@ class SearchConfig:
 
 
 def _power(h, out=None) -> np.ndarray:
-    """``|h|**2``, computed in place in one new array or in ``out``: coarse maps are a sweep's
-    largest arrays.  ``h.real**2 + h.imag**2`` is faster on small tiles, but its last bits differ,
-    and the sweeps' values are defined by ``np.abs``'s."""
+    """``|h|**2`` in ``h``'s precision, into one new array or ``out``: coarse maps are a sweep's
+    largest arrays.  A complex128 field takes ``np.abs`` squared, whose bits define the sweeps'
+    values; a complex64 ranking tile, which it overwrites, takes ``re**2 + im**2``."""
+    if h.dtype == np.complex64:
+        parts = np.square(h.view(np.float32), out=h.view(np.float32))  # re**2, im**2 interleaved
+        return np.add(parts[..., ::2], parts[..., 1::2], out=out)
     p = np.abs(h, out=out)
     return np.square(p, out=p)
 
 
-# The objectives, as functions of the channels' powers |h|**2, which they overwrite: the SNR
-# of one channel, and the SINR of a signal channel against an interference channel.
-_snr_level = lambda rho: lambda p: np.multiply(p, rho, out=p)
+def _level(rhos):
+    """The objective of one linear level per channel, as a function of the channels' powers
+    |h|**2, which it overwrites in their precision (the levels are Python floats): the SNR
+    ``rho * p`` of one channel, or the SINR ``rho_s * ps / (rho_i * pi + 1)`` of a signal channel
+    against an interference channel."""
+    if len(rhos) == 1:
+        return lambda p: np.multiply(p, rhos[0], out=p)
+    rho_s, rho_i = rhos
 
-
-def _sinr_level(rho_s: float, rho_i: float):
     def level(ps, pi):
         pi *= rho_i  # rho_i * |hi|**2 + 1, then the SINR, in place
         pi += 1.0
@@ -78,26 +86,78 @@ def _sinr_level(rho_s: float, rho_i: float):
 # The linear signal and interference level at the reference point, 20 dB:
 # under the stochastic sampler the expected power gain there is 1.
 _REF_LEVEL = 100.0
-# Per sweep kind, the objective and the RNG stream suffix of each channel it reads.
-_SWEEP_LEVELS = {"snr": (_snr_level(_REF_LEVEL), [()]),
-                 "sinr": (_sinr_level(_REF_LEVEL, _REF_LEVEL), [(), (1,)])}
+# Per sweep kind, the RNG stream suffix of each channel its objective reads, each at _REF_LEVEL.
+_SWEEP_STREAMS = {"snr": [()], "sinr": [(), (1,)]}
+
+# The certificate of _coarse's float32 ranking (Higham, "Accuracy and Stability of Numerical
+# Algorithms", ch. 3; u = 2^-24, gamma_n = n u / (1 - n u)).  A grid entry h over L paths sums,
+# over l, the product of one entry of each of k <= 3 tables: the first has modulus |c_l| times a
+# phase's, the others are phases, so the terms' moduli sum to S = sum_l |c_l| (within 1e-14 S).
+# From the same tables, the complex64 entry h32 lies within
+#     dh = e u S + (8 L + 16) 2^-149,   e = 2.9 L + 3 for k = 2, else 1.5 L + 9,
+# of the complex128 entry h64:
+#   - rounding the tables to complex64 moves each term by at most k u of its modulus;
+#   - for k = 2 each component of h sums 2L real products, in any order and with or without fused
+#     multiply-adds: sqrt(2) gamma_2L S; for k = 3 a term's two complex products take
+#     sqrt(2) gamma_2 each and the sum sqrt(2) gamma_L; for k = 1 the sum alone;
+#   - h64's own error is 2^29 times smaller, and underflow adds at most 2^-150 per real product or
+#     rounded entry.
+# So ||h32|^2 - |h64|^2| <= (2S + dh) dh.  rho times that, plus 2^-147 for the underflow of the
+# float32 power and level, is the absolute error A of rho_s |hs|^2, and B of rho_i |hi|^2.  The
+# float32 power (gamma_2), each rho's float32 copy and product, and the SINR's + 1 and quotient
+# take at most 4 roundings for SNR and 10 for SINR.  So with v' the level of the float32 fields'
+# exact powers and r = 5u or 11u, which also covers the float64 side's roundings, every point has
+#     v64 <= (v' + A) / (1 - B) <= (v32 (1 + r) + A) / (1 - B)   and
+#     v64 >= (v' - A) / (1 + B) >= (v32 (1 - r) - A) / (1 + B)    (0 <= B < 1; B = 0 for SNR).
+# A channel whose float32 power or level may overflow (max(rho, 1) (S + dh)^2 near 2^128), or whose
+# rho is below float32's smallest normal number, 2^-126, but not 0, takes the error inf, which sets
+# its trials' threshold in _candidates to -inf.
 
 
-def _search(channels, level, regions, cfg: SearchConfig, coarse=None):
-    """Best positions (R, T, 3), values (R, T) and work of ``level``'s search over each of R regions for
-    each of T trials: ``work`` maps "coarse_points" and "refine_evaluations" to (R, T) counts.
+def _ranking_errors(coefficients, rhos, axes: int):
+    """The certificate's (A, B, r) of ``rhos``' level on a grid of ``axes`` free axes; A and B (T,)
+    from the T trials' coefficients (T, L) of each channel."""
+    errors = []
+    for c, rho in zip(coefficients, rhos):
+        s, paths = np.abs(c).sum(axis=1), c.shape[1]
+        e = 2.9 * paths + 3 if axes == 2 else 1.5 * paths + 9
+        dh = (e * s + (8 * paths + 16) * 2.0 ** -125) * 2.0 ** -24
+        fits = (max(rho, 1.0) * (s + dh) ** 2 < 2.0 ** 120) & (rho == 0 or rho >= 2.0 ** -126)
+        errors.append(np.where(fits, rho * (2 * s + dh) * dh + 2.0 ** -147, np.inf))
+    if len(errors) == 1:
+        return errors[0], np.zeros_like(errors[0]), 5 * 2.0 ** -24
+    return errors[0], errors[1], 11 * 2.0 ** -24
 
-    ``channels`` holds one ``(directions (T, L, 3), coefficients (T, L))`` pair per argument of
-    ``level``, which maps those channels' powers to the objective.  A map without a phase <d_l - d_1, r>
-    (a point region, or one path per channel) is constant: its one point, the region's origin, gives its
-    value, with no scan or refine.  Each other (region, trial) search starts from its first best point
-    of :func:`_coarse`'s scan of every grid point (``coarse`` is its one-trial hook); with ``cfg.refine``,
-    the searches of all regions with the same free axes then take one :func:`_refine`, which counts
-    1 + 2 * |axes| evaluations per iteration a search takes.
+
+def _candidates(tops, a, b, r) -> np.ndarray:
+    """The rows (T, n) whose float64 maximum may reach their trial's: from the float32 maxima
+    ``tops`` (T, n) of every row and the certificate's (A, B, r), each row whose upper bound
+    (v32 (1 + r) + A) / (1 - B) is not below its trial's lower bound (top (1 - r) - A) / (1 + B).
+    A trial whose top is not finite or whose B is at least 1/2 keeps every row.  The slack of r
+    covers the rounding of the threshold."""
+    top = tops.max(axis=1).astype(float)
+    cut = ((top * (1 - r) - a) / (1 + b) * (1 - b) - a) / (1 + r)
+    cut[~(np.isfinite(top) & (b < 0.5))] = -np.inf
+    return ~(tops < cut[:, None])
+
+
+def _search(channels, rhos, regions, cfg: SearchConfig, coarse=None):
+    """Best positions (R, T, 3), values (R, T) and work of the search of :func:`_level` of ``rhos``
+    over each of R regions for each of T trials: ``work`` maps "coarse_points",
+    "coarse_rescan_rows" and "refine_evaluations" to (R, T) counts.
+
+    ``channels`` holds one ``(directions (T, L, 3), coefficients (T, L))`` pair per level of
+    ``rhos``.  A map without a phase <d_l - d_1, r> (a point region, or one path per channel) is
+    constant: its one point, the region's origin, gives its value, with no scan or refine.  Each other
+    (region, trial) search starts from its first best point of :func:`_coarse`'s scan of every grid
+    point (``coarse`` is its one-trial hook), which counts the grid rows it computes in float64; with
+    ``cfg.refine``, the searches of all regions with the same free axes then take one :func:`_refine`,
+    which counts 1 + 2 * |axes| evaluations per iteration a search takes.
     """
-    trials = len(channels[0][1])
+    trials, level = len(channels[0][1]), _level(rhos)
     x, best = np.empty((len(regions), trials, 3)), np.empty((len(regions), trials))
-    work = {name: np.zeros(best.shape, dtype=int) for name in ("coarse_points", "refine_evaluations")}
+    work = {name: np.zeros(best.shape, dtype=int)
+            for name in ("coarse_points", "coarse_rescan_rows", "refine_evaluations")}
     flat = all(c.shape[1] == 1 for _, c in channels)
     for i, region in enumerate(regions):
         if flat or not region.free_axes:
@@ -106,7 +166,8 @@ def _search(channels, level, regions, cfg: SearchConfig, coarse=None):
             continue
         coords = region.grid_coords(cfg.coarse_step)
         sides = [len(c) for c in coords]
-        start, best[i] = _coarse(channels, level, region, sides, cfg.coarse_step, coarse)
+        start, best[i], work["coarse_rescan_rows"][i] = _coarse(channels, rhos, region, sides, cfg.coarse_step,
+                                                                coarse)
         x[i], work["coarse_points"][i] = region.grid_position(coords, start), math.prod(sides)
     for axes in dict.fromkeys(r.free_axes for r in regions if cfg.refine and r.free_axes and not flat):
         group, free = [i for i, r in enumerate(regions) if r.free_axes == axes], list(axes)
@@ -120,40 +181,94 @@ def _search(channels, level, regions, cfg: SearchConfig, coarse=None):
     return x, best, work
 
 
-def _coarse(channels, level, region: Region, sides, step: float, coarse):
+def _coarse(channels, rhos, region: Region, sides, step: float, coarse):
     """The coarse stage of :func:`_search` on one region of ``sides`` grid points per free axis,
-    whose map varies: each trial's first best grid point (flat index) and its value, each (T,).
+    whose map varies: each trial's first best grid point (flat index), its value and the number of
+    grid rows it computed in float64, each (T,).
 
-    One loop scans each block of trials in tiles of rows of :func:`_axis_tables`' first table, each
-    of at most util._BLOCK_ELEMENTS points or one row of one trial, in one ``field`` and one
-    ``powers`` buffer.  A tile's maximum replaces a trial's best only when it is strictly larger, so
-    the first of equal maxima wins, as in the whole map's argmax.  By :func:`_blocks`' sizing, a
-    block of more than one trial always fits in one tile: only one-trial blocks span several.  A
-    one-trial grid that fits one tile reads its fields (1, *grid) per channel from ``coarse(region)``
-    instead, when given."""
+    The scan takes two precisions.  Each block of trials is ranked in tiles of rows of
+    :func:`_axis_tables`' first table, each of at most util._BLOCK_ELEMENTS points or one row of
+    one trial, from complex64 copies of the tables; only each row's float32 maximum is kept.  By
+    :func:`_blocks`' sizing, a block of more than one trial always fits in one tile: only one-trial
+    blocks span several.  Then for each group of blocks whose tables hold at most
+    util._BLOCK_ELEMENTS entries (or one block), :func:`_rescan` recomputes in float64 just the rows
+    that :func:`_candidates` keeps, so every start and value is that of the float64 map's first
+    maximum.  A trial whose float32 levels the certificate cannot bound rescans every row.  A
+    one-trial grid that fits one tile reads its fields (1, *grid) per channel from
+    ``coarse(region)`` instead, when given, all in float64."""
     trials, num_paths = channels[0][1].shape
-    blocks = _blocks(trials, max([math.prod(sides)] + [n * num_paths for n in sides]))
-    rows = _blocks(sides[0], blocks[0].stop * math.prod(sides[1:]))[0].stop
+    level, width = _level(rhos), math.prod(sides[1:])
+    block = _blocks(trials, max([math.prod(sides)] + [n * num_paths for n in sides]))[0].stop
+    rows = _blocks(sides[0], block * width)[0].stop
     if coarse is not None and rows == sides[0]:
         values = level(*map(_power, coarse(region))).reshape(1, -1)
-        return values.argmax(axis=1), values.max(axis=1)
-    start, best = np.zeros(trials, dtype=int), np.full(trials, -np.inf)
-    field = np.empty((blocks[0].stop, rows, *sides[1:]), dtype=complex)
-    powers = np.empty((len(channels), *field.shape))
-    for blk in blocks:
-        tables = [_axis_tables(d[blk], c[blk], region, step) for d, c in channels]
-        size, first, peak = blk.stop - blk.start, start[blk], best[blk]  # views of start and best
-        for row in range(0, sides[0], rows):
-            count = min(rows, sides[0] - row)
-            maps = powers[:, :size, :count]
+        return values.argmax(axis=1), values.max(axis=1), np.full(1, sides[0])
+    start, best, rescanned = np.zeros(trials, dtype=int), np.full(trials, -np.inf), np.zeros(trials, dtype=int)
+    # The rescan's float64 buffers, which hold 2 rows of a trial or more, and in their memory the
+    # float32 tiles'.
+    field = np.empty(-(-block * max(rows, 4) * width // 2), dtype=complex)
+    powers = np.empty((len(channels), len(field)))
+    tile = (block, rows, *sides[1:])
+    field32 = field.view(np.complex64)[:math.prod(tile)].reshape(tile)
+    powers32 = powers.view(np.float32)[:, :math.prod(tile)].reshape(len(channels), *tile)
+    group = block * max(1, util._BLOCK_ELEMENTS // (len(channels) * num_paths * sum(sides)) // block)
+    tops = np.empty((min(group, trials), sides[0]), dtype=np.float32)
+    a, b, r = _ranking_errors([c for _, c in channels], rhos, len(sides))
+    with np.errstate(over="ignore", invalid="ignore"):  # a float32 overflow sets the threshold -inf
+        for g in range(0, trials, group):
+            grp = slice(g, min(g + group, trials))
+            tables = [_axis_tables(d[grp], c[grp], region, step) for d, c in channels]
+            top = tops[:grp.stop - g]
+            for t in range(0, grp.stop - g, block):
+                blk = slice(t, min(t + block, grp.stop - g))
+                singles = [[table[blk].astype(np.complex64) for table in ts] for ts in tables]
+                for row in range(0, sides[0], rows):
+                    size, count = blk.stop - t, min(rows, sides[0] - row)
+                    maps = powers32[:, :size, :count]
+                    for (head, *rest), power in zip(singles, maps):
+                        _power(_grid_product([head[:, row:row + count], *rest], out=field32[:size, :count]), out=power)
+                    # rho * p is monotone: the SNR takes the level of its rows' maxima, below.
+                    values = maps[0] if len(maps) == 1 else level(*maps)
+                    values.reshape(size, count, -1).max(axis=-1, out=top[blk, row:row + count])
+            if len(channels) == 1:
+                level(top)
+            candidates = _candidates(top, a[grp], b[grp], r)
+            rescanned[grp] = _rescan(tables, candidates, level, field, powers, sides[1:], start[grp], best[grp])
+    return start, best, rescanned
+
+
+def _rescan(tables, candidates, level, field, powers, shape, first, peak) -> np.ndarray:
+    """Recompute in float64, from the ``tables`` of T trials, the rows ``candidates`` (T, n) of each
+    trial into ``field`` and ``powers``, and set ``first`` and ``peak`` (T,) to a row's first
+    maximum where it is strictly larger; the rows computed per trial (T,).
+
+    The trials of one product take the same number of rows, each its candidates in order and then
+    other rows, which never win.  A product takes at least 2 rows, as a one-row product takes
+    another BLAS path whose last bits differ from the whole map's: one that would hold one row also
+    takes the row before it, which ties and never wins.  A one-row grid is one row in the whole
+    map too."""
+    n, width = candidates.shape[1], math.prod(shape)
+    need = np.minimum(n, np.maximum(2, candidates.sum(axis=1)))
+    picks = np.argsort(~candidates, axis=1, kind="stable")  # each trial's candidates first, in order
+    per = max(1, len(field) // (need.max() * width))  # trials per product
+    for t in range(0, len(need), per):
+        sub, k = slice(t, t + per), need[t:t + per].max()
+        trial = np.arange(len(need[sub]))
+        rows = max(2, len(field) // (len(trial) * width))  # rows per product
+        for j in range(0, k, rows):
+            pick = picks[sub, max(0, min(j, k - 2)):min(j + rows, k)]
+            out = field[:pick.size * width].reshape(*pick.shape, *shape)
+            maps = powers[:, :out.size].reshape(len(powers), *out.shape)
             for (head, *rest), power in zip(tables, maps):
-                _power(_grid_product([head[:, row:row + count], *rest], out=field[:size, :count]), out=power)
-            values = level(*maps).reshape(size, -1)
+                part = [head[sub][trial[:, None], pick], *[table[sub] for table in rest]]
+                _power(_grid_product(part, out=out), out=power)
+            values = level(*maps).reshape(len(trial), -1)
             at = values.argmax(axis=1)
-            value = values[np.arange(size), at]
-            new = value > peak
-            first[new], peak[new] = at[new] + row * math.prod(sides[1:]), value[new]
-    return start, best
+            value = values[trial, at]
+            new = value > peak[sub]
+            first[sub][new], peak[sub][new] = (pick[trial, at // width] * width + at % width)[new], value[new]
+        need[sub] = k
+    return need
 
 
 def _refine(channels, level, x, trial, lo, hi, free, step):
@@ -192,14 +307,14 @@ def _refine(channels, level, x, trial, lo, hi, free, step):
     return fx, taken
 
 
-def _position(specs, make_level, region: Region, cfg: SearchConfig | None, *rhos):
-    """:func:`_search` as one trial of ``make_level(*rhos)`` over the channels ``specs``: ``(position, value)``."""
-    _levels(rhos)
+def _position(specs, rhos, region: Region, cfg: SearchConfig | None):
+    """:func:`_search` as one trial of :func:`_level` of ``rhos`` over the channels ``specs``:
+    ``(position, value)``."""
     cfg = cfg or SearchConfig()
     channels = [(s.rx_directions[None], s.coefficients[None]) for s in specs]
     # field_on_grid through this module's binding: perfbench's tracer test expects its span.
     coarse = lambda region: [field_on_grid(s, region, cfg.coarse_step)[0][None] for s in specs]
-    x, value, _ = _search(channels, make_level(*rhos), [region], cfg, coarse)
+    x, value, _ = _search(channels, rhos, [region], cfg, coarse)
     return x[0, 0], float(value[0, 0])
 
 
@@ -210,7 +325,7 @@ def max_snr_position(spec: ChannelSpec, region: Region, cfg: SearchConfig | None
     Returns ``(position, snr_linear)``; the value dominates every coarse grid point (a
     constant map's up to rounding) and the position lies inside the region.
     """
-    return _position([spec], _snr_level, region, cfg, rho)
+    return _position([spec], [_levels(rho, one=True)], region, cfg)
 
 
 def max_sinr_position(signal: ChannelSpec, interference: ChannelSpec, region: Region,
@@ -221,7 +336,8 @@ def max_sinr_position(signal: ChannelSpec, interference: ChannelSpec, region: Re
     Returns ``(position, sinr_linear)``; the levels are linear and default
     to 20 dB each.
     """
-    return _position([signal, interference], _sinr_level, region, cfg, rho, rho_interference)
+    rhos = [_levels(rho, one=True), _levels(rho_interference, "rho_interference", one=True)]
+    return _position([signal, interference], rhos, region, cfg)
 
 
 def snr_gradient(spec: ChannelSpec, r) -> np.ndarray:
@@ -245,8 +361,8 @@ def level_trials(kind: str, num_paths: int, regions, trials: int, seed: int,
     ``(seed, t, 1)``; one draw serves every region.  Signal and
     interference are at 20 dB at the reference point.
     """
-    if kind not in _SWEEP_LEVELS:
-        raise ValueError(f"kind must be one of {tuple(_SWEEP_LEVELS)}, got {kind!r}")
+    if kind not in _SWEEP_STREAMS:
+        raise ValueError(f"kind must be one of {tuple(_SWEEP_STREAMS)}, got {kind!r}")
     trials, num_paths = _count(trials, "trials"), _count(num_paths, "num_paths")
     return _sweep(kind, num_paths, regions, trials, seed, cfg or SearchConfig())[0]
 
@@ -254,12 +370,12 @@ def level_trials(kind: str, num_paths: int, regions, trials: int, seed: int,
 def _sweep(kind: str, num_paths: int, regions, trials: int, seed: int, cfg: SearchConfig):
     """:func:`level_trials` and the work of each search (see :func:`_search`): ``(values, work)``,
     each array (regions, trials)."""
-    level, streams = _SWEEP_LEVELS[kind]
+    streams = _SWEEP_STREAMS[kind]
     values, work = np.empty((len(regions), trials)), []
     for blk in _blocks(trials, 3 * num_paths):
         draws = [[_stochastic_paths(num_paths, (seed, t, *s)) for t in range(blk.start, blk.stop)]
                  for s in streams]
         channels = [(np.stack([d[0] for d in ds]), np.stack([d[1] for d in ds])) for ds in draws]
-        _, values[:, blk], done = _search(channels, level, regions, cfg)
+        _, values[:, blk], done = _search(channels, [_REF_LEVEL] * len(streams), regions, cfg)
         work.append(done)
     return values, {name: np.concatenate([w[name] for w in work], axis=1) for name in work[0]}

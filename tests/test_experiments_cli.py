@@ -170,14 +170,22 @@ def test_sweep_summary_counts_the_search_work(tmp_path, monkeypatch, kind):
     one = run_experiment(cfg, output_dir=str(tmp_path / "one"))
     evaluations = sum(calls) // (2 if kind == "sinr" else 1)
     assert evaluations > 0 and sum(scanned) == (2 if kind == "sinr" else 1) * 2 * 6
+    # A scanned search (L = 4, on grids of 6 and 11 rows) recomputes between 2 and all of its rows
+    # in float64, and a constant map's none.
+    rescans = lambda summary: summary["counters"].pop("coarse_rescan_rows")
+    assert 6 * 2 * 2 <= rescans(one) <= 6 * (6 + 11)
     # A constant map's search counts one point and no refine evaluation.
     assert one["counters"] == {"searches": 2 * 3 * 6, "coarse_points": 6 * (3 + 1 + 6 ** 2 + 11 ** 2),
                                "refine_evaluations": evaluations}
     flat = run_experiment({**cfg, "path_counts": [1]}, output_dir=str(tmp_path / "flat"))
-    assert flat["counters"] == {"searches": 3 * 6, "coarse_points": 3 * 6, "refine_evaluations": 0}
+    assert flat["counters"] == {"searches": 3 * 6, "coarse_points": 3 * 6, "coarse_rescan_rows": 0,
+                                "refine_evaluations": 0}
     assert "counters" not in one["results"]
     monkeypatch.setattr(util, "_BLOCK_ELEMENTS", 1)  # one trial per draw, coarse and refine block
     many = run_experiment(cfg, output_dir=str(tmp_path / "many"))
+    # One-row complex64 tiles round apart from wider ones, and other trials share each rescan, so
+    # how many rows are rescanned may move.
+    assert 6 * 2 * 2 <= rescans(many) <= 6 * (6 + 11)
     assert many["counters"] == one["counters"]
     name = f"{kind}_sweep.csv"
     assert (tmp_path / "one" / name).read_bytes() == (tmp_path / "many" / name).read_bytes()

@@ -107,6 +107,13 @@ def test_capacities_reject_levels_and_matrices_off_the_rule(capacity, h, rho):
         capacity(h, rho)
 
 
+@pytest.mark.parametrize("rho", [[1.0], [1.0, 2.0], np.array([1.0, 2.0])], ids=["one-list", "two-list", "array"])
+@pytest.mark.parametrize("capacity, name", [(capacity_identity_cov, "rho"), (capacity_waterfilling, "rho_total")])
+def test_capacities_take_one_level(capacity, name, rho):
+    with pytest.raises(ValueError, match=f"{name} must be one level"):
+        capacity(np.eye(2), rho)
+
+
 def test_capacity_identity_matches_singular_value_formula():
     rng = np.random.default_rng(30)
     for _ in range(10):

@@ -7,8 +7,8 @@ import pytest
 import masim.positioning as positioning
 import masim.util as util
 from conftest import brute_force_power_scan
-from masim.channel import (ChannelSpec, Region, _grid_product, channel_gain, direction_from_angles,
-                           field_on_grid, sample_stochastic_channel)
+from masim.channel import (ChannelSpec, Region, _axis_tables, _grid_product, _stochastic_paths, channel_gain,
+                           direction_from_angles, field_on_grid, sample_stochastic_channel)
 from masim.positioning import SearchConfig, level_trials, max_sinr_position, max_snr_position, snr_gradient
 
 
@@ -33,6 +33,18 @@ def test_position_searches_reject_bad_levels(two_path, name, bad):
     for search in searches:
         with pytest.raises(ValueError, match="finite and nonnegative"):
             search()
+
+
+@pytest.mark.parametrize("levels", [[100.0], [1.0, 2.0], np.array([100.0])], ids=["one-list", "two-list", "array"])
+def test_position_searches_take_one_level(two_path, levels):
+    region = Region.square(1.0)
+    searches = {"rho": [lambda: max_snr_position(two_path, region, rho=levels),
+                        lambda: max_sinr_position(two_path, two_path, region, rho=levels)],
+                "rho_interference": [lambda: max_sinr_position(two_path, two_path, region, rho_interference=levels)]}
+    for name, calls in searches.items():
+        for search in calls:
+            with pytest.raises(ValueError, match=f"{name} must be one level"):
+                search()
 
 
 def test_flat_objective_returns_first_grid_point():
@@ -236,9 +248,9 @@ def reference_search(values, coords, region, cfg, objective):
     return x, fx
 
 
-def reference_position(kind, signal, interference, region, cfg):
-    """The one-trial SNR or SINR search (20 dB levels) on channel_gain and field_on_grid."""
-    rho = 100.0
+def reference_position(kind, signal, interference, region, cfg, rho=100.0):
+    """The one-trial SNR or SINR search (levels ``rho``, 20 dB by default) on channel_gain and
+    field_on_grid."""
     hs, coords = field_on_grid(signal, region, cfg.coarse_step)
     if kind == "snr":
         level = lambda h: rho * np.abs(h) ** 2
@@ -249,10 +261,13 @@ def reference_position(kind, signal, interference, region, cfg):
                             lambda r: sinr(channel_gain(signal, r), channel_gain(interference, r)))
 
 
-def reference_trials(kind, num_paths, region, trials, seed, cfg):
-    """The per-trial loop that the batched one replaced: one draw and one search per trial."""
-    return np.array([reference_position(kind, sample_stochastic_channel(num_paths, (seed, t)),
-                                        sample_stochastic_channel(num_paths, (seed, t, 1)), region, cfg)[1]
+def reference_trials(kind, num_paths, region, trials, seed, cfg, rho=100.0, scale=1.0):
+    """The per-trial loop that the batched one replaced: one draw and one search per trial, with
+    every path coefficient times ``scale``."""
+    def draw(*stream):
+        spec = sample_stochastic_channel(num_paths, stream)
+        return ChannelSpec(spec.rx_directions, scale * spec.coefficients)
+    return np.array([reference_position(kind, draw(seed, t), draw(seed, t, 1), region, cfg, rho)[1]
                      for t in range(trials)])
 
 
@@ -260,7 +275,8 @@ def reference_trials(kind, num_paths, region, trials, seed, cfg):
 # 201^2 grid takes one trial per coarse block, and 300 paths split 50 trials
 # into several draw, coarse and refine blocks.  Two paths on a 20-wavelength
 # square give SNR ridge maps and SINR maps of two phases; the far-off square
-# scales the phase tables' error with its coordinates.
+# scales the phase tables' error with its coordinates.  The thin box's second axis keeps one grid
+# point, so each of its grid products is a matrix-vector product.
 BATCH_CASES = {
     "0-axes": (Region.square(0.0), 4, 0.25, 5),
     "1-axis": (Region(origin=[-1.0, 0.5, 0.0], extents=[2.5, 0.0, 0.0]), 4, 0.25, 5),
@@ -270,6 +286,7 @@ BATCH_CASES = {
     "many-blocks": (Region.square(1.0), 300, 0.25, 50),
     "L=2": (Region.square(20.0), 2, 0.1, 4),
     "far-off": (Region(origin=[1000.0, -3000.0, 0.0], extents=[20.0, 20.0, 0.0]), 4, 0.25, 3),
+    "thin": (Region(origin=[-1.0, 0.3, 0.0], extents=[5.0, 0.05, 0.0]), 5, 0.1, 6),
 }
 
 
@@ -392,12 +409,13 @@ def test_merged_refine_matches_single_region_calls(case, kind, refine):
 
 @pytest.fixture
 def ranked_tiles(monkeypatch):
-    """The shape (Tb, rows, *sides[1:]) of every tile the coarse scans compute while the test
-    runs, once per channel: the ``out`` of each of their grid products."""
+    """The shape (Tb, rows, *sides[1:]) of every complex64 ranking tile the coarse scans compute
+    while the test runs, once per channel: the ``out`` of each of their complex64 grid products."""
     shapes, product = [], positioning._grid_product
 
     def recording(tables, out=None):
-        shapes.append(out.shape)
+        if tables[0].dtype == np.complex64:
+            shapes.append(out.shape)
         return product(tables, out=out)
     monkeypatch.setattr(positioning, "_grid_product", recording)
     return shapes
@@ -415,8 +433,14 @@ def test_tiles_merge_to_the_reference_values(monkeypatch, ranked_tiles, case, ki
     monkeypatch.setattr(util, "_BLOCK_ELEMENTS", 200)
     values, tiled = positioning._sweep(kind, num_paths, [region], trials, 21, cfg)
     assert values[0].tobytes() == reference_trials(kind, num_paths, region, trials, 21, cfg).tobytes()
+    rescans = [work.pop("coarse_rescan_rows"), tiled.pop("coarse_rescan_rows")]
     assert all(tiled[name].tobytes() == counts.tobytes() for name, counts in work.items())
     rows = len(region.grid_coords(step)[0]) if region.free_axes else None
+    # Each scanned search recomputes between 2 and all of its rows in float64.  How many depends on
+    # the float32 maxima, which a one-row complex64 tile (here, on the 201 x 201 grids) rounds apart
+    # from a wider one, and on the trials that share a rescan, so the two tilings may differ.
+    for counts in rescans:
+        assert ((counts >= min(2, rows)) & (counts <= rows)).all() if rows else not counts.any()
     sizes, spans = {shape[0] for shape in ranked_tiles}, {shape[1] for shape in ranked_tiles}
     # A tile of more than one trial covers every row of the grid.
     assert all(shape[1] == rows for shape in ranked_tiles if shape[0] > 1)
@@ -431,14 +455,14 @@ def test_later_tiles_win_only_when_strictly_larger(monkeypatch, ranked_tiles):
     # rows 1 and 3, the second at 4 in row 1, then at 9 in row 3.
     a = np.array([[1, 2, 0.5, 2], [1, 2, 0.5, 3]], dtype=complex)[..., None]
     b = np.array([[1, 0.5], [1, 0.5]], dtype=complex)[..., None]
-    level = positioning._snr_level(1.0)
+    level = positioning._level([1.0])
     monkeypatch.setattr(util, "_BLOCK_ELEMENTS", 2)
     channel = [(np.zeros((1, 1, 3)), np.ones((1, 1), dtype=complex))]
     start, peak = [], []
     for t in range(2):  # each trial as a one-trial scan of its own tables
         monkeypatch.setattr(positioning, "_axis_tables", lambda *args: [a[t:t + 1], b[t:t + 1]])
         ranked_tiles.clear()
-        (first,), (top,) = positioning._coarse(channel, level, Region.square(1.0), [4, 2], 0.25, None)
+        (first,), (top,), _ = positioning._coarse(channel, [1.0], Region.square(1.0), [4, 2], 0.25, None)
         assert ranked_tiles == [(1, 1, 2)] * 4
         start.append(int(first))
         peak.append(float(top))
@@ -447,6 +471,82 @@ def test_later_tiles_win_only_when_strictly_larger(monkeypatch, ranked_tiles):
     whole = level(positioning._power(_grid_product([a, b]))).reshape(2, -1)
     assert start == whole.argmax(axis=1).tolist() == [2, 6] and peak == [4, 9]
     assert np.array(peak).tobytes() == whole.max(axis=1).tobytes()
+
+
+# A 361 x 361 grid (A = 18, step 0.05) takes one-trial tiles of 90 rows, so its last row, 360,
+# is a tile alone; each (seed, trial) below has its map's maximum in that row.
+@pytest.mark.parametrize("kind, seed, trials, trial", [("snr", 9, 3, 2), ("sinr", 32, 2, 1)])
+def test_maximum_in_a_lone_last_row_keeps_the_whole_maps_value(kind, seed, trials, trial):
+    region, cfg = Region.square(18.0), SearchConfig(coarse_step=0.05, refine=False)
+    coords = region.grid_coords(cfg.coarse_step)
+    assert len(coords[0]) == 361 and util._BLOCK_ELEMENTS // 361 == 90
+    signal, interference = (sample_stochastic_channel(5, (seed, trial, *s)) for s in ((), (1,)))
+    assert reference_position(kind, signal, interference, region, cfg)[0][0] == coords[0][360]
+    values = level_trials(kind, 5, [region], trials, seed, cfg)[0]
+    assert values.tobytes() == reference_trials(kind, 5, region, trials, seed, cfg).tobytes()
+
+
+def draw_channels(kind, num_paths, trials, seed, scale=1.0):
+    """The channels of ``trials`` trials of a sweep of ``kind``, every coefficient times ``scale``."""
+    draws = [[_stochastic_paths(num_paths, (seed, t, *s)) for t in range(trials)]
+             for s in ([()] if kind == "snr" else [(), (1,)])]
+    return [(np.stack([d[0] for d in ds]), scale * np.stack([d[1] for d in ds])) for ds in draws]
+
+
+# Random maps for the float32 ranking certificate: 1, 2 and 3 free axes, 2 to 300 paths, and the
+# far-off square, whose phase tables carry coordinates near 3000.
+CERTIFICATE_CASES = {
+    "1-axis-L300": (BATCH_CASES["1-axis"][0], 300, 0.05),
+    "2-axes-L2": (Region.square(20.0), 2, 0.1),
+    "2-axes-L20": (Region.square(5.0), 20, 0.05),
+    "2-axes-L300": (Region.square(2.0), 300, 0.1),
+    "3-axes-L50": (BATCH_CASES["3-axes"][0], 50, 0.1),
+    "far-off-L20": (BATCH_CASES["far-off"][0], 20, 0.25),
+}
+
+
+@pytest.mark.parametrize("kind", ["snr", "sinr"])
+@pytest.mark.parametrize("case", sorted(CERTIFICATE_CASES))
+def test_ranking_certificate_covers_the_float32_levels(case, kind):
+    region, num_paths, step = CERTIFICATE_CASES[case]
+    channels = draw_channels(kind, num_paths, 4, 31)
+    rhos = [100.0] * len(channels)
+    a, b, r = positioning._ranking_errors([c for _, c in channels], rhos, len(region.free_axes))
+    level, shape = positioning._level(rhos), (4, len(region.grid_coords(step)[0]), -1)
+    tables = [_axis_tables(d, c, region, step) for d, c in channels]
+    v64 = level(*[positioning._power(_grid_product(ts)) for ts in tables]).reshape(shape)
+    v32 = level(*[positioning._power(_grid_product([t.astype(np.complex64) for t in ts])) for ts in tables])
+    assert v32.dtype == np.float32
+    v32 = v32.reshape(shape).astype(float)
+    assert (v32 != v64).any()  # the float32 levels do round apart
+    # A trial whose interference error B is at least 1/2 rescans every row instead.
+    certified, a, b = b < 0.5, a[:, None, None], b[:, None, None]
+    assert (v64 <= (v32 * (1 + r) + a) / (1 - b))[certified].all()
+    assert (v64 >= (v32 * (1 - r) - a) / (1 + b))[certified].all()
+    assert positioning._candidates(v32.max(axis=2), *positioning._ranking_errors(
+        [c for _, c in channels], rhos, len(region.free_axes)))[~certified].all()
+    assert certified.any() or (kind, num_paths) == ("sinr", 300)
+
+
+# (coefficient scale, level): float32 powers that overflow, float32 powers that underflow to 0, a
+# level whose SINR interference error B exceeds 1/2, and a level below float32's normal numbers.
+# Each rescans every row of its searches but the SNR at level 1e30, whose float32 levels stay
+# finite and certified.
+EXTREME_CASES = {"scale-1e30": (1e30, 100.0), "scale-1e-30": (1e-30, 100.0), "rho-1e30": (1.0, 1e30),
+                 "rho-1e-40": (1.0, 1e-40)}
+
+
+@pytest.mark.parametrize("refine", [True, False], ids=["refine", "coarse"])
+@pytest.mark.parametrize("kind", ["snr", "sinr"])
+@pytest.mark.parametrize("case", sorted(EXTREME_CASES))
+def test_extreme_coefficients_and_levels_keep_the_reference_values(case, kind, refine):
+    (scale, rho), region = EXTREME_CASES[case], BATCH_CASES["2-axes"][0]
+    cfg = SearchConfig(coarse_step=0.25, refine=refine)
+    channels = draw_channels(kind, 4, 3, 21, scale)
+    _, values, work = positioning._search(channels, [rho] * len(channels), [region], cfg)
+    assert values[0].tobytes() == reference_trials(kind, 4, region, 3, 21, cfg, rho, scale).tobytes()
+    if case != "rho-1e30" or kind == "sinr":
+        assert (work["coarse_rescan_rows"] == len(region.grid_coords(0.25)[0])).all()
 
 
 # (kind, path count, refine): refined SINR sweeps and SNR sweeps of one and two paths, and an
