@@ -9,9 +9,12 @@ order, so CSV outputs are byte-identical across runs.
 
 from __future__ import annotations
 
+import ctypes
+import functools
 import json
 import math
 import os
+import platform
 import shutil
 import tempfile
 import time
@@ -315,22 +318,28 @@ def _run_beam(cfg, outdir):
 
 
 def _run_mimo(cfg, outdir):
+    """FPA and greedy MA capacities of every (SNR, path count, seed), from one greedy lockstep
+    per block of (path count, seed) channels, each channel at every SNR.  A block holds at most
+    ``mimo._LOCKSTEP_ELEMENTS`` elements of the lockstep's arrays, or one channel; every result is
+    bit for bit that of its search alone, so the blocks leave no mark on the artifacts."""
     region = Region.square(cfg["region_size"])
     tx = mimo.tx_ula(cfg["num_tx"])
     snrs = cfg["snr_db_list"]
     rhos = [10.0 ** (snr_db / 10.0) for snr_db in snrs]
     candidates = grid_count(cfg["region_size"], cfg["step"]) ** 2
+    channels = [(num_paths, s) for num_paths in cfg["path_counts"] for s in range(cfg["seeds"])]
+    # A channel holds its candidate rows, candidates x 2 num_tx reals, and each of its searches
+    # its scores and its too-near masks, candidates x (1 + num_rx).
+    per_channel = candidates * (2 * cfg["num_tx"] + len(rhos) * (1 + cfg["num_rx"]))
     rows, passes = [], 0
-    for num_paths in cfg["path_counts"]:
-        for s in range(cfg["seeds"]):
-            spec = sample_stochastic_channel(num_paths, (cfg["seed"], num_paths, s), include_tx=True)
-            # Each search of a block scores candidates x num_tx products, complex and squared.
-            for blk in _blocks(len(rhos), 2 * candidates * cfg["num_tx"]):
-                _, fpa, ma, trace = mimo.greedy_rx_placement(spec, region, cfg["num_rx"], tx, rhos[blk],
-                                                             cfg["step"])
-                rows += [(snr_db, num_paths, s, float(cf), float(cm))
-                         for snr_db, cf, cm in zip(snrs[blk], fpa, ma)]
-                passes += sum(map(len, trace))
+    for blk in _blocks(len(channels), per_channel, mimo._LOCKSTEP_ELEMENTS):
+        specs = [sample_stochastic_channel(num_paths, (cfg["seed"], num_paths, s), include_tx=True)
+                 for num_paths, s in channels[blk]]
+        _, fpa, ma, trace = mimo._greedy(specs, region, cfg["num_rx"], tx, np.array(rhos), cfg["step"])
+        for (num_paths, s), fpa_k, ma_k, trace_k in zip(channels[blk], fpa, ma, trace):
+            rows += [(snr_db, num_paths, s, float(cf), float(cm))
+                     for snr_db, cf, cm in zip(snrs, fpa_k, ma_k)]
+            passes += sum(map(len, trace_k))
     rows.sort(key=lambda r: (r[0], r[1], r[2]))
     write_csv_atomic(os.path.join(outdir, "capacity_sweep.csv"), "snr_db,L,seed,capacity_fpa,capacity_ma",
                      zip(*rows))
@@ -380,11 +389,41 @@ _RUNNERS = {
 }
 
 
+@functools.cache
+def _environment() -> dict:
+    """The masim, numpy and Python versions of this process and ``blas_core``, the kernel name
+    numpy's bundled OpenBLAS picked (``SkylakeX``, ``Haswell``, ...), read with ctypes from the
+    library numpy has loaded, or None where it cannot be read.  Read on the first run, never at
+    import, and kept."""
+    import glob  # here and in _provenance, imported on first use: setup stays as fast
+
+    from . import __version__
+    libs = os.path.join(os.path.dirname(np.__file__), os.pardir, "numpy.libs")
+    found = glob.glob(os.path.join(libs, "libscipy_openblas*"))
+    try:
+        corename = ctypes.CDLL(found[0]).scipy_openblas_get_corename64_
+        corename.argtypes, corename.restype = [], ctypes.c_char_p
+        core = corename().decode()
+    except (IndexError, OSError, AttributeError):
+        core = None
+    return {"masim": __version__, "numpy": np.__version__, "python": platform.python_version(),
+            "blas_core": core}
+
+
+def _provenance(cfg: dict) -> dict:
+    """What a run's artifacts depend on besides its code: :func:`_environment` and a sha256 of
+    the resolved config.  Artifact bytes can differ between BLAS kernels."""
+    import hashlib
+    digest = hashlib.sha256(json.dumps(cfg, sort_keys=True).encode()).hexdigest()
+    return {**_environment(), "config_sha256": digest}
+
+
 def run_experiment(cfg: dict, output_dir: str | None = None, seed: int | None = None,
                    trials: int | None = None) -> dict:
     """Validate and run a config, writing CSV artifacts plus ``summary.json``.
 
-    Returns the summary payload.  Raises :class:`ConfigError` for invalid
+    Returns the summary payload: the results, the resolved config as ``effective_config`` and
+    its ``provenance`` (see :func:`_provenance`).  Raises :class:`ConfigError` for invalid
     configs.  Artifacts are staged in a temporary directory inside the
     output directory and moved into place only once the run has succeeded,
     so a runtime failure propagates and leaves the output directory as it was.
@@ -404,7 +443,8 @@ def run_experiment(cfg: dict, output_dir: str | None = None, seed: int | None = 
         start = time.monotonic()
         results = _RUNNERS[cfg["kind"]](cfg, stage)
         payload = {"kind": cfg["kind"], "seed": cfg["seed"], "results": results,
-                   "wall_time_s": time.monotonic() - start}
+                   "wall_time_s": time.monotonic() - start, "effective_config": cfg,
+                   "provenance": _provenance(cfg)}
         if "counters" in results:
             payload["counters"] = results.pop("counters")
         write_json_atomic(os.path.join(stage, "summary.json"), payload)

@@ -27,6 +27,9 @@ _SPACING_SLACK = 1e-9
 # Stopping rule of the greedy search: a pass gaining under _TOL_BITS, or _MAX_PASSES passes.
 _TOL_BITS = 1e-6
 _MAX_PASSES = 10
+# A lockstep of greedy searches over many channels runs in blocks of channels whose arrays hold at
+# most this many elements, or one channel's where that is larger.
+_LOCKSTEP_ELEMENTS = 2 ** 20
 
 
 def _near(points: np.ndarray, others: np.ndarray) -> np.ndarray:
@@ -65,18 +68,39 @@ def _capacity_batch(h_batch: np.ndarray, rho: float, num_tx: int) -> np.ndarray:
     return np.log1p((rho / num_tx) * s ** 2).sum(axis=-1) / math.log(2.0)
 
 
-def _row_replacement_capacities(h: np.ndarray, m: int, rows: np.ndarray, a: np.ndarray) -> np.ndarray:
-    """(S, C): log2 det(I + a_s H'^H H') for each H' = ``h[s]`` with row ``m`` replaced by a row r of
-    ``rows``, for a stack of S searches: ``h`` (S, M, N), ``rows`` (C, N), ``a`` (S,).  Scored as
-    det(I + a H_^H H_) (1 + a r Q r^H), H_ = ``h[s]`` without row m, Q = (I + a H_^H H_)^-1 applied
-    through the full SVD of H_.  An inverse or solve would lose the null space once a s^2 swamps 1.
+def _row_replacement_capacities(h: np.ndarray, m: int, rows: np.ndarray, a: np.ndarray,
+                                spans: list[tuple[int, slice]]) -> np.ndarray:
+    """(S, C): log2 det(I + a_s H'^H H') for each H' = ``h[s]`` with row ``m`` replaced by a
+    candidate row r of its channel, for a stack of S searches: ``h`` (S, M, N), ``a`` (S,), and
+    ``rows`` (K, C, 2N) the rows ``[Re r | Im r]`` of K channels, each paired in ``spans`` with the
+    slice of the searches it holds.  Scored as det(I + a H_^H H_) (1 + a q), H_ = ``h[s]`` without
+    row m and q = r Q r^H = sum_k w_k |r v_k|^2, with v_k the right singular vectors of H_ and
+    w_k = 1/(1 + a s_k^2), 1 on the null space.  An inverse, a solve or a gram of the rows would
+    lose the null space once a s^2 swamps 1.  q is real arithmetic: per search one (C, 2N) product
+    with the real block [[Re V, Im V], [-Im V, Re V]] of V = [v_1 ... v_N], squared in place and
+    summed against [w | w].  Its shape, so its bits, do not depend on how many searches are stacked.
     """
+    n = h.shape[-1]
     _, s, vh = np.linalg.svd(np.delete(h, m, axis=1))
     gains = a[:, None] * s ** 2
-    null = np.zeros((len(h), vh.shape[-1] - s.shape[-1]))
-    weights = 1.0 / (1.0 + np.concatenate((gains, null), axis=1))  # 1 on the null space
-    quad = (np.abs(rows @ np.conj(np.swapaxes(vh, 1, 2))) ** 2 @ weights[:, :, None])[..., 0]
-    return (np.log1p(gains).sum(axis=1)[:, None] + np.log1p(a[:, None] * quad)) / math.log(2.0)
+    weights = np.ones((len(h), 2, n))  # [w | w]
+    weights[:, :, :s.shape[-1]] = (1.0 / (1.0 + gains))[:, None]
+    re, im = np.swapaxes(vh.real, 1, 2), np.swapaxes(vh.imag, 1, 2)  # V = re - j im
+    blocks = np.empty((len(h), 2 * n, 2 * n))
+    blocks[:, :n, :n] = blocks[:, n:, n:] = re
+    blocks[:, :n, n:], blocks[:, n:, :n] = -im, im
+    quad = np.empty((len(h), rows.shape[1], 1))
+    prod = np.empty((max(span.stop - span.start for _, span in spans),) + rows.shape[1:])
+    for k, span in spans:
+        p = np.matmul(rows[k], blocks[span], out=prod[:span.stop - span.start])
+        np.square(p, out=p)
+        np.matmul(p, weights[span].reshape(-1, 2 * n, 1), out=quad[span])
+    caps = quad[:, :, 0]  # the capacities, computed in place
+    caps *= a[:, None]
+    np.log1p(caps, out=caps)
+    caps += np.log1p(gains).sum(axis=1)[:, None]
+    caps /= math.log(2.0)
+    return caps
 
 
 def _matrix(h_matrix) -> np.ndarray:
@@ -155,6 +179,67 @@ def _initial_ula_placement(region: Region, num_rx: int) -> np.ndarray:
     return positions
 
 
+def _greedy(specs: list[ChannelSpec], region: Region, num_rx: int, t: np.ndarray, rho: np.ndarray,
+            step: float):
+    """The greedy searches of :func:`greedy_rx_placement` on K = len(``specs``) channels, each at
+    every level of ``rho`` (S,), in one lockstep; the caller checks the arguments.  Each channel's
+    candidate rows are built and held once; each antenna step scores every running search in one
+    batch, and a search drops out after the pass that ends it.  Returns the placements
+    (K, S, num_rx, 3), the FPA and final capacities (K, S) and, per channel and level, the list
+    of capacities after every pass.
+    """
+    n, levels = len(t), rho.size
+    start = _initial_ula_placement(region, num_rx)
+    coords = region.grid_coords(step)
+    shape = tuple(c.size for c in coords)
+    candidates = region.grid_position(coords, np.arange(math.prod(shape)))
+    rows = np.empty((len(specs), len(candidates), 2 * n))
+    for k, spec in enumerate(specs):
+        r = _channel_rows(spec, t, candidates)
+        rows[k, :, :n], rows[k, :, n:] = r.real, r.imag
+    # The searches, channel by channel and level by level within a channel.
+    h = np.repeat([_channel_rows(spec, t, start) for spec in specs], levels, axis=0)
+    rho = np.tile(rho, len(specs))
+    a = rho / n
+    initial = _capacity_batch(h, rho[:, None], n)
+    capacity = initial.copy()
+    positions = np.repeat(start[None], len(h), axis=0)
+    near = np.repeat(_near(candidates, start)[None], len(h), axis=0)  # [s, k, c]: c too near antenna k
+    grid_near = _grid_near(shape, step)
+
+    live = np.arange(len(h))  # the running searches, whose state the arrays above hold
+    final_positions, final_h = np.empty_like(positions), np.empty_like(h)
+    pass_capacities = [[] for _ in live]
+    for _ in range(_MAX_PASSES):
+        channel = live // levels
+        bounds = np.searchsorted(channel, np.arange(len(specs) + 1))
+        spans = [(k, slice(lo, hi)) for k, (lo, hi) in enumerate(zip(bounds, bounds[1:])) if hi > lo]
+        before = capacity.copy()
+        for m in range(num_rx):
+            caps = _row_replacement_capacities(h, m, rows, a, spans)
+            caps[np.delete(near, m, axis=1).any(axis=1)] = -np.inf
+            best = caps.argmax(axis=1)
+            gain = caps[np.arange(live.size), best]
+            up = np.flatnonzero(gain > capacity)
+            capacity[up] = gain[up]
+            positions[up, m] = candidates[best[up]]
+            picked = rows[channel[up], best[up]]
+            h.real[up, m], h.imag[up, m] = picked[:, :n], picked[:, n:]
+            near[up, m] = grid_near[np.unravel_index(best[up], shape)].reshape(-1, len(candidates))
+        for i, c in zip(live, capacity):
+            pass_capacities[i].append(float(c))
+        going = ~(capacity - before < _TOL_BITS)
+        final_positions[live], final_h[live] = positions, h
+        live, h, a, capacity, positions, near = (
+            x[going] for x in (live, h, a, capacity, positions, near))
+        if not live.size:
+            break
+    final = _capacity_batch(final_h, rho[:, None], n)
+    by_channel = lambda x: x.reshape((len(specs), levels) + x.shape[1:])
+    return (by_channel(final_positions), by_channel(initial), by_channel(final),
+            [pass_capacities[k * levels:(k + 1) * levels] for k in range(len(specs))])
+
+
 def greedy_rx_placement(spec: ChannelSpec, region: Region, num_rx: int, tx_positions, rhos,
                         step: float = 0.1):
     """Greedy capacity-maximizing placement of the Rx antennas on one channel, at every total SNR
@@ -164,12 +249,13 @@ def greedy_rx_placement(spec: ChannelSpec, region: Region, num_rx: int, tx_posit
     placement, whose capacity is the FPA baseline) and moves each antenna in index order to the
     best candidate grid point with the others fixed, skipping candidates under MIN_SPACING from
     another antenna.  Passes repeat until one gains under ``_TOL_BITS`` or ``_MAX_PASSES`` are
-    done, so no capacity falls below its baseline.  The searches advance in lockstep: the
-    channel's candidate rows are built once, each antenna step scores every running search in one
-    batch, and a search drops out under its own stopping rule, so each result is bit for bit that
-    of the search at its level alone.  ``num_rx`` must be an integer >= 1 and ``rhos`` a sequence
-    of at least one level; else ValueError.  Returns, per level, the placement (S, num_rx, 3), the
-    FPA and final capacities (S,) and the list of capacities after every pass.
+    done, so no capacity falls below its baseline.  This is the one-channel call of the lockstep
+    that the mimo runner runs on blocks of channels: the candidate rows are built once, each
+    antenna step scores every running search in one batch, and a search drops out under its own
+    stopping rule, so each result is bit for bit that of the search on its channel at its level
+    alone, however many searches share the lockstep.  ``num_rx`` must be an integer >= 1 and
+    ``rhos`` a sequence of at least one level; else ValueError.  Returns, per level, the placement
+    (S, num_rx, 3), the FPA and final capacities (S,) and the list of capacities after every pass.
     """
     num_rx = _count(num_rx, "num_rx")
     rho = _levels(rhos)
@@ -180,40 +266,5 @@ def greedy_rx_placement(spec: ChannelSpec, region: Region, num_rx: int, tx_posit
         raise ValueError(f"tx antenna positions must be at least {MIN_SPACING} wavelengths apart")
     if not spec.has_tx:
         raise ValueError("every path needs a departure direction for MIMO channels")
-    start = _initial_ula_placement(region, num_rx)
-    coords = region.grid_coords(step)
-    shape = tuple(c.size for c in coords)
-    candidates = region.grid_position(coords, np.arange(math.prod(shape)))
-    rows = _channel_rows(spec, t, candidates)
-    h = np.repeat(_channel_rows(spec, t, start)[None], rho.size, axis=0)
-    a = rho / len(t)
-    initial = _capacity_batch(h, rho[:, None], len(t))
-    capacity = initial.copy()
-    positions = np.repeat(start[None], rho.size, axis=0)
-    near = np.repeat(_near(candidates, start)[None], rho.size, axis=0)  # [s, k, c]: c too near antenna k
-    grid_near = _grid_near(shape, step)
-
-    live = np.arange(rho.size)  # the running searches, whose state the arrays above hold
-    final_positions, final_h = np.empty_like(positions), np.empty_like(h)
-    pass_capacities = [[] for _ in live]
-    for _ in range(_MAX_PASSES):
-        before = capacity.copy()
-        for m in range(num_rx):
-            caps = _row_replacement_capacities(h, m, rows, a)
-            caps[np.delete(near, m, axis=1).any(axis=1)] = -np.inf
-            best = caps.argmax(axis=1)
-            gain = caps[np.arange(live.size), best]
-            up = np.flatnonzero(gain > capacity)
-            capacity[up] = gain[up]
-            positions[up, m] = candidates[best[up]]
-            h[up, m] = rows[best[up]]
-            near[up, m] = grid_near[np.unravel_index(best[up], shape)].reshape(-1, len(candidates))
-        for i, c in zip(live, capacity):
-            pass_capacities[i].append(float(c))
-        going = ~(capacity - before < _TOL_BITS)
-        final_positions[live], final_h[live] = positions, h
-        live, h, a, capacity, positions, near = (
-            x[going] for x in (live, h, a, capacity, positions, near))
-        if not live.size:
-            break
-    return final_positions, initial, _capacity_batch(final_h, rho[:, None], len(t)), pass_capacities
+    positions, initial, capacity, passes = _greedy([spec], region, num_rx, t, rho, step)
+    return positions[0], initial[0], capacity[0], passes[0]

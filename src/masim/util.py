@@ -8,16 +8,18 @@ from itertools import islice
 
 # Lines per write call: a block is a small fraction of any large artifact.
 _BLOCK_LINES = 2048
-# Batched trials or searches are processed in blocks whose arrays hold at
-# most this many elements, or one trial's array where that is larger (a
-# phase table); the tiles of every coarse scan hold at most this many grid
-# points, or one row of one trial.
+# Batched SNR/SINR trials are processed in blocks whose arrays hold at most
+# this many elements, or one trial's array where that is larger (a phase
+# table); the tiles of every coarse scan hold at most this many grid points,
+# or one row of one trial.  The MIMO lockstep has its own budget,
+# mimo._LOCKSTEP_ELEMENTS.
 _BLOCK_ELEMENTS = 2 ** 15
 
 
-def _blocks(trials: int, per_trial: int) -> list[slice]:
-    """Consecutive slices of ``range(trials)``, each of at most max(1, _BLOCK_ELEMENTS // per_trial)."""
-    size = max(1, _BLOCK_ELEMENTS // per_trial)
+def _blocks(trials: int, per_trial: int, budget: int | None = None) -> list[slice]:
+    """Consecutive slices of ``range(trials)``, each of at most max(1, budget // per_trial), the
+    budget _BLOCK_ELEMENTS unless given."""
+    size = max(1, (budget or _BLOCK_ELEMENTS) // per_trial)
     return [slice(i, min(i + size, trials)) for i in range(0, trials, size)]
 
 

@@ -1,12 +1,17 @@
+import ctypes
+import hashlib
 import json
 import math
 import os
+import platform
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+import masim
 import masim.experiments as experiments
+import masim.mimo as mimo
 import masim.positioning as positioning
 import masim.util as util
 from masim.cli import main
@@ -123,17 +128,52 @@ def test_mimo_summary_reports_per_seed_dominance(tmp_path):
 
 
 def test_mimo_block_seams_leave_no_mark(tmp_path, monkeypatch):
-    # 11^2 candidates x 2 Tx antennas: by default a channel's three searches share one block.
+    # Four channels (two path counts x two seeds) at three SNRs: one run stacks every channel in
+    # one lockstep, the other runs one channel per block.
     cfg = mimo_config(path_counts=[3, 6], seeds=2, snr_db_list=[-10.0, 5.0, 20.0])
-    assert len(util._blocks(3, 2 * 11 ** 2 * 2)) == 1
-    run_experiment(cfg, output_dir=str(tmp_path / "one"))
-    monkeypatch.setattr(util, "_BLOCK_ELEMENTS", 1)  # one search per block
-    run_experiment(cfg, output_dir=str(tmp_path / "many"))
+    blocks, greedy = [], mimo._greedy
+    monkeypatch.setattr(mimo, "_greedy",
+                        lambda specs, *args: blocks.append(len(specs)) or greedy(specs, *args))
+    for run, budget in (("one", 2 ** 40), ("many", 1)):
+        monkeypatch.setattr(mimo, "_LOCKSTEP_ELEMENTS", budget)
+        run_experiment(cfg, output_dir=str(tmp_path / run))
+    assert blocks == [4, 1, 1, 1, 1]
     for name in ("capacity_sweep.csv", "summary.json"):
         one, many = ((tmp_path / run / name).read_text() for run in ("one", "many"))
         if name == "summary.json":
             one, many = ({k: v for k, v in json.loads(t).items() if k != "wall_time_s"} for t in (one, many))
         assert one == many
+
+
+def test_summary_records_the_effective_config_and_its_provenance(tmp_path):
+    cfg = mimo_config(snr_db_list=[0.0, 10.0])
+    run_experiment(cfg, output_dir=str(tmp_path / "m"), trials=3)
+    summary = json.loads((tmp_path / "m" / "summary.json").read_text())
+    resolved = experiments._resolve({**cfg, "seeds": 3})[0]
+    assert summary["effective_config"] == resolved and resolved["seeds"] == 3
+    digest = hashlib.sha256(json.dumps(resolved, sort_keys=True).encode()).hexdigest()
+    assert summary["provenance"] == {"masim": masim.__version__, "numpy": np.__version__,
+                                     "python": platform.python_version(),
+                                     "blas_core": experiments._environment()["blas_core"],
+                                     "config_sha256": digest}
+
+
+def test_provenance_records_null_where_the_blas_kernel_cannot_be_read(tmp_path, monkeypatch):
+    lookups = []
+
+    def missing(*args, **kwargs):
+        lookups.append(args)
+        raise OSError("no such library")
+    monkeypatch.setattr(ctypes, "CDLL", missing)
+    experiments._environment.cache_clear()
+    try:
+        for run in ("a", "b"):
+            run_experiment(mimo_config(), output_dir=str(tmp_path / run))
+    finally:
+        experiments._environment.cache_clear()
+    assert len(lookups) <= 1  # once per process; none where numpy bundles no OpenBLAS
+    for run in ("a", "b"):
+        assert json.loads((tmp_path / run / "summary.json").read_text())["provenance"]["blas_core"] is None
 
 
 def test_mimo_summary_counts_the_greedy_work(tmp_path):

@@ -1,14 +1,18 @@
 import math
+import os
+import subprocess
+import sys
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from masim.channel import (MIN_SPACING, ChannelSpec, Region, channel_gain,
                            direction_from_angles, sample_stochastic_channel)
-from masim.mimo import (_capacity_batch, _channel_rows, _grid_near, _initial_ula_placement, _near,
-                        _row_replacement_capacities, capacity_identity_cov, capacity_waterfilling,
-                        greedy_rx_placement, tx_ula)
+from masim.mimo import (_capacity_batch, _channel_rows, _greedy, _grid_near, _initial_ula_placement,
+                        _near, _row_replacement_capacities, capacity_identity_cov,
+                        capacity_waterfilling, greedy_rx_placement, tx_ula)
 
 
 def explicit_channel_matrix(spec, tx, rx_positions):
@@ -293,26 +297,68 @@ def reference_greedy_search(spec, region, num_rx, tx, rho, step):
     return positions, capacity, pass_capacities, fully_blocked
 
 
+def real_rows(rows):
+    """Candidate rows (..., C, N) as the scoring takes them: [Re r | Im r], (..., C, 2N)."""
+    return np.concatenate((rows.real, rows.imag), axis=-1)
+
+
+def assert_scores_match_log_det(h, m, rows, spans, rho, rtol, argmax_gap=0.0):
+    """Scores each search of ``h`` (S, M, N) with ``rows`` (K, C, N) complex and checks them
+    against the log-det of every replaced matrix, from its singular values: finite, within
+    ``rtol``, with the oracle's argmax wherever its top two scores differ by more than
+    ``argmax_gap`` relative."""
+    num_tx = h.shape[-1]
+    scores = _row_replacement_capacities(h, m, real_rows(rows), rho / num_tx, spans)
+    assert scores.shape == (len(h), rows.shape[1])
+    assert np.isfinite(scores).all()
+    for k, span in spans:
+        for s in range(span.start, span.stop):
+            batch = np.broadcast_to(h[s], (rows.shape[1],) + h.shape[1:]).copy()
+            batch[:, m, :] = rows[k]
+            oracle = _capacity_batch(batch, rho[s], num_tx)
+            np.testing.assert_allclose(scores[s], oracle, rtol=rtol, atol=0.0)
+            top = np.sort(oracle)[-2:]
+            if top[1] - top[0] > argmax_gap * abs(top[1]):
+                assert int(np.argmax(scores[s])) == int(np.argmax(oracle))
+
+
 @pytest.mark.parametrize("num_tx", (1, 4))
 @pytest.mark.parametrize("num_rx", (1, 2, 4, 6))
 def test_row_replacement_capacities_match_log_det(num_rx, num_tx):
-    # One batch of searches sharing the candidate rows, each with its own H and SNR, up to
-    # 1000 dB, where only the null-space weights keep the scores exact.
+    # One batch of searches on two channels of candidate rows, each search with its own H and
+    # SNR, up to 1000 dB, where only the null-space weights keep the scores exact.
     rng = np.random.default_rng((34, num_rx, num_tx))
     snrs_db = np.array([-10.0, 20.0, 100.0, 300.0, 1000.0])
     rho = 10.0 ** (snrs_db / 10.0)
+    spans = [(0, slice(0, 2)), (1, slice(2, 5))]
     for _ in range(4):
         draw = lambda *shape: rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
-        h, rows = draw(snrs_db.size, num_rx, num_tx), draw(40, num_tx)
-        m = int(rng.integers(num_rx))
-        scores = _row_replacement_capacities(h, m, rows, rho / num_tx)
-        assert scores.shape == (snrs_db.size, 40)
-        for k in range(snrs_db.size):
-            batch = np.broadcast_to(h[k], (40, num_rx, num_tx)).copy()
-            batch[:, m, :] = rows
-            oracle = _capacity_batch(batch, rho[k], num_tx)
-            np.testing.assert_allclose(scores[k], oracle, rtol=1e-10, atol=0.0)
-            assert int(np.argmax(scores[k])) == int(np.argmax(oracle))
+        h, rows = draw(snrs_db.size, num_rx, num_tx), draw(2, 40, num_tx)
+        assert_scores_match_log_det(h, int(rng.integers(num_rx)), rows, spans, rho, 1e-10)
+
+
+@pytest.mark.parametrize("num_paths", (1, 2, 3))
+@pytest.mark.parametrize("num_rx", (2, 4))
+def test_row_replacement_capacities_stay_exact_on_rank_deficient_channels(num_paths, num_rx):
+    # With L < N = 4 paths every H and every candidate row lies in the span of L steering
+    # vectors, so H_ has singular values at rounding level and a s^2 spans 1e-12 to 1e20.  A
+    # gram of the rows against (I + a H_^H H_)^-1 cancels the range once a s^2 swamps 1 and
+    # loses the scores, NaN by 200 dB; summing over the singular vectors one by one keeps them.
+    tx, region = tx_ula(4), Region.square(3.0)
+    coords = region.grid_coords(0.25)
+    candidates = region.grid_position(coords, np.arange(math.prod(c.size for c in coords)))
+    snrs_db = np.array([20.0, 60.0, 100.0, 150.0, 200.0])
+    rho = 10.0 ** (snrs_db / 10.0)
+    rng = np.random.default_rng((35, num_paths, num_rx))
+    for seed in range(3):
+        specs = [random_mimo_spec(num_paths, (35, num_paths, num_rx, seed, k)) for k in range(2)]
+        rows = np.stack([_channel_rows(spec, tx, candidates) for spec in specs])
+        # Each search's H on its channel, at Rx positions drawn from the candidates.
+        h = np.stack([_channel_rows(specs[s // 3], tx, candidates[rng.choice(len(candidates), num_rx)])
+                      for s in range(6)])
+        spans = [(0, slice(0, 3)), (1, slice(3, 6))]
+        level = np.concatenate((rho[:3], rho[2:5]))
+        assert_scores_match_log_det(h, int(rng.integers(num_rx)), rows, spans, level, 1e-10, 1e-9)
 
 
 @pytest.mark.parametrize("case", [
@@ -349,25 +395,40 @@ def test_sequential_search_matches_full_capacity_reference(case):
     assert (blocked_steps > 0) == blocked
 
 
-def test_lockstep_searches_equal_one_search_calls():
-    # Channels of L = 5 and 15, each at four SNRs in one lockstep call: the searches of a call
-    # stop after different numbers of passes, and each result is bit for bit that of the
-    # entry called at its level alone.
+def assert_stacked_searches_equal_one_search_calls():
+    # Four channels, of L = 5 and 15, each at four SNRs in one lockstep call: the searches stop
+    # after different numbers of passes, and each result is bit for bit that of the entry called
+    # on its channel at its level alone.
     region, tx = Region.square(3.0), tx_ula(4)
-    rhos = [10.0 ** (snr_db / 10.0) for snr_db in (-10.0, 0.0, 10.0, 20.0)]
-    stopped_apart = 0
-    for num_paths in (5, 15):
-        for seed in range(2):
-            spec = random_mimo_spec(num_paths, (96, num_paths, seed))
-            positions, initial, capacity, passes = greedy_rx_placement(spec, region, 4, tx, rhos, 0.1)
-            stopped_apart += len({len(p) for p in passes}) > 1
-            for rho, *batched in zip(rhos, positions, initial, capacity, passes):
-                alone = greedy_rx_placement(spec, region, 4, tx, [rho], step=0.1)
-                np.testing.assert_array_equal(batched[0], alone[0][0])
-                assert batched[1] == alone[1][0]
-                assert batched[2] == alone[2][0]
-                assert batched[3] == alone[3][0]
-    assert stopped_apart > 0
+    rhos = np.array([10.0 ** (snr_db / 10.0) for snr_db in (-10.0, 0.0, 10.0, 20.0)])
+    specs = [random_mimo_spec(num_paths, (96, num_paths, seed)) for num_paths in (5, 15) for seed in range(2)]
+    stacked = _greedy(specs, region, 4, tx, rhos, 0.1)
+    assert len({len(p) for passes in stacked[3] for p in passes}) > 1
+    for spec, *per_level in zip(specs, *stacked):
+        for rho, positions, initial, capacity, passes in zip(rhos, *per_level):
+            alone = greedy_rx_placement(spec, region, 4, tx, [rho], step=0.1)
+            np.testing.assert_array_equal(positions, alone[0][0])
+            assert initial == alone[1][0]
+            assert capacity == alone[2][0]
+            assert passes == alone[3][0]
+
+
+@pytest.mark.parametrize("coretype", [None, "Haswell", "Sandybridge"],
+                         ids=["default", "haswell", "sandybridge"])
+def test_stacked_searches_equal_one_search_calls(coretype):
+    # In process, and in a fresh process on the OpenBLAS kernels an AVX2-only or an AVX-only
+    # host would pick, which round some products apart from the default kernels.
+    if coretype is None:
+        assert_stacked_searches_equal_one_search_calls()
+        return
+    here = Path(__file__).resolve().parent
+    env = dict(os.environ, OPENBLAS_CORETYPE=coretype,
+               PYTHONPATH=os.pathsep.join([str(here.parent / "src"), str(here)]))
+    script = ("import test_mimo\nfrom masim.experiments import _environment\n"
+              "test_mimo.assert_stacked_searches_equal_one_search_calls()\nprint(_environment()['blas_core'])")
+    done = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True, text=True)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.split()[-1] in (coretype, "None")  # the kernel asked for, where it can be read
 
 
 def test_sequential_search_rejects_bad_tx_positions():
@@ -414,14 +475,16 @@ def test_greedy_search_returns_one_result_per_level():
     assert capacity[0] < capacity[1] and capacity[2] == initial[2] == 0.0
 
 
-def test_greedy_search_memory_does_not_grow_with_candidates_squared():
+@pytest.mark.parametrize("num_channels", (1, 3), ids=["one-channel", "stacked"])
+def test_greedy_search_memory_does_not_grow_with_candidates_squared(num_channels):
     # Region.square(10.0) at step 0.1 holds C = 10,201 candidates: one C x C boolean table would
-    # take 99 MiB, while the search's arrays grow with C alone.
-    spec, tx = random_mimo_spec(8, 100), tx_ula(4)
-    rhos = [10.0 ** (snr_db / 10.0) for snr_db in (-10.0, 0.0, 10.0, 20.0)]
+    # take 99 MiB, while the search's arrays grow with C alone.  Three channels are the block of
+    # 10-lambda channels the mimo runner stacks under mimo._LOCKSTEP_ELEMENTS.
+    specs, tx = [random_mimo_spec(8, (100, k)) for k in range(num_channels)], tx_ula(4)
+    rhos = np.array([10.0 ** (snr_db / 10.0) for snr_db in (-10.0, 0.0, 10.0, 20.0)])
     tracemalloc.start()
     try:
-        greedy_rx_placement(spec, Region.square(10.0), 4, tx, rhos, step=0.1)
+        _greedy(specs, Region.square(10.0), 4, tx, rhos, step=0.1)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
