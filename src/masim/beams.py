@@ -63,6 +63,13 @@ def _check_weights(weights, n: int) -> np.ndarray:
     return w
 
 
+def _inner(a, b):
+    """<a, b> = sum_n conj(a_n) b_n over the last axis, from float64 products and sums of the real
+    and imaginary parts, with no BLAS call and no complex product: <a, a>'s imaginary part is 0."""
+    re = np.sum(a.real * b.real + a.imag * b.imag, axis=-1)
+    return re + 1j * np.sum(a.real * b.imag - a.imag * b.real, axis=-1)
+
+
 def steering_vector(layout, u: float) -> np.ndarray:
     """Per-element phase response exp(j*2*pi*x_n*u) toward the one cosine direction u."""
     if np.ndim(u):
@@ -75,7 +82,7 @@ def array_gain(layout, weights, u):
     x = _check_layout(layout)
     w = _check_weights(weights, x.size)
     a = field_response(np.atleast_1d(_check_cosines(u))[:, None], x[:, None])
-    gain = np.abs(a @ np.conj(w)) ** 2 / float(np.vdot(w, w).real)
+    gain = np.abs(_inner(w, a)) ** 2 / _inner(w, w).real
     return float(gain[0]) if np.ndim(u) == 0 else gain
 
 
@@ -97,7 +104,7 @@ def two_beam_weights(layout, u1: float, u2: float) -> TwoBeamResult:
     """
     a1 = steering_vector(layout, u1)
     a2 = steering_vector(layout, u2)
-    c = complex(np.vdot(a1, a2))
+    c = complex(_inner(a1, a2))
     return TwoBeamResult(weights=a1 + np.exp(-1j * np.angle(c)) * a2,
                          min_gain=(a1.size + abs(c)) / 2.0)
 
@@ -113,7 +120,7 @@ def null_steer_weights(layout, u_signal: float, u_interference: float) -> np.nda
     a_s = steering_vector(x, u_signal)
     a_i = steering_vector(x, u_interference)
     n = x.size
-    rho = complex(np.vdot(a_i, a_s)) / n
+    rho = complex(_inner(a_i, a_s)) / n
     if 1.0 - abs(rho) ** 2 < 1e-12:
         raise ValueError("steering vectors are collinear; nulling would cancel the signal")
     return a_s - rho * a_i

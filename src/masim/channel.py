@@ -196,32 +196,33 @@ class Region:
 def field_response(positions, directions) -> np.ndarray:
     """Field response ``exp(j 2 pi <d_l, r>)`` of every direction at every position.
 
-    ``positions`` (..., 3) in wavelengths and ``directions`` (L, 3) give an
-    array of shape (..., L); a stack of directions (T, L, 3) broadcasts
-    against the positions' leading axes.
+    ``positions`` (..., D) in wavelengths (D = 3, or 1 on one axis) and ``directions`` (L, D) give
+    (..., L); a stack of directions (T, L, D) broadcasts against the positions' leading axes, as in
+    a matmul.  The phase adds the products r_a d_a elementwise in axis order, with no BLAS call.
     """
-    phases = np.asarray(positions, dtype=float) @ np.swapaxes(np.asarray(directions, dtype=float), -1, -2)
+    r, d = np.asarray(positions, dtype=float), np.asarray(directions, dtype=float)
+    if r.ndim > 1:
+        r, d = r[..., :, None, :], d[..., None, :, :]
+    phases = r[..., 0] * d[..., 0]
+    for a in range(1, r.shape[-1]):
+        phases += r[..., a] * d[..., a]
     return np.exp(2j * np.pi * phases)
 
 
+def _path_sum(*factors) -> np.ndarray:
+    """sum_l of the product of the factors' entries l on their last axis, the other axes broadcast:
+    the float64 path sum of every field but ``mimo``'s.  numpy's own einsum loop multiplies left to
+    right and adds l = 1, ..., L in order (an order fixed by L for one factor), with no BLAS call or
+    fused multiply-add: no entry's bits depend on the BLAS kernel or on the call's other entries."""
+    return np.einsum(",".join(["...l"] * len(factors)) + "->...", *factors)
+
+
 def channel_gain(spec: ChannelSpec, r) -> complex | np.ndarray:
-    """Complex channel response ``h(r) = sum_l c_l exp(j 2 pi <d_l, r>)``.
-
-    Parameters
-    ----------
-    spec : ChannelSpec
-    r : array_like
-        Position(s) in wavelengths, shape (3,) or (..., 3).
-
-    Returns
-    -------
-    complex scalar for a single position, else ndarray of shape (...).
-    """
+    """Complex channel response ``h(r) = sum_l c_l exp(j 2 pi <d_l, r>)`` at the position(s)
+    ``r`` (3,) or (..., 3) in wavelengths: a complex for one position, else an array (...)."""
     r = _points(r, "positions", stacked=True)
-    values = field_response(r, spec.rx_directions) @ spec.coefficients
-    if r.ndim == 1:
-        return complex(values)
-    return values
+    values = _path_sum(field_response(r, spec.rx_directions), spec.coefficients)
+    return complex(values) if r.ndim == 1 else values
 
 
 def field_on_grid(spec: ChannelSpec, region: Region, step: float):
@@ -231,13 +232,13 @@ def field_on_grid(spec: ChannelSpec, region: Region, step: float):
     region axis (shape () for a point region) and ``coords`` lists the
     grid coordinates along each free axis.  Uses the separability of the
     plane-wave phase across axes and :func:`_axis_tables`' split phase
-    tables, so cost scales with the grid perimeter rather than its area; each
+    tables, so its exps scale with the grid perimeter rather than its area; each
     value is within ``len(free_axes) * _SPLIT_ERROR * max(1, M) * sum |c_l|``
     of :func:`channel_gain`'s, M the grid's largest |coordinate|.
     """
     coords = region.grid_coords(step)
-    tables = _axis_tables(spec.rx_directions[None], spec.coefficients[None], region, step)
-    return _grid_product(tables).reshape([len(c) for c in coords]), coords
+    head, *rest = [t[0] for t in _axis_tables(spec.rx_directions[None], spec.coefficients[None], region, step)]
+    return _grid_rows(head, rest).reshape([len(c) for c in coords]), coords
 
 
 def _collapsed(directions, coefficients, region: Region) -> np.ndarray:
@@ -248,8 +249,8 @@ def _collapsed(directions, coefficients, region: Region) -> np.ndarray:
 
 
 def _grid_product(tables, out=None) -> np.ndarray:
-    """sum_l of the product of one row of each of k tables (T, n_i, L): the grid (T, n_1, ..., n_k),
-    into ``out`` when given."""
+    """sum_l of the product of one row of each of k tables (T, n_i, L), in any order BLAS takes: the
+    complex64 ranking tiles (T, n_1, ..., n_k), into ``out`` when given."""
     if len(tables) == 1:
         return np.sum(tables[0], axis=-1, out=out)
     if len(tables) == 2:
@@ -257,13 +258,22 @@ def _grid_product(tables, out=None) -> np.ndarray:
     return np.einsum("til,tjl,tkl->tijk", *tables, out=out)
 
 
+def _grid_rows(head, rest) -> np.ndarray:
+    """The float64 field (..., n_2, ..., n_k) of the rows ``head`` (..., L) of :func:`_axis_tables`'
+    first table against its other tables ``rest`` (..., n_i, L), whose leading axes broadcast against
+    head's: each entry the :func:`_path_sum` of its own rows, whatever rows or trials share the call."""
+    k = len(rest)
+    axes = [(..., *[None] * i, slice(None), *[None] * (k - 1 - i), slice(None)) for i in range(k)]
+    return _path_sum(head[(..., *[None] * k, slice(None))], *[t[a] for t, a in zip(rest, axes)])
+
+
 def _axis_tables(directions, coefficients, region: Region, step: float) -> list[np.ndarray]:
     """One :func:`_split_response` table (T, n, L) per free axis of the region's grid for T stacked
     channels, the first carrying :func:`_collapsed`'s coefficients (a point region's one table holds
-    just those, n = 1).  Their :func:`_grid_product` is the channels' fields on the grid, every grid
-    field of the package but one: each entry is within _SPLIT_ERROR * max(1, M) of
-    :func:`field_response`'s.  The exception is ``mimo._channel_rows``, which builds the MIMO
-    search's candidate-grid rows with :func:`field_response` itself."""
+    just those, n = 1).  :func:`_grid_rows` of their rows gives every float64 grid field of the
+    package but ``mimo._channel_rows``' (which calls :func:`field_response` itself), each entry within
+    _SPLIT_ERROR * max(1, M) of :func:`field_response`'s; their :func:`_grid_product` gives the
+    complex64 ranking tiles."""
     tables = [_split_response(region.origin[a], step, len(c), directions[..., [a]])
               for c, a in zip(region.grid_coords(step), region.free_axes)]
     base = _collapsed(directions, coefficients, region)[:, None]
@@ -287,10 +297,10 @@ def _split_response(origin: float, step: float, n: int, directions) -> np.ndarra
     ``exp(j 2 pi (origin + q B step) d)`` and ``exp(j 2 pi r step d)``.
     """
     size = math.isqrt(n - 1) + 1
-    outer = field_response((origin + np.arange(-(-n // size)) * (size * step))[:, None], directions)
-    inner = field_response((np.arange(size) * step)[:, None], directions)
-    table = outer[..., :, None, :] * inner[..., None, :, :]
-    return table.reshape(*outer.shape[:-2], -1, outer.shape[-1])[..., :n, :]
+    coords = np.concatenate([origin + np.arange(-(-n // size)) * (size * step), np.arange(size) * step])
+    both = field_response(coords[:, None], directions)  # the outer phases, then the size inner ones
+    table = both[..., :-size, None, :] * both[..., None, -size:, :]
+    return table.reshape(*both.shape[:-2], -1, both.shape[-1])[..., :n, :]
 
 
 def _sample_hemisphere(rng: np.random.Generator, count: int) -> np.ndarray:

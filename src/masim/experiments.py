@@ -412,7 +412,7 @@ def _environment() -> dict:
 
 def _provenance(cfg: dict) -> dict:
     """What a run's artifacts depend on besides its code: :func:`_environment` and a sha256 of
-    the resolved config.  Artifact bytes can differ between BLAS kernels."""
+    the resolved config.  Only ``mimo``'s and ``estimate``'s bytes can differ between BLAS kernels."""
     import hashlib
     digest = hashlib.sha256(json.dumps(cfg, sort_keys=True).encode()).hexdigest()
     return {**_environment(), "config_sha256": digest}

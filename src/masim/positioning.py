@@ -22,8 +22,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .channel import (ChannelSpec, Region, _axis_tables, _collapsed, _count, _grid_product, _levels,
-                      _points, _stochastic_paths, field_on_grid, field_response)
+from .channel import (ChannelSpec, Region, _axis_tables, _collapsed, _count, _grid_product, _grid_rows, _levels,
+                      _path_sum, _points, _stochastic_paths, field_on_grid, field_response)
 from . import util
 from .util import _blocks
 
@@ -161,7 +161,7 @@ def _search(channels, rhos, regions, cfg: SearchConfig, coarse=None):
     flat = all(c.shape[1] == 1 for _, c in channels)
     for i, region in enumerate(regions):
         if flat or not region.free_axes:
-            x[i], best[i] = region.origin, level(*[_power(_collapsed(d, c, region).sum(-1)) for d, c in channels])
+            x[i], best[i] = region.origin, level(*[_power(_path_sum(_collapsed(d, c, region))) for d, c in channels])
             work["coarse_points"][i] = 1
             continue
         coords = region.grid_coords(cfg.coarse_step)
@@ -191,8 +191,8 @@ def _coarse(channels, rhos, region: Region, sides, step: float, coarse):
     one trial, from complex64 copies of the tables; only each row's float32 maximum is kept.  By
     :func:`_blocks`' sizing, a block of more than one trial always fits in one tile: only one-trial
     blocks span several.  Then for each group of blocks whose tables hold at most
-    util._BLOCK_ELEMENTS entries (or one block), :func:`_rescan` recomputes in float64 just the rows
-    that :func:`_candidates` keeps, so every start and value is that of the float64 map's first
+    util._BLOCK_ELEMENTS entries (or one block), :func:`_rescan` recomputes in float64, BLAS-free, the
+    rows that :func:`_candidates` keeps, so every start and value is that of the float64 map's first
     maximum.  A trial whose float32 levels the certificate cannot bound rescans every row.  A
     one-trial grid that fits one tile reads its fields (1, *grid) per channel from
     ``coarse(region)`` instead, when given, all in float64."""
@@ -204,13 +204,8 @@ def _coarse(channels, rhos, region: Region, sides, step: float, coarse):
         values = level(*map(_power, coarse(region))).reshape(1, -1)
         return values.argmax(axis=1), values.max(axis=1), np.full(1, sides[0])
     start, best, rescanned = np.zeros(trials, dtype=int), np.full(trials, -np.inf), np.zeros(trials, dtype=int)
-    # The rescan's float64 buffers, which hold 2 rows of a trial or more, and in their memory the
-    # float32 tiles'.
-    field = np.empty(-(-block * max(rows, 4) * width // 2), dtype=complex)
-    powers = np.empty((len(channels), len(field)))
     tile = (block, rows, *sides[1:])
-    field32 = field.view(np.complex64)[:math.prod(tile)].reshape(tile)
-    powers32 = powers.view(np.float32)[:, :math.prod(tile)].reshape(len(channels), *tile)
+    field32, powers32 = np.empty(tile, dtype=np.complex64), np.empty((len(channels), *tile), dtype=np.float32)
     group = block * max(1, util._BLOCK_ELEMENTS // (len(channels) * num_paths * sum(sides)) // block)
     tops = np.empty((min(group, trials), sides[0]), dtype=np.float32)
     a, b, r = _ranking_errors([c for _, c in channels], rhos, len(sides))
@@ -233,42 +228,26 @@ def _coarse(channels, rhos, region: Region, sides, step: float, coarse):
             if len(channels) == 1:
                 level(top)
             candidates = _candidates(top, a[grp], b[grp], r)
-            rescanned[grp] = _rescan(tables, candidates, level, field, powers, sides[1:], start[grp], best[grp])
+            rescanned[grp] = _rescan(tables, candidates, level, start[grp], best[grp])
     return start, best, rescanned
 
 
-def _rescan(tables, candidates, level, field, powers, shape, first, peak) -> np.ndarray:
-    """Recompute in float64, from the ``tables`` of T trials, the rows ``candidates`` (T, n) of each
-    trial into ``field`` and ``powers``, and set ``first`` and ``peak`` (T,) to a row's first
-    maximum where it is strictly larger; the rows computed per trial (T,).
-
-    The trials of one product take the same number of rows, each its candidates in order and then
-    other rows, which never win.  A product takes at least 2 rows, as a one-row product takes
-    another BLAS path whose last bits differ from the whole map's: one that would hold one row also
-    takes the row before it, which ties and never wins.  A one-row grid is one row in the whole
-    map too."""
-    n, width = candidates.shape[1], math.prod(shape)
-    need = np.minimum(n, np.maximum(2, candidates.sum(axis=1)))
+def _rescan(tables, candidates, level, first, peak) -> np.ndarray:
+    """Recompute in float64 with :func:`_grid_rows`, from the ``tables`` of T trials, the rows
+    ``candidates`` (T, n) of each trial in row order, step k each trial's k-th, and set ``first`` and
+    ``peak`` (T,) to a row's first maximum where it is strictly larger; the rows per trial (T,)."""
+    count = candidates.sum(axis=1)
     picks = np.argsort(~candidates, axis=1, kind="stable")  # each trial's candidates first, in order
-    per = max(1, len(field) // (need.max() * width))  # trials per product
-    for t in range(0, len(need), per):
-        sub, k = slice(t, t + per), need[t:t + per].max()
-        trial = np.arange(len(need[sub]))
-        rows = max(2, len(field) // (len(trial) * width))  # rows per product
-        for j in range(0, k, rows):
-            pick = picks[sub, max(0, min(j, k - 2)):min(j + rows, k)]
-            out = field[:pick.size * width].reshape(*pick.shape, *shape)
-            maps = powers[:, :out.size].reshape(len(powers), *out.shape)
-            for (head, *rest), power in zip(tables, maps):
-                part = [head[sub][trial[:, None], pick], *[table[sub] for table in rest]]
-                _power(_grid_product(part, out=out), out=power)
-            values = level(*maps).reshape(len(trial), -1)
-            at = values.argmax(axis=1)
-            value = values[trial, at]
-            new = value > peak[sub]
-            first[sub][new], peak[sub][new] = (pick[trial, at // width] * width + at % width)[new], value[new]
-        need[sub] = k
-    return need
+    for k in range(count.max()):
+        sub = np.flatnonzero(count > k)
+        row, take = picks[sub, k], slice(None) if len(sub) == len(count) else sub
+        maps = [_power(_grid_rows(head[sub, row], [table[take] for table in rest])) for head, *rest in tables]
+        values = level(*maps).reshape(len(sub), -1)
+        at = values.argmax(axis=1)
+        value = values[np.arange(len(sub)), at]
+        new = value > peak[sub]
+        first[sub[new]], peak[sub[new]] = (row * values.shape[1] + at)[new], value[new]
+    return count
 
 
 def _refine(channels, level, x, trial, lo, hi, free, step):
@@ -279,12 +258,14 @@ def _refine(channels, level, x, trial, lo, hi, free, step):
     below _REFINE_MIN_STEP, in at most _REFINE_ITERS iterations, so it is monotone and
     deterministic.
     """
-    # Candidate 2k moves a search up along axis free[k], candidate 2k + 1 down.
-    num_paths, moves = channels[0][1].shape[1], 2 * np.arange(len(free))
-    objective = lambda r, t: level(*[_power((field_response(r, d[t]) @ c[t, :, None])[..., 0])
-                                     for d, c in channels])
+    # Candidate 2k moves a search up along axis free[k], candidate 2k + 1 down.  An evaluation takes
+    # one field_response of every channel's paths, and each channel sums its own span of them.
+    dirs, moves = np.concatenate([d for d, _ in channels], axis=1), 2 * np.arange(len(free))
+    spans = np.cumsum([0] + [c.shape[1] for _, c in channels])
+    paths = lambda f, t: [_path_sum(f[..., i:j], c[t, None]) for (_, c), i, j in zip(channels, spans, spans[1:])]
+    objective = lambda r, t: level(*map(_power, paths(field_response(r, dirs[t]), t)))
     fx, taken = np.empty(len(x)), np.zeros(len(x), dtype=int)
-    for blk in _blocks(len(x), 2 * len(free) * num_paths):
+    for blk in _blocks(len(x), 2 * len(free) * dirs.shape[1]):
         fx[blk] = objective(x[blk, None], trial[blk])[:, 0]
         steps = np.full(blk.stop - blk.start, step)
         for _ in range(_REFINE_ITERS):

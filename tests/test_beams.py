@@ -42,7 +42,10 @@ def test_steering_vector_and_array_gain_are_the_field_response():
         # exp(j 2 pi x (-u)) is the exact conjugate of exp(j 2 pi x u).
         assert np.array_equal(steering_vector(layout, -v), np.conj(steering_vector(layout, v)))
     a = field_response(u[:, None], layout[:, None])
-    assert np.array_equal(array_gain(layout, w, u), np.abs(a @ np.conj(w)) ** 2 / float(np.vdot(w, w).real))
+    # |<w, a(u)>|^2 / <w, w> from float64 sums of products of the real and imaginary parts.
+    inner = np.sum(w.real * a.real + w.imag * a.imag, axis=1) + 1j * np.sum(w.real * a.imag - w.imag * a.real, axis=1)
+    norm = np.sum(w.real * w.real + w.imag * w.imag)
+    assert np.array_equal(array_gain(layout, w, u), np.abs(inner) ** 2 / norm)
     assert array_gain(layout, w, 0.3) == array_gain(layout, w, [0.3])[0]
 
 

@@ -4,7 +4,7 @@ import math
 import numpy as np
 import pytest
 
-from masim.channel import (_SPLIT_ERROR, ChannelSpec, Region, _axis_tables, _collapsed, _grid_product,
+from masim.channel import (_SPLIT_ERROR, ChannelSpec, Region, _axis_tables, _collapsed, _grid_product, _grid_rows,
                            _split_response, _stochastic_paths, angles_from_direction,
                            channel_gain, channel_spec_from_records,
                            direction_from_angles, field_on_grid, field_response, grid_count,
@@ -284,7 +284,7 @@ def test_stacked_fields_on_grid_match_one_call_per_channel(extents):
     region = Region(origin=[-1.0, 0.5, 0.25], extents=extents)
     tables = _axis_tables(np.stack([s.rx_directions for s in specs]), np.stack([s.coefficients for s in specs]),
                           region, 0.3)
-    stacked = _grid_product(tables)
+    stacked = _grid_rows(tables[0], [table[:, None] for table in tables[1:]])
     for t, spec in enumerate(specs):
         values, coords = field_on_grid(spec, region, 0.3)
         assert isinstance(values, np.ndarray) and values.shape == tuple(len(c) for c in coords)
