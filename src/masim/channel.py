@@ -270,10 +270,9 @@ def _grid_rows(head, rest) -> np.ndarray:
 def _axis_tables(directions, coefficients, region: Region, step: float) -> list[np.ndarray]:
     """One :func:`_split_response` table (T, n, L) per free axis of the region's grid for T stacked
     channels, the first carrying :func:`_collapsed`'s coefficients (a point region's one table holds
-    just those, n = 1).  :func:`_grid_rows` of their rows gives every float64 grid field of the
-    package but ``mimo._channel_rows``' (which calls :func:`field_response` itself), each entry within
-    _SPLIT_ERROR * max(1, M) of :func:`field_response`'s; their :func:`_grid_product` gives the
-    complex64 ranking tiles."""
+    just those, n = 1), each entry within _SPLIT_ERROR * max(1, M) of :func:`field_response`'s.  Every
+    grid field of the package comes from their rows: the float64 fields of :func:`_grid_rows`, the
+    complex64 ranking tiles of :func:`_grid_product` and the MIMO rows of ``mimo._grid_channel_rows``."""
     tables = [_split_response(region.origin[a], step, len(c), directions[..., [a]])
               for c, a in zip(region.grid_coords(step), region.free_axes)]
     base = _collapsed(directions, coefficients, region)[:, None]

@@ -18,8 +18,7 @@ EXIT_RUNTIME = 3
 
 
 def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="masim", description="Movable-antenna system simulations")
+    parser = argparse.ArgumentParser(prog="masim", description="Movable-antenna system simulations")
     sub = parser.add_subparsers(dest="command", required=True)
 
     run = sub.add_parser("run", help="run an experiment from a JSON config")

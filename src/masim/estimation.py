@@ -48,8 +48,7 @@ class MeasurementSet:
             raise ValueError("need one complex sample per position")
         if not np.isfinite(y).all():
             raise ValueError("samples must be finite")
-        self.positions = p
-        self.samples = y
+        self.positions, self.samples = p, y
 
     @property
     def count(self) -> int:
@@ -92,10 +91,7 @@ class FriEstimate:
 
 def _most_square_lattice(count: int) -> tuple[int, int]:
     """Factor count = nx * ny with nx the largest divisor <= sqrt(count)."""
-    nx = 1
-    for d in range(1, int(math.isqrt(count)) + 1):
-        if count % d == 0:
-            nx = d
+    nx = max(d for d in range(1, math.isqrt(count) + 1) if count % d == 0)
     return nx, count // nx
 
 

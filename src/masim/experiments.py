@@ -159,7 +159,7 @@ _COMMON = {"seed": (_int(0), _REQUIRED),
 # (field, points) of every grid a kind builds and of every array a field
 # scales with a grid, checked before anything is allocated: path counts x
 # grid side (the field_on_grid phase factors); mimo candidates x paths (their
-# phases), x num_tx (their channel rows) and x num_rx (the too-near mask);
+# Rx-side fields), x num_tx (their channel rows) and x num_rx (the too-near mask);
 # snr/sinr trials x region sizes (the per-trial maxima); estimate
 # measurements x dict_grid^2, which bounds the atoms of the measurement
 # matrix; beam scan or pattern points x elements.  _side saturates just

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .channel import MIN_SPACING, ChannelSpec, Region, _count, _levels, _points, field_response
+from .channel import MIN_SPACING, ChannelSpec, Region, _axis_tables, _count, _levels, _points, field_response
 
 __all__ = [
     "tx_ula",
@@ -56,9 +56,19 @@ def tx_ula(num_elements: int) -> np.ndarray:
 
 
 def _channel_rows(spec: ChannelSpec, t: np.ndarray, r: np.ndarray) -> np.ndarray:
-    """Channel-matrix rows (M, N) of the Rx positions ``r`` (M, 3) for the Tx positions ``t`` (N, 3)."""
+    """Channel-matrix rows (M, N) of the off-grid Rx positions ``r`` (M, 3) for the Tx positions ``t`` (N, 3)."""
     rx_side = field_response(r, spec.rx_directions) * spec.coefficients
     return rx_side @ field_response(t, spec.tx_directions).T
+
+
+def _grid_channel_rows(spec: ChannelSpec, t: np.ndarray, region: Region, step: float) -> np.ndarray:
+    """:func:`_channel_rows` (C, N) of the region's C grid points, in ``grid_position``'s row-major order:
+    the Rx side of point (i, j[, k]) is the product of row i, j[, k] of the ``channel._axis_tables``
+    tables, whose paths' errors sum to at most len(free_axes) * _SPLIT_ERROR * max(1, M) * sum |c_l|."""
+    field, *rest = (tb[0] for tb in _axis_tables(spec.rx_directions[None], spec.coefficients[None], region, step))
+    for table in rest:
+        field = (field[:, None] * table).reshape(-1, table.shape[-1])
+    return field @ field_response(t, spec.tx_directions).T
 
 
 def _capacity_batch(h_batch: np.ndarray, rho: float, num_tx: int) -> np.ndarray:
@@ -183,10 +193,10 @@ def _greedy(specs: list[ChannelSpec], region: Region, num_rx: int, t: np.ndarray
             step: float):
     """The greedy searches of :func:`greedy_rx_placement` on K = len(``specs``) channels, each at
     every level of ``rho`` (S,), in one lockstep; the caller checks the arguments.  Each channel's
-    candidate rows are built and held once; each antenna step scores every running search in one
-    batch, and a search drops out after the pass that ends it.  Returns the placements
-    (K, S, num_rx, 3), the FPA and final capacities (K, S) and, per channel and level, the list
-    of capacities after every pass.
+    candidate rows come once from its phase tables (:func:`_grid_channel_rows`) and are held once;
+    each antenna step scores every running search in one batch, and a search drops out after the
+    pass that ends it.  Returns the placements (K, S, num_rx, 3), the FPA and final capacities
+    (K, S) and, per channel and level, the list of capacities after every pass.
     """
     n, levels = len(t), rho.size
     start = _initial_ula_placement(region, num_rx)
@@ -195,7 +205,7 @@ def _greedy(specs: list[ChannelSpec], region: Region, num_rx: int, t: np.ndarray
     candidates = region.grid_position(coords, np.arange(math.prod(shape)))
     rows = np.empty((len(specs), len(candidates), 2 * n))
     for k, spec in enumerate(specs):
-        r = _channel_rows(spec, t, candidates)
+        r = _grid_channel_rows(spec, t, region, step)
         rows[k, :, :n], rows[k, :, n:] = r.real, r.imag
     # The searches, channel by channel and level by level within a channel.
     h = np.repeat([_channel_rows(spec, t, start) for spec in specs], levels, axis=0)
@@ -250,10 +260,8 @@ def greedy_rx_placement(spec: ChannelSpec, region: Region, num_rx: int, tx_posit
     best candidate grid point with the others fixed, skipping candidates under MIN_SPACING from
     another antenna.  Passes repeat until one gains under ``_TOL_BITS`` or ``_MAX_PASSES`` are
     done, so no capacity falls below its baseline.  This is the one-channel call of the lockstep
-    that the mimo runner runs on blocks of channels: the candidate rows are built once, each
-    antenna step scores every running search in one batch, and a search drops out under its own
-    stopping rule, so each result is bit for bit that of the search on its channel at its level
-    alone, however many searches share the lockstep.  ``num_rx`` must be an integer >= 1 and
+    that the mimo runner runs on blocks of channels, in which each search stops under its own rule,
+    so each result is bit for bit that of its search alone.  ``num_rx`` must be an integer >= 1 and
     ``rhos`` a sequence of at least one level; else ValueError.  Returns, per level, the placement
     (S, num_rx, 3), the FPA and final capacities (S,) and the list of capacities after every pass.
     """

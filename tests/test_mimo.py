@@ -8,10 +8,10 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from masim.channel import (MIN_SPACING, ChannelSpec, Region, channel_gain,
+from masim.channel import (_SPLIT_ERROR, MIN_SPACING, ChannelSpec, Region, channel_gain,
                            direction_from_angles, sample_stochastic_channel)
-from masim.mimo import (_capacity_batch, _channel_rows, _greedy, _grid_near, _initial_ula_placement,
-                        _near, _row_replacement_capacities, capacity_identity_cov,
+from masim.mimo import (_capacity_batch, _channel_rows, _greedy, _grid_channel_rows, _grid_near,
+                        _initial_ula_placement, _near, _row_replacement_capacities, capacity_identity_cov,
                         capacity_waterfilling, greedy_rx_placement, tx_ula)
 
 
@@ -79,6 +79,34 @@ def test_matrix_matches_explicit_construction():
     np.testing.assert_allclose(h, oracle, atol=1e-12)
     np.testing.assert_allclose(np.linalg.svd(h, compute_uv=False),
                                np.linalg.svd(oracle, compute_uv=False), atol=1e-9)
+
+
+# Candidate grids of the greedy search: a line, a square, a 3-axis box, and the far-off square of
+# test_positioning's BATCH_CASES, whose coordinates scale the phase tables' error.
+GRID_ROW_REGIONS = {
+    "1-axis": (Region(origin=[-1.0, 0.5, 0.0], extents=[2.5, 0.0, 0.0]), 0.1),
+    "2-axes": (Region.square(3.0), 0.1),
+    "3-axes": (Region(origin=[-0.75, -0.5, -0.25], extents=[1.5, 1.0, 0.5]), 0.25),
+    "far-off": (Region(origin=[1000.0, -3000.0, 0.0], extents=[20.0, 20.0, 0.0]), 0.25),
+}
+
+
+@pytest.mark.parametrize("num_tx", (1, 4))
+@pytest.mark.parametrize("case", sorted(GRID_ROW_REGIONS))
+def test_grid_rows_match_channel_rows_at_the_grid_positions(case, num_tx):
+    # The rows from the split phase tables, against one field_response per candidate position,
+    # row for row in grid_position's row-major order.
+    region, step = GRID_ROW_REGIONS[case]
+    coords = region.grid_coords(step)
+    candidates = region.grid_position(coords, np.arange(math.prod(c.size for c in coords)))
+    scale, tx = max(1.0, np.abs([region.origin, region.upper]).max()), tx_ula(num_tx)
+    for seed in range(3):
+        spec = random_mimo_spec(15, (36, seed))
+        rows = _grid_channel_rows(spec, tx, region, step)
+        exact = _channel_rows(spec, tx, candidates)
+        assert rows.shape == exact.shape == (len(candidates), num_tx)
+        bound = len(region.free_axes) * _SPLIT_ERROR * scale * np.abs(spec.coefficients).sum() * num_tx
+        assert np.abs(rows - exact).max() <= bound
 
 
 def test_spacing_violations_rejected():
@@ -372,7 +400,9 @@ def test_row_replacement_capacities_stay_exact_on_rank_deficient_channels(num_pa
     # Line of length 1 with three antennas at -0.5, 0, 0.5 and candidates at -0.5, -0.2, 0.1,
     # 0.4: every candidate of the middle antenna is too near one of the others.
     (6, Region([-0.5, 0.0, 0.0], [1.0, 0.0, 0.0]), 3, 2, 10.0, 0.3, range(3), True),
-], ids=["4x4", "4x4-low-snr", "4x4-high-snr", "1-rx", "3x2", "4x1", "all-blocked"])
+    # A box: each candidate row is the product of three phase tables' rows.
+    (10, GRID_ROW_REGIONS["3-axes"][0], 4, 4, 10.0, 0.25, range(3), False),
+], ids=["4x4", "4x4-low-snr", "4x4-high-snr", "1-rx", "3x2", "4x1", "all-blocked", "3-axes"])
 def test_sequential_search_matches_full_capacity_reference(case):
     num_paths, region, num_rx, num_tx, rho, step, seeds, blocked = case
     tx = tx_ula(num_tx)
