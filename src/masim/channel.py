@@ -231,14 +231,17 @@ def field_on_grid(spec: ChannelSpec, region: Region, step: float):
     Returns ``(values, coords)`` where ``values`` has one axis per free
     region axis (shape () for a point region) and ``coords`` lists the
     grid coordinates along each free axis.  Uses the separability of the
-    plane-wave phase across axes and :func:`_axis_tables`' split phase
-    tables, so its exps scale with the grid perimeter rather than its area; each
-    value is within ``len(free_axes) * _SPLIT_ERROR * max(1, M) * sum |c_l|``
-    of :func:`channel_gain`'s, M the grid's largest |coordinate|.
+    plane-wave phase across axes and :func:`_axis_tables`' two tables, so its
+    exps scale with the grid perimeter rather than its area; each value is
+    within ``len(free_axes) * _SPLIT_ERROR * max(1, M) * sum |c_l|`` of
+    :func:`channel_gain`'s, M the grid's largest |coordinate|.
     """
     coords = region.grid_coords(step)
-    head, *rest = [t[0] for t in _axis_tables(spec.rx_directions[None], spec.coefficients[None], region, step)]
-    return _grid_rows(head, rest).reshape([len(c) for c in coords]), coords
+    directions, coefficients = spec.rx_directions[None], spec.coefficients[None]
+    if not region.free_axes:
+        return _path_sum(_collapsed(directions, coefficients, region)).reshape(()), coords
+    head, tail = _axis_tables(directions, coefficients, region, step)
+    return _grid_rows(head[0], tail[0]).reshape([len(c) for c in coords]), coords
 
 
 def _collapsed(directions, coefficients, region: Region) -> np.ndarray:
@@ -248,35 +251,31 @@ def _collapsed(directions, coefficients, region: Region) -> np.ndarray:
     return coefficients * field_response(fixed, directions)
 
 
-def _grid_product(tables, out=None) -> np.ndarray:
-    """sum_l of the product of one row of each of k tables (T, n_i, L), in any order BLAS takes: the
-    complex64 ranking tiles (T, n_1, ..., n_k), into ``out`` when given."""
-    if len(tables) == 1:
-        return np.sum(tables[0], axis=-1, out=out)
-    if len(tables) == 2:
-        return np.matmul(tables[0], np.swapaxes(tables[1], -1, -2), out=out)
-    return np.einsum("til,tjl,tkl->tijk", *tables, out=out)
+def _grid_product(head, tail, out=None) -> np.ndarray:
+    """sum_l of the product of one row of each of :func:`_axis_tables`' tables, in any order BLAS
+    takes: the complex64 ranking tiles (T, n_1, w), into ``out`` when given."""
+    return np.matmul(head, np.swapaxes(tail, -1, -2), out=out)
 
 
-def _grid_rows(head, rest) -> np.ndarray:
-    """The float64 field (..., n_2, ..., n_k) of the rows ``head`` (..., L) of :func:`_axis_tables`'
-    first table against its other tables ``rest`` (..., n_i, L), whose leading axes broadcast against
-    head's: each entry the :func:`_path_sum` of its own rows, whatever rows or trials share the call."""
-    k = len(rest)
-    axes = [(..., *[None] * i, slice(None), *[None] * (k - 1 - i), slice(None)) for i in range(k)]
-    return _path_sum(head[(..., *[None] * k, slice(None))], *[t[a] for t, a in zip(rest, axes)])
+def _grid_rows(head, tail) -> np.ndarray:
+    """The float64 field (..., w) of :func:`_axis_tables`' head rows (..., L) against its tail (..., w, L),
+    leading axes broadcast: each entry the :func:`_path_sum` of its own rows, whatever shares the call."""
+    return _path_sum(head[..., None, :], tail)
 
 
-def _axis_tables(directions, coefficients, region: Region, step: float) -> list[np.ndarray]:
-    """One :func:`_split_response` table (T, n, L) per free axis of the region's grid for T stacked
-    channels, the first carrying :func:`_collapsed`'s coefficients (a point region's one table holds
-    just those, n = 1), each entry within _SPLIT_ERROR * max(1, M) of :func:`field_response`'s.  Every
-    grid field of the package comes from their rows: the float64 fields of :func:`_grid_rows`, the
-    complex64 ranking tiles of :func:`_grid_product` and the MIMO rows of ``mimo._grid_channel_rows``."""
-    tables = [_split_response(region.origin[a], step, len(c), directions[..., [a]])
-              for c, a in zip(region.grid_coords(step), region.free_axes)]
-    base = _collapsed(directions, coefficients, region)[:, None]
-    return [tables[0] * base, *tables[1:]] if tables else [base]
+def _axis_tables(directions, coefficients, region: Region, step: float) -> tuple[np.ndarray, np.ndarray]:
+    """The head (T, n_1, L) and tail (T, w, L) of the grid of a region with 1 to 3 free axes for T
+    stacked channels: the first axis's :func:`_split_response` table times :func:`_collapsed`'s
+    coefficients, and the second axis's table, the row-major product of the second and third axes'
+    or ones (w = 1).  Every grid field of the package sums a head row times a tail row over l: the
+    float64 fields of :func:`_grid_rows`, the complex64 ranking tiles of :func:`_grid_product` and
+    the MIMO rows of ``mimo._grid_channel_rows``."""
+    first, *rest = [_split_response(region.origin[a], step, len(c), directions[..., [a]])
+                    for c, a in zip(region.grid_coords(step), region.free_axes)]
+    if len(rest) == 2:
+        rest = [(rest[0][:, :, None] * rest[1][:, None]).reshape(len(first), -1, first.shape[-1])]
+    head = first * _collapsed(directions, coefficients, region)[:, None]
+    return head, rest[0] if rest else np.ones_like(first[:, :1])
 
 
 # Bound on the error of a _split_response entry relative to field_response's,

@@ -391,10 +391,10 @@ _RUNNERS = {
 
 @functools.cache
 def _environment() -> dict:
-    """The masim, numpy and Python versions of this process and ``blas_core``, the kernel name
-    numpy's bundled OpenBLAS picked (``SkylakeX``, ``Haswell``, ...), read with ctypes from the
-    library numpy has loaded, or None where it cannot be read.  Read on the first run, never at
-    import, and kept."""
+    """The masim, numpy and Python versions of this process; ``blas_core``, the kernel numpy's bundled
+    OpenBLAS picked (``SkylakeX``, ``Haswell``, ...), read with ctypes from the library numpy loaded;
+    and ``cpu_dispatch``, the groups of numpy's CPU dispatch (``X86_V3``, ``AVX512_ICL``, ...) that
+    ``NPY_DISABLE_CPU_FEATURES`` leaves on.  None where unreadable.  Read on first use, and kept."""
     import glob  # here and in _provenance, imported on first use: setup stays as fast
 
     from . import __version__
@@ -406,8 +406,13 @@ def _environment() -> dict:
         core = corename().decode()
     except (IndexError, OSError, AttributeError):
         core = None
+    try:
+        from numpy._core._multiarray_umath import __cpu_dispatch__, __cpu_features__
+        dispatch = [group for group in __cpu_dispatch__ if __cpu_features__.get(group)]
+    except ImportError:
+        dispatch = None
     return {"masim": __version__, "numpy": np.__version__, "python": platform.python_version(),
-            "blas_core": core}
+            "blas_core": core, "cpu_dispatch": dispatch}
 
 
 def _provenance(cfg: dict) -> dict:

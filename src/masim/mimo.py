@@ -63,12 +63,10 @@ def _channel_rows(spec: ChannelSpec, t: np.ndarray, r: np.ndarray) -> np.ndarray
 
 def _grid_channel_rows(spec: ChannelSpec, t: np.ndarray, region: Region, step: float) -> np.ndarray:
     """:func:`_channel_rows` (C, N) of the region's C grid points, in ``grid_position``'s row-major order:
-    the Rx side of point (i, j[, k]) is the product of row i, j[, k] of the ``channel._axis_tables``
-    tables, whose paths' errors sum to at most len(free_axes) * _SPLIT_ERROR * max(1, M) * sum |c_l|."""
-    field, *rest = (tb[0] for tb in _axis_tables(spec.rx_directions[None], spec.coefficients[None], region, step))
-    for table in rest:
-        field = (field[:, None] * table).reshape(-1, table.shape[-1])
-    return field @ field_response(t, spec.tx_directions).T
+    the Rx side of point (i, j) is the product of head row i and tail row j of ``channel._axis_tables``,
+    whose paths' errors sum to at most len(free_axes) * _SPLIT_ERROR * max(1, M) * sum |c_l|."""
+    head, tail = (tb[0] for tb in _axis_tables(spec.rx_directions[None], spec.coefficients[None], region, step))
+    return (head[:, None] * tail).reshape(-1, head.shape[-1]) @ field_response(t, spec.tx_directions).T
 
 
 def _capacity_batch(h_batch: np.ndarray, rho: float, num_tx: int) -> np.ndarray:

@@ -6,8 +6,8 @@ coarse grid point by construction.  Monte Carlo trials run as a batch: one
 draw per trial serves every region size, one kernel computes the coarse
 fields of a block of trials, and one refine moves the searches of every
 region and trial of the block in lockstep.  Every coarse grid is read from the
-split phase tables of ``channel._axis_tables`` in row tiles of bounded size, so its
-memory does not grow with the grid: one loop ranks each tile's rows in single
+head and tail of ``channel._axis_tables`` in tiles of head rows of bounded size, so
+its memory does not grow with the grid: one loop ranks each tile's rows in single
 precision, a rounding-error certificate picks the rows that may hold each trial's
 maximum, and only those are recomputed in double precision, which gives every
 value and start its whole double-precision map's bits.  A map that cannot vary (a
@@ -91,15 +91,14 @@ _SWEEP_STREAMS = {"snr": [()], "sinr": [(), (1,)]}
 
 # The certificate of _coarse's float32 ranking (Higham, "Accuracy and Stability of Numerical
 # Algorithms", ch. 3; u = 2^-24, gamma_n = n u / (1 - n u)).  A grid entry h over L paths sums,
-# over l, the product of one entry of each of k <= 3 tables: the first has modulus |c_l| times a
-# phase's, the others are phases, so the terms' moduli sum to S = sum_l |c_l| (within 1e-14 S).
-# From the same tables, the complex64 entry h32 lies within
-#     dh = e u S + (8 L + 16) 2^-149,   e = 2.9 L + 3 for k = 2, else 1.5 L + 9,
+# over l, the product of an entry of channel._axis_tables' head, of modulus |c_l| times a phase's,
+# and one of its tail, a phase or a product of two (or 1), so the terms' moduli sum to
+# S = sum_l |c_l| (within 1e-14 S).  From the same two tables, the complex64 entry h32 lies within
+#     dh = e u S + (8 L + 16) 2^-149,   e = 2.9 L + 3,
 # of the complex128 entry h64:
-#   - rounding the tables to complex64 moves each term by at most k u of its modulus;
-#   - for k = 2 each component of h sums 2L real products, in any order and with or without fused
-#     multiply-adds: sqrt(2) gamma_2L S; for k = 3 a term's two complex products take
-#     sqrt(2) gamma_2 each and the sum sqrt(2) gamma_L; for k = 1 the sum alone;
+#   - rounding each table once to complex64 moves each term by at most 2u of its modulus;
+#   - one BLAS product sums, in each component of h, 2L real products, in any order and with or
+#     without fused multiply-adds: sqrt(2) gamma_2L S;
 #   - h64's own error is 2^29 times smaller, and underflow adds at most 2^-150 per real product or
 #     rounded entry.
 # So ||h32|^2 - |h64|^2| <= (2S + dh) dh.  rho times that, plus 2^-147 for the underflow of the
@@ -114,14 +113,13 @@ _SWEEP_STREAMS = {"snr": [()], "sinr": [(), (1,)]}
 # its trials' threshold in _candidates to -inf.
 
 
-def _ranking_errors(coefficients, rhos, axes: int):
-    """The certificate's (A, B, r) of ``rhos``' level on a grid of ``axes`` free axes; A and B (T,)
-    from the T trials' coefficients (T, L) of each channel."""
+def _ranking_errors(coefficients, rhos):
+    """The certificate's (A, B, r) of ``rhos``' level; A and B (T,) from the T trials' coefficients
+    (T, L) of each channel."""
     errors = []
     for c, rho in zip(coefficients, rhos):
         s, paths = np.abs(c).sum(axis=1), c.shape[1]
-        e = 2.9 * paths + 3 if axes == 2 else 1.5 * paths + 9
-        dh = (e * s + (8 * paths + 16) * 2.0 ** -125) * 2.0 ** -24
+        dh = ((2.9 * paths + 3) * s + (8 * paths + 16) * 2.0 ** -125) * 2.0 ** -24
         fits = (max(rho, 1.0) * (s + dh) ** 2 < 2.0 ** 120) & (rho == 0 or rho >= 2.0 ** -126)
         errors.append(np.where(fits, rho * (2 * s + dh) * dh + 2.0 ** -147, np.inf))
     if len(errors) == 1:
@@ -187,7 +185,7 @@ def _coarse(channels, rhos, region: Region, sides, step: float, coarse):
     grid rows it computed in float64, each (T,).
 
     The scan takes two precisions.  Each block of trials is ranked in tiles of rows of
-    :func:`_axis_tables`' first table, each of at most util._BLOCK_ELEMENTS points or one row of
+    :func:`_axis_tables`' head, each of at most util._BLOCK_ELEMENTS points or one row of
     one trial, from complex64 copies of the tables; only each row's float32 maximum is kept.  By
     :func:`_blocks`' sizing, a block of more than one trial always fits in one tile: only one-trial
     blocks span several.  Then for each group of blocks whose tables hold at most
@@ -197,18 +195,18 @@ def _coarse(channels, rhos, region: Region, sides, step: float, coarse):
     one-trial grid that fits one tile reads its fields (1, *grid) per channel from
     ``coarse(region)`` instead, when given, all in float64."""
     trials, num_paths = channels[0][1].shape
-    level, width = _level(rhos), math.prod(sides[1:])
-    block = _blocks(trials, max([math.prod(sides)] + [n * num_paths for n in sides]))[0].stop
-    rows = _blocks(sides[0], block * width)[0].stop
-    if coarse is not None and rows == sides[0]:
+    level, n, width = _level(rhos), sides[0], math.prod(sides[1:])  # the head's and the tail's rows
+    block = _blocks(trials, max(n * width, n * num_paths, width * num_paths))[0].stop
+    rows = _blocks(n, block * width)[0].stop
+    if coarse is not None and rows == n:
         values = level(*map(_power, coarse(region))).reshape(1, -1)
-        return values.argmax(axis=1), values.max(axis=1), np.full(1, sides[0])
+        return values.argmax(axis=1), values.max(axis=1), np.full(1, n)
     start, best, rescanned = np.zeros(trials, dtype=int), np.full(trials, -np.inf), np.zeros(trials, dtype=int)
-    tile = (block, rows, *sides[1:])
+    tile = (block, rows, width)
     field32, powers32 = np.empty(tile, dtype=np.complex64), np.empty((len(channels), *tile), dtype=np.float32)
-    group = block * max(1, util._BLOCK_ELEMENTS // (len(channels) * num_paths * sum(sides)) // block)
-    tops = np.empty((min(group, trials), sides[0]), dtype=np.float32)
-    a, b, r = _ranking_errors([c for _, c in channels], rhos, len(sides))
+    group = block * max(1, util._BLOCK_ELEMENTS // (len(channels) * num_paths * (n + width)) // block)
+    tops = np.empty((min(group, trials), n), dtype=np.float32)
+    a, b, r = _ranking_errors([c for _, c in channels], rhos)
     with np.errstate(over="ignore", invalid="ignore"):  # a float32 overflow sets the threshold -inf
         for g in range(0, trials, group):
             grp = slice(g, min(g + group, trials))
@@ -217,14 +215,14 @@ def _coarse(channels, rhos, region: Region, sides, step: float, coarse):
             for t in range(0, grp.stop - g, block):
                 blk = slice(t, min(t + block, grp.stop - g))
                 singles = [[table[blk].astype(np.complex64) for table in ts] for ts in tables]
-                for row in range(0, sides[0], rows):
-                    size, count = blk.stop - t, min(rows, sides[0] - row)
+                for row in range(0, n, rows):
+                    size, count = blk.stop - t, min(rows, n - row)
                     maps = powers32[:, :size, :count]
-                    for (head, *rest), power in zip(singles, maps):
-                        _power(_grid_product([head[:, row:row + count], *rest], out=field32[:size, :count]), out=power)
+                    for (head, tail), power in zip(singles, maps):
+                        _power(_grid_product(head[:, row:row + count], tail, out=field32[:size, :count]), out=power)
                     # rho * p is monotone: the SNR takes the level of its rows' maxima, below.
                     values = maps[0] if len(maps) == 1 else level(*maps)
-                    values.reshape(size, count, -1).max(axis=-1, out=top[blk, row:row + count])
+                    values.max(axis=-1, out=top[blk, row:row + count])
             if len(channels) == 1:
                 level(top)
             candidates = _candidates(top, a[grp], b[grp], r)
@@ -241,8 +239,8 @@ def _rescan(tables, candidates, level, first, peak) -> np.ndarray:
     for k in range(count.max()):
         sub = np.flatnonzero(count > k)
         row, take = picks[sub, k], slice(None) if len(sub) == len(count) else sub
-        maps = [_power(_grid_rows(head[sub, row], [table[take] for table in rest])) for head, *rest in tables]
-        values = level(*maps).reshape(len(sub), -1)
+        maps = [_power(_grid_rows(head[sub, row], tail[take])) for head, tail in tables]
+        values = level(*maps)
         at = values.argmax(axis=1)
         value = values[np.arange(len(sub)), at]
         new = value > peak[sub]

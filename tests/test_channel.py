@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from masim.channel import (_SPLIT_ERROR, ChannelSpec, Region, _axis_tables, _collapsed, _grid_product, _grid_rows,
-                           _split_response, _stochastic_paths, angles_from_direction,
+                           _path_sum, _split_response, _stochastic_paths, angles_from_direction,
                            channel_gain, channel_spec_from_records,
                            direction_from_angles, field_on_grid, field_response, grid_count,
                            sample_stochastic_channel)
@@ -282,9 +282,12 @@ def test_field_response_broadcasts_over_stacked_directions():
 def test_stacked_fields_on_grid_match_one_call_per_channel(extents):
     specs = [sample_stochastic_channel(5, (36, t)) for t in range(3)]
     region = Region(origin=[-1.0, 0.5, 0.25], extents=extents)
-    tables = _axis_tables(np.stack([s.rx_directions for s in specs]), np.stack([s.coefficients for s in specs]),
-                          region, 0.3)
-    stacked = _grid_rows(tables[0], [table[:, None] for table in tables[1:]])
+    directions, coefficients = np.stack([s.rx_directions for s in specs]), np.stack([s.coefficients for s in specs])
+    if region.free_axes:
+        head, tail = _axis_tables(directions, coefficients, region, 0.3)
+        stacked = _grid_rows(head, tail[:, None])
+    else:  # a point region's one value is its collapsed path sum
+        stacked = _path_sum(_collapsed(directions, coefficients, region))
     for t, spec in enumerate(specs):
         values, coords = field_on_grid(spec, region, 0.3)
         assert isinstance(values, np.ndarray) and values.shape == tuple(len(c) for c in coords)
@@ -303,7 +306,7 @@ SPLIT_GRIDS = {
 
 
 @pytest.mark.parametrize("case", sorted(SPLIT_GRIDS))
-def test_split_tables_match_field_response_within_bound(case):
+def test_split_tables_match_field_response_within_bound(monkeypatch, case):
     region, step = SPLIT_GRIDS[case]
     draws = [_stochastic_paths(20, (38, t)) for t in range(3)]
     directions, coefficients = np.stack([d[0] for d in draws]), np.stack([d[1] for d in draws])
@@ -313,9 +316,12 @@ def test_split_tables_match_field_response_within_bound(case):
         exact.append(field_response(c[:, None], directions[..., [a]]))
         split = _split_response(region.origin[a], step, len(c), directions[..., [a]])
         assert split.shape == exact[-1].shape and np.abs(split - exact[-1]).max() <= bound
-    # Each field sums L products of one table entry per free axis, rounded in its own order.
-    exact = _grid_product([exact[0] * _collapsed(directions, coefficients, region)[:, None], *exact[1:]])
-    split = _grid_product(_axis_tables(directions, coefficients, region, step))
+    # Each field sums L products of a head and a tail entry, rounded in its own order; the exact
+    # field takes the head and tail of the exact per-axis tables.
+    split = _grid_product(*_axis_tables(directions, coefficients, region, step))
+    monkeypatch.setattr("masim.channel._split_response",
+                        lambda origin, step, n, d: field_response((origin + np.arange(n) * step)[:, None], d))
+    exact = _grid_product(*_axis_tables(directions, coefficients, region, step))
     assert split.shape == exact.shape
     slack = len(region.free_axes) * bound + 4 * 20 * np.finfo(float).eps
     assert (np.abs(split - exact).reshape(3, -1).max(axis=1) <= slack * np.abs(coefficients).sum(axis=1)).all()

@@ -158,7 +158,19 @@ def test_summary_records_the_effective_config_and_its_provenance(tmp_path):
     assert summary["provenance"] == {"masim": masim.__version__, "numpy": np.__version__,
                                      "python": platform.python_version(),
                                      "blas_core": experiments._environment()["blas_core"],
+                                     "cpu_dispatch": experiments._environment()["cpu_dispatch"],
                                      "config_sha256": digest}
+
+
+def test_provenance_drops_the_cpu_dispatch_groups_numpy_disables():
+    # A fresh process told to disable every dispatch group this host enables records none of them.
+    enabled = experiments._environment()["cpu_dispatch"]
+    env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parent.parent / "src"),
+               NPY_DISABLE_CPU_FEATURES=" ".join(enabled or []))
+    script = "import json\nfrom masim.experiments import _environment\nprint(json.dumps(_environment()['cpu_dispatch']))"
+    done = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True, text=True)
+    assert done.returncode == 0, done.stderr
+    assert json.loads(done.stdout) == (None if enabled is None else [])
 
 
 def test_provenance_records_null_where_the_blas_kernel_cannot_be_read(tmp_path, monkeypatch):

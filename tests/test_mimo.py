@@ -237,7 +237,7 @@ def test_waterfilling_rejects_rank_zero():
         capacity_waterfilling(np.eye(3, dtype=complex), 0.0)
 
 
-def test_sequential_search_improves_and_respects_spacing():
+def test_greedy_placement_improves_and_respects_spacing():
     region = Region.square(3.0)
     tx = tx_ula(4)
     for seed in range(5):
@@ -253,7 +253,7 @@ def test_sequential_search_improves_and_respects_spacing():
         assert dist.min() >= 0.5 - 1e-9
 
 
-def test_sequential_search_single_antenna_reaches_grid_maximum():
+def test_greedy_placement_single_antenna_reaches_grid_maximum():
     # One Rx antenna has no spacing constraint: the first pass moves it to
     # the candidate grid point with the largest capacity.
     region = Region.square(1.0)
@@ -266,7 +266,7 @@ def test_sequential_search_single_antenna_reaches_grid_maximum():
     assert capacity == pytest.approx(best, rel=1e-12)
 
 
-def test_sequential_search_rejects_tiny_region():
+def test_greedy_placement_rejects_tiny_region():
     spec = random_mimo_spec(3, 91)
     with pytest.raises(ValueError):
         greedy_rx_placement(spec, Region.square(1.0), 4, tx_ula(4), [10.0])
@@ -403,7 +403,7 @@ def test_row_replacement_capacities_stay_exact_on_rank_deficient_channels(num_pa
     # A box: each candidate row is the product of three phase tables' rows.
     (10, GRID_ROW_REGIONS["3-axes"][0], 4, 4, 10.0, 0.25, range(3), False),
 ], ids=["4x4", "4x4-low-snr", "4x4-high-snr", "1-rx", "3x2", "4x1", "all-blocked", "3-axes"])
-def test_sequential_search_matches_full_capacity_reference(case):
+def test_greedy_placement_matches_full_capacity_reference(case):
     num_paths, region, num_rx, num_tx, rho, step, seeds, blocked = case
     tx = tx_ula(num_tx)
     blocked_steps = 0
@@ -461,14 +461,14 @@ def test_stacked_searches_equal_one_search_calls(coretype):
     assert done.stdout.split()[-1] in (coretype, "None")  # the kernel asked for, where it can be read
 
 
-def test_sequential_search_rejects_bad_tx_positions():
+def test_greedy_placement_rejects_bad_tx_positions():
     spec = random_mimo_spec(3, 97)
     for tx in (5.0, [0.0, 0.0, 0.0], [[0.0, 0.0, 0.0], [0.2, 0.0, 0.0]]):
         with pytest.raises(ValueError, match="tx positions|tx antenna positions"):
             greedy_rx_placement(spec, Region.square(2.0), 2, tx, [1.0])
 
 
-def test_sequential_search_rejects_bad_rho():
+def test_greedy_placement_rejects_bad_rho():
     spec = random_mimo_spec(3, 95)
     for rho in (np.nan, np.inf, -1.0):
         with pytest.raises(ValueError):

@@ -371,13 +371,16 @@ def test_one_draw_serves_every_region_size():
 
 # Region lists for one level_trials call against separate single-region
 # calls: a point, a 1-axis segment, two squares and a 3-axis box; no region
-# at all; and 300 paths, whose refine budget of 2 x 2 x 300 elements per
-# search splits the 2 x 20 square searches of one draw into two blocks.
+# at all; 300 paths, whose refine budget of 2 x 2 x 300 elements per
+# search splits the 2 x 20 square searches of one draw into two blocks; and a
+# point at a shipped path count, 20, whose one-factor path sum numpy's einsum
+# does not add in path order (it does up to 4 paths).
 MERGED_CASES = {
     "mixed": ([Region.square(0.0), BATCH_CASES["1-axis"][0], Region.square(1.0), Region.square(2.0),
                BATCH_CASES["3-axes"][0]], 4, 5),
     "empty": ([], 4, 3),
     "many-blocks": ([Region.square(0.0), Region.square(1.0), Region.square(2.0)], 300, 20),
+    "shipped-L20": ([Region.square(0.0), Region.square(2.0)], 20, 6),
 }
 
 
@@ -414,10 +417,10 @@ def ranked_tiles(monkeypatch):
     while the test runs, once per channel: the ``out`` of each of their complex64 grid products."""
     shapes, product = [], positioning._grid_product
 
-    def recording(tables, out=None):
-        if tables[0].dtype == np.complex64:
+    def recording(head, tail, out=None):
+        if head.dtype == np.complex64:
             shapes.append(out.shape)
-        return product(tables, out=out)
+        return product(head, tail, out=out)
     monkeypatch.setattr(positioning, "_grid_product", recording)
     return shapes
 
@@ -461,7 +464,7 @@ def test_later_tiles_win_only_when_strictly_larger(monkeypatch, ranked_tiles):
     channel = [(np.zeros((1, 1, 3)), np.ones((1, 1), dtype=complex))]
     start, peak = [], []
     for t in range(2):  # each trial as a one-trial scan of its own tables
-        monkeypatch.setattr(positioning, "_axis_tables", lambda *args: [a[t:t + 1], b[t:t + 1]])
+        monkeypatch.setattr(positioning, "_axis_tables", lambda *args: (a[t:t + 1], b[t:t + 1]))
         ranked_tiles.clear()
         (first,), (top,), _ = positioning._coarse(channel, [1.0], Region.square(1.0), [4, 2], 0.25, None)
         assert ranked_tiles == [(1, 1, 2)] * 4
@@ -469,7 +472,7 @@ def test_later_tiles_win_only_when_strictly_larger(monkeypatch, ranked_tiles):
         peak.append(float(top))
     # The scan keeps the first of the first trial's equal maxima in rows 1 and 3, as the whole
     # map's argmax does.
-    whole = level(positioning._power(_grid_product([a, b]))).reshape(2, -1)
+    whole = level(positioning._power(_grid_product(a, b))).reshape(2, -1)
     assert start == whole.argmax(axis=1).tolist() == [2, 6] and peak == [4, 9]
     assert np.array(peak).tobytes() == whole.max(axis=1).tobytes()
 
@@ -526,11 +529,11 @@ def test_ranking_certificate_covers_the_float32_levels(case, kind):
     region, num_paths, step = CERTIFICATE_CASES[case]
     channels = draw_channels(kind, num_paths, 4, 31)
     rhos = [100.0] * len(channels)
-    a, b, r = positioning._ranking_errors([c for _, c in channels], rhos, len(region.free_axes))
+    a, b, r = positioning._ranking_errors([c for _, c in channels], rhos)
     level, shape = positioning._level(rhos), (4, len(region.grid_coords(step)[0]), -1)
     tables = [_axis_tables(d, c, region, step) for d, c in channels]
-    v64 = level(*[positioning._power(_grid_product(ts)) for ts in tables]).reshape(shape)
-    v32 = level(*[positioning._power(_grid_product([t.astype(np.complex64) for t in ts])) for ts in tables])
+    v64 = level(*[positioning._power(_grid_product(*ts)) for ts in tables]).reshape(shape)
+    v32 = level(*[positioning._power(_grid_product(*[t.astype(np.complex64) for t in ts])) for ts in tables])
     assert v32.dtype == np.float32
     v32 = v32.reshape(shape).astype(float)
     assert (v32 != v64).any()  # the float32 levels do round apart
@@ -539,7 +542,7 @@ def test_ranking_certificate_covers_the_float32_levels(case, kind):
     assert (v64 <= (v32 * (1 + r) + a) / (1 - b))[certified].all()
     assert (v64 >= (v32 * (1 - r) - a) / (1 + b))[certified].all()
     assert positioning._candidates(v32.max(axis=2), *positioning._ranking_errors(
-        [c for _, c in channels], rhos, len(region.free_axes)))[~certified].all()
+        [c for _, c in channels], rhos))[~certified].all()
     assert certified.any() or (kind, num_paths) == ("sinr", 300)
 
 

@@ -1,12 +1,16 @@
-"""Tests of the pure functions of ``tools/artifact_diff.py`` and ``tools/bench_pair.py``.
+"""Tests of the pure functions of ``tools/artifact_diff.py`` and ``tools/bench_pair.py``, and of the
+checkout of ``tools/worktree.py``.
 
 The byte-identity and gain statements made with these tools rest on how they compare files and
-pairs of runs; nothing here runs git or a subprocess.
+pairs of runs, and on the parent's files they run; only the checkout test runs git, on a throwaway
+repository.
 """
 
 from __future__ import annotations
 
 import json
+import signal
+import subprocess
 import sys
 from pathlib import Path
 
@@ -16,6 +20,7 @@ sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "tools"))
 
 import artifact_diff  # noqa: E402
 import bench_pair  # noqa: E402
+import worktree  # noqa: E402
 
 
 def write(folder: Path, name: str, content) -> Path:
@@ -110,3 +115,28 @@ def test_a_gain_claim_needs_nine_tenths_of_the_pairs_and_a_gap_over_the_parent_i
     summary = bench_pair.summarise(runs_of({"parent": {"wall_cal": parent}, "change": {"wall_cal": change}}),
                                    {"wall_cal": "lower"})["wall_cal"]
     assert summary["gain_claim_holds"] is holds
+
+
+def test_checkout_extracts_the_committed_files_and_writes_nothing_into_git(tmp_path, monkeypatch):
+    repo = tmp_path / "repo"
+    repo.mkdir()
+    git = lambda *args: subprocess.run(["git", "-C", str(repo), "-c", "user.name=t", "-c", "user.email=t@t", *args],
+                                       check=True, capture_output=True)
+    git("init", "--quiet")
+    write(repo, "src/one.py", "committed\n")
+    git("add", "src/one.py")
+    git("commit", "--quiet", "-m", "one")
+    write(repo, "src/one.py", "edited\n")  # the working tree's edits stay out of the checkout
+    write(repo, "two.py", "untracked\n")
+    before = sorted((repo / ".git").rglob("*"))
+    monkeypatch.setattr(worktree, "ROOT", repo)
+    handler = signal.getsignal(signal.SIGTERM)
+    try:
+        with worktree.checkout("HEAD", "test-checkout-") as path:
+            assert signal.getsignal(signal.SIGTERM) is worktree._terminate
+            assert sorted(p.relative_to(path) for p in path.rglob("*")) == [Path("src"), Path("src/one.py")]
+            assert (path / "src/one.py").read_text() == "committed\n"
+    finally:
+        signal.signal(signal.SIGTERM, handler)
+    assert not path.parent.exists()  # the temporary folder goes with the block
+    assert sorted((repo / ".git").rglob("*")) == before

@@ -6,7 +6,7 @@ Usage, from anywhere inside the repository:
 
 Runs ``masim run`` on each ``configs/*.json`` twice: once with the
 working tree's sources and configs, once with those of ``<git-rev>``,
-checked out in a temporary ``git worktree``.  The ``snr``, ``sinr`` and
+extracted by ``git archive`` into a temporary folder.  The ``snr``, ``sinr`` and
 ``mimo`` kinds run with ``--trials 2``; ``--full`` runs every config as
 shipped (the 500-trial sweeps and the 200-seed ``mimo``).  Prints ``same``
 or ``DIFF`` for every CSV and every ``summary.json`` (compared without its

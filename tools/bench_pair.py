@@ -5,7 +5,7 @@ Usage, from anywhere inside the repository:
     python3 tools/bench_pair.py <git-rev> --workload W --pairs N --seed S --out BENCH_<topic>.json
     python3 tools/bench_pair.py <git-rev> --workload W --pairs N --seed S --trace 1 --out ...
 
-``<git-rev>`` (the parent) is checked out in a temporary ``git worktree``;
+``<git-rev>`` (the parent) is extracted by ``git archive`` into a temporary folder;
 the change is the working tree.  Each pair runs ``perfbench/run.py
 --workload W --seed S --seconds <run_seconds of BENCHMARK.json>`` once on
 each side, the parent first in even pairs and the change first in odd
@@ -122,7 +122,7 @@ def machine() -> dict:
 
 def main(argv: list[str]) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
-    parser.add_argument("rev", help="parent revision, checked out in a temporary git worktree")
+    parser.add_argument("rev", help="parent revision, extracted by git archive into a temporary folder")
     parser.add_argument("--workload", required=True)
     parser.add_argument("--pairs", type=int, required=True)
     parser.add_argument("--seed", type=int, required=True)
