@@ -25,7 +25,7 @@ import numpy as np
 from . import beams, estimation, gainmap, mimo, positioning
 from .channel import (MIN_SPACING, ChannelSpec, Region, _complex_normal, angles_from_direction,
                       channel_spec_from_records, grid_count, sample_stochastic_channel)
-from .util import _blocks, write_csv_atomic, write_json_atomic
+from .util import write_csv_atomic, write_json_atomic
 
 __all__ = ["EXPERIMENT_KINDS", "ENV_OUTPUT_DIR", "MAX_GRID_POINTS", "ConfigError",
            "load_config", "validate_config_dict", "run_experiment"]
@@ -202,6 +202,8 @@ _GRIDS = {
 _RULES = [
     (("gainmap",), "paths", "give exactly one of paths and num_paths",
      lambda c: (c["paths"] is None) != (c["num_paths"] is None)),
+    (("gainmap",), "paths", "must have coefficient magnitudes summing to at most 1e150, so |h|^2 stays finite",
+     lambda c: sum(math.hypot(p["coeff_re"], p["coeff_im"]) for p in c["paths"] or ()) <= 1e150),
     (("snr", "sinr"), "coarse_step", "too small for the local refine steps",
      lambda c: _attempt(positioning.SearchConfig, c["coarse_step"]) is not None),
     (("beam",), "u2", f"null-steer needs u1, u2 steering vectors not collinear at {MIN_SPACING} spacing",
@@ -318,28 +320,21 @@ def _run_beam(cfg, outdir):
 
 
 def _run_mimo(cfg, outdir):
-    """FPA and greedy MA capacities of every (SNR, path count, seed), from one greedy lockstep
-    per block of (path count, seed) channels, each channel at every SNR.  A block holds at most
-    ``mimo._LOCKSTEP_ELEMENTS`` elements of the lockstep's arrays, or one channel; every result is
-    bit for bit that of its search alone, so the blocks leave no mark on the artifacts."""
+    """FPA and greedy MA capacities of every (SNR, path count, seed), from one ``mimo._greedy``
+    call on every (path count, seed) channel at every SNR; its blocks leave no mark on the
+    artifacts, as every result is bit for bit that of its search alone."""
     region = Region.square(cfg["region_size"])
     tx = mimo.tx_ula(cfg["num_tx"])
     snrs = cfg["snr_db_list"]
     rhos = [10.0 ** (snr_db / 10.0) for snr_db in snrs]
     candidates = grid_count(cfg["region_size"], cfg["step"]) ** 2
     channels = [(num_paths, s) for num_paths in cfg["path_counts"] for s in range(cfg["seeds"])]
-    # A channel holds its candidate rows, candidates x 2 num_tx reals, and each of its searches
-    # its scores and its too-near masks, candidates x (1 + num_rx).
-    per_channel = candidates * (2 * cfg["num_tx"] + len(rhos) * (1 + cfg["num_rx"]))
-    rows, passes = [], 0
-    for blk in _blocks(len(channels), per_channel, mimo._LOCKSTEP_ELEMENTS):
-        specs = [sample_stochastic_channel(num_paths, (cfg["seed"], num_paths, s), include_tx=True)
-                 for num_paths, s in channels[blk]]
-        _, fpa, ma, trace = mimo._greedy(specs, region, cfg["num_rx"], tx, np.array(rhos), cfg["step"])
-        for (num_paths, s), fpa_k, ma_k, trace_k in zip(channels[blk], fpa, ma, trace):
-            rows += [(snr_db, num_paths, s, float(cf), float(cm))
-                     for snr_db, cf, cm in zip(snrs, fpa_k, ma_k)]
-            passes += sum(map(len, trace_k))
+    specs = [sample_stochastic_channel(num_paths, (cfg["seed"], num_paths, s), include_tx=True)
+             for num_paths, s in channels]
+    _, fpa, ma, trace = mimo._greedy(specs, region, cfg["num_rx"], tx, np.array(rhos), cfg["step"])
+    rows = [(snr_db, num_paths, s, float(cf), float(cm))
+            for (num_paths, s), fpa_k, ma_k in zip(channels, fpa, ma) for snr_db, cf, cm in zip(snrs, fpa_k, ma_k)]
+    passes = sum(len(p) for trace_k in trace for p in trace_k)
     rows.sort(key=lambda r: (r[0], r[1], r[2]))
     write_csv_atomic(os.path.join(outdir, "capacity_sweep.csv"), "snr_db,L,seed,capacity_fpa,capacity_ma",
                      zip(*rows))

@@ -14,6 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .channel import MIN_SPACING, ChannelSpec, Region, _axis_tables, _count, _levels, _points, field_response
+from .util import _blocks
 
 __all__ = [
     "tx_ula",
@@ -76,17 +77,18 @@ def _capacity_batch(h_batch: np.ndarray, rho: float, num_tx: int) -> np.ndarray:
     return np.log1p((rho / num_tx) * s ** 2).sum(axis=-1) / math.log(2.0)
 
 
-def _row_replacement_capacities(h: np.ndarray, m: int, rows: np.ndarray, a: np.ndarray,
-                                spans: list[tuple[int, slice]]) -> np.ndarray:
-    """(S, C): log2 det(I + a_s H'^H H') for each H' = ``h[s]`` with row ``m`` replaced by a
-    candidate row r of its channel, for a stack of S searches: ``h`` (S, M, N), ``a`` (S,), and
-    ``rows`` (K, C, 2N) the rows ``[Re r | Im r]`` of K channels, each paired in ``spans`` with the
-    slice of the searches it holds.  Scored as det(I + a H_^H H_) (1 + a q), H_ = ``h[s]`` without
-    row m and q = r Q r^H = sum_k w_k |r v_k|^2, with v_k the right singular vectors of H_ and
-    w_k = 1/(1 + a s_k^2), 1 on the null space.  An inverse, a solve or a gram of the rows would
-    lose the null space once a s^2 swamps 1.  q is real arithmetic: per search one (C, 2N) product
-    with the real block [[Re V, Im V], [-Im V, Re V]] of V = [v_1 ... v_N], squared in place and
-    summed against [w | w].  Its shape, so its bits, do not depend on how many searches are stacked.
+def _row_replacement_scores(h: np.ndarray, m: int, rows: np.ndarray, a: np.ndarray,
+                            spans: list[tuple[int, slice]]) -> tuple[np.ndarray, np.ndarray]:
+    """The rank-one scores q (S, C) and log det(I + a_s H_^H H_) (S,) of S stacked searches: ``h``
+    (S, M, N), ``a`` (S,), and ``rows`` (K, C, 2N) the rows ``[Re r | Im r]`` of K channels, each
+    paired in ``spans`` with the slice of the searches it holds.  H_ is ``h[s]`` without row ``m``;
+    replacing row m by a candidate row r gives log2 det(I + a H'^H H') = (log1p(a q) + log det) /
+    log 2, which rises with q.  q = r Q r^H = sum_k w_k |r v_k|^2, with v_k the right singular
+    vectors of H_ and w_k = 1/(1 + a s_k^2), 1 on the null space.  An inverse, a solve or a gram of
+    the rows would lose the null space once a s^2 swamps 1.  q is real arithmetic: per search one
+    (C, 2N) product with the real block [[Re V, Im V], [-Im V, Re V]] of V = [v_1 ... v_N], squared
+    in place and summed against [w | w].  Its shape, so its bits, do not depend on how many
+    searches are stacked.
     """
     n = h.shape[-1]
     _, s, vh = np.linalg.svd(np.delete(h, m, axis=1))
@@ -103,12 +105,7 @@ def _row_replacement_capacities(h: np.ndarray, m: int, rows: np.ndarray, a: np.n
         p = np.matmul(rows[k], blocks[span], out=prod[:span.stop - span.start])
         np.square(p, out=p)
         np.matmul(p, weights[span].reshape(-1, 2 * n, 1), out=quad[span])
-    caps = quad[:, :, 0]  # the capacities, computed in place
-    caps *= a[:, None]
-    np.log1p(caps, out=caps)
-    caps += np.log1p(gains).sum(axis=1)[:, None]
-    caps /= math.log(2.0)
-    return caps
+    return quad[:, :, 0], np.log1p(gains).sum(axis=1)
 
 
 def _matrix(h_matrix) -> np.ndarray:
@@ -190,58 +187,64 @@ def _initial_ula_placement(region: Region, num_rx: int) -> np.ndarray:
 def _greedy(specs: list[ChannelSpec], region: Region, num_rx: int, t: np.ndarray, rho: np.ndarray,
             step: float):
     """The greedy searches of :func:`greedy_rx_placement` on K = len(``specs``) channels, each at
-    every level of ``rho`` (S,), in one lockstep; the caller checks the arguments.  Each channel's
-    candidate rows come once from its phase tables (:func:`_grid_channel_rows`) and are held once;
-    each antenna step scores every running search in one batch, and a search drops out after the
-    pass that ends it.  Returns the placements (K, S, num_rx, 3), the FPA and final capacities
-    (K, S) and, per channel and level, the list of capacities after every pass.
+    every level of ``rho`` (S,); the caller checks the arguments.  Each block of channels (see
+    _LOCKSTEP_ELEMENTS) runs in one lockstep and holds each channel's candidate rows once, built
+    from its phase tables (:func:`_grid_channel_rows`).  Each antenna step scores every running
+    search's candidates in one batch, too-near ones at -inf, and forms the capacity of each
+    search's first best score alone; a search drops out after the pass that ends it.  Returns the
+    placements (K, S, num_rx, 3), the FPA and final capacities (K, S) and lists [k][s] of the
+    capacities after every pass.
     """
     n, levels = len(t), rho.size
     start = _initial_ula_placement(region, num_rx)
     coords = region.grid_coords(step)
     shape = tuple(c.size for c in coords)
     candidates = region.grid_position(coords, np.arange(math.prod(shape)))
-    rows = np.empty((len(specs), len(candidates), 2 * n))
-    for k, spec in enumerate(specs):
-        r = _grid_channel_rows(spec, t, region, step)
-        rows[k, :, :n], rows[k, :, n:] = r.real, r.imag
-    # The searches, channel by channel and level by level within a channel.
-    h = np.repeat([_channel_rows(spec, t, start) for spec in specs], levels, axis=0)
-    rho = np.tile(rho, len(specs))
-    a = rho / n
-    initial = _capacity_batch(h, rho[:, None], n)
-    capacity = initial.copy()
-    positions = np.repeat(start[None], len(h), axis=0)
-    near = np.repeat(_near(candidates, start)[None], len(h), axis=0)  # [s, k, c]: c too near antenna k
     grid_near = _grid_near(shape, step)
-
-    live = np.arange(len(h))  # the running searches, whose state the arrays above hold
-    final_positions, final_h = np.empty_like(positions), np.empty_like(h)
-    pass_capacities = [[] for _ in live]
-    for _ in range(_MAX_PASSES):
-        channel = live // levels
-        bounds = np.searchsorted(channel, np.arange(len(specs) + 1))
-        spans = [(k, slice(lo, hi)) for k, (lo, hi) in enumerate(zip(bounds, bounds[1:])) if hi > lo]
-        before = capacity.copy()
-        for m in range(num_rx):
-            caps = _row_replacement_capacities(h, m, rows, a, spans)
-            caps[np.delete(near, m, axis=1).any(axis=1)] = -np.inf
-            best = caps.argmax(axis=1)
-            gain = caps[np.arange(live.size), best]
-            up = np.flatnonzero(gain > capacity)
-            capacity[up] = gain[up]
-            positions[up, m] = candidates[best[up]]
-            picked = rows[channel[up], best[up]]
-            h.real[up, m], h.imag[up, m] = picked[:, :n], picked[:, n:]
-            near[up, m] = grid_near[np.unravel_index(best[up], shape)].reshape(-1, len(candidates))
-        for i, c in zip(live, capacity):
-            pass_capacities[i].append(float(c))
-        going = ~(capacity - before < _TOL_BITS)
-        final_positions[live], final_h[live] = positions, h
-        live, h, a, capacity, positions, near = (
-            x[going] for x in (live, h, a, capacity, positions, near))
-        if not live.size:
-            break
+    # The searches' channel matrices, channel by channel and level by level within a channel.
+    final_h = np.repeat([_channel_rows(spec, t, start) for spec in specs], levels, axis=0)
+    rho = np.tile(rho, len(specs))
+    initial = _capacity_batch(final_h, rho[:, None], n)
+    final_positions = np.empty((len(final_h), num_rx, 3))
+    pass_capacities = [[] for _ in final_h]
+    # A channel holds its candidate rows, C x 2N reals, and each of its searches its scores and
+    # its too-near masks, C x (1 + num_rx).
+    for blk in _blocks(len(specs), len(candidates) * (2 * n + levels * (1 + num_rx)), _LOCKSTEP_ELEMENTS):
+        rows = np.empty((blk.stop - blk.start, len(candidates), 2 * n))
+        for k, spec in enumerate(specs[blk]):
+            r = _grid_channel_rows(spec, t, region, step)
+            rows[k, :, :n], rows[k, :, n:] = r.real, r.imag
+        live = np.arange(blk.start * levels, blk.stop * levels)  # the block's running searches
+        h, a, capacity = final_h[live], rho[live] / n, initial[live]  # and their state
+        positions = np.repeat(start[None], live.size, axis=0)
+        near = np.repeat(_near(candidates, start)[None], live.size, axis=0)  # [s, k, c]: c too near antenna k
+        for _ in range(_MAX_PASSES):
+            channel = live // levels - blk.start
+            bounds = np.searchsorted(channel, np.arange(len(rows) + 1))
+            spans = [(k, slice(lo, hi)) for k, (lo, hi) in enumerate(zip(bounds, bounds[1:])) if hi > lo]
+            before = capacity.copy()
+            for m in range(num_rx):
+                q, log_det = _row_replacement_scores(h, m, rows, a, spans)
+                q[np.delete(near, m, axis=1).any(axis=1)] = -np.inf
+                best = q.argmax(axis=1)
+                top = q[np.arange(live.size), best]
+                free = top > -np.inf  # else every candidate is too near: the search stays put
+                gain = np.full(live.size, -np.inf)
+                gain[free] = (np.log1p(a[free] * top[free]) + log_det[free]) / math.log(2.0)
+                up = np.flatnonzero(gain > capacity)
+                capacity[up] = gain[up]
+                positions[up, m] = candidates[best[up]]
+                picked = rows[channel[up], best[up]]
+                h.real[up, m], h.imag[up, m] = picked[:, :n], picked[:, n:]
+                near[up, m] = grid_near[np.unravel_index(best[up], shape)].reshape(-1, len(candidates))
+            for i, c in zip(live, capacity):
+                pass_capacities[i].append(float(c))
+            going = ~(capacity - before < _TOL_BITS)
+            final_positions[live], final_h[live] = positions, h
+            live, h, a, capacity, positions, near = (
+                x[going] for x in (live, h, a, capacity, positions, near))
+            if not live.size:
+                break
     final = _capacity_batch(final_h, rho[:, None], n)
     by_channel = lambda x: x.reshape((len(specs), levels) + x.shape[1:])
     return (by_channel(final_positions), by_channel(initial), by_channel(final),
@@ -258,10 +261,11 @@ def greedy_rx_placement(spec: ChannelSpec, region: Region, num_rx: int, tx_posit
     best candidate grid point with the others fixed, skipping candidates under MIN_SPACING from
     another antenna.  Passes repeat until one gains under ``_TOL_BITS`` or ``_MAX_PASSES`` are
     done, so no capacity falls below its baseline.  This is the one-channel call of the lockstep
-    that the mimo runner runs on blocks of channels, in which each search stops under its own rule,
-    so each result is bit for bit that of its search alone.  ``num_rx`` must be an integer >= 1 and
-    ``rhos`` a sequence of at least one level; else ValueError.  Returns, per level, the placement
-    (S, num_rx, 3), the FPA and final capacities (S,) and the list of capacities after every pass.
+    that the mimo runner runs on every channel of a run, in which each search stops under its own
+    rule, so each result is bit for bit that of its search alone.  ``num_rx`` must be an integer
+    >= 1 and ``rhos`` a sequence of at least one level; else ValueError.  Returns, per level, the
+    placement (S, num_rx, 3), the FPA and final capacities (S,) and the list of capacities after
+    every pass.
     """
     num_rx = _count(num_rx, "num_rx")
     rho = _levels(rhos)

@@ -134,13 +134,12 @@ def test_mimo_block_seams_leave_no_mark(tmp_path, monkeypatch):
     # Four channels (two path counts x two seeds) at three SNRs: one run stacks every channel in
     # one lockstep, the other runs one channel per block.
     cfg = mimo_config(path_counts=[3, 6], seeds=2, snr_db_list=[-10.0, 5.0, 20.0])
-    blocks, greedy = [], mimo._greedy
-    monkeypatch.setattr(mimo, "_greedy",
-                        lambda specs, *args: blocks.append(len(specs)) or greedy(specs, *args))
+    blocks, split = [], mimo._blocks
+    monkeypatch.setattr(mimo, "_blocks", lambda *args: blocks.append(split(*args)) or blocks[-1])
     for run, budget in (("one", 2 ** 40), ("many", 1)):
         monkeypatch.setattr(mimo, "_LOCKSTEP_ELEMENTS", budget)
         run_experiment(cfg, output_dir=str(tmp_path / run))
-    assert blocks == [4, 1, 1, 1, 1]
+    assert [[blk.stop - blk.start for blk in run] for run in blocks] == [[4], [1, 1, 1, 1]]
     for name in ("capacity_sweep.csv", "summary.json"):
         one, many = ((tmp_path / run / name).read_text() for run in ("one", "many"))
         if name == "summary.json":
@@ -304,6 +303,7 @@ def mimo_config(**changes):
 
 
 PATH_RECORD = {"theta": 1.1, "phi": 0.7, "coeff_re": 1.0, "coeff_im": 0.0}
+OTHER_PATH_RECORD = {"theta": 0.3, "phi": -1.2, "coeff_re": 0.0, "coeff_im": 1.0}
 
 
 @pytest.mark.parametrize("cfg", [
@@ -337,6 +337,8 @@ PATH_RECORD = {"theta": 1.1, "phi": 0.7, "coeff_re": 1.0, "coeff_im": 0.0}
     small_snr_config() | {"trials": 10 ** 12},
     estimate_config(noise_var=1e308),
     estimate_config(noise_var=1.01e100),
+    gainmap_config(PATH_RECORD | {"coeff_re": 1e200}),
+    gainmap_config(PATH_RECORD | {"coeff_re": 5.1e149}, OTHER_PATH_RECORD | {"coeff_im": 5e149}),
 ], ids=["refine-string", "max-paths-over-measurements", "estimate-negative-step",
         "one-pattern-point", "d-max-below-min-spacing", "one-point-dictionary",
         "mixed-tx-angles", "tx-theta-out-of-range", "snr-fractional-path-count",
@@ -345,7 +347,8 @@ PATH_RECORD = {"theta": 1.1, "phi": 0.7, "coeff_re": 1.0, "coeff_im": 0.0}
         "mimo-snr-overflow", "mimo-snr-nan-capacity", "huge-region", "tiny-d-step",
         "grid-just-over-cap", "unknown-key", "paths-and-num-paths", "coarse-step-below-refine-tol",
         "output-dir-not-string", "repeated-path-count", "region-sizes-one-summary-key",
-        "repeated-snr", "trials-over-cap", "noise-var-overflow", "noise-var-just-over-cap"])
+        "repeated-snr", "trials-over-cap", "noise-var-overflow", "noise-var-just-over-cap",
+        "gainmap-power-overflow", "gainmap-coefficients-just-over-cap"])
 def test_invalid_config_exits_2_before_any_output(tmp_path, cfg):
     path = write_config(tmp_path, cfg)
     out = tmp_path / "out"
@@ -368,6 +371,14 @@ def test_cli_runtime_failure_exits_3(tmp_path, monkeypatch):
 def test_noise_var_at_cap_gives_a_finite_summary(tmp_path):
     summary = run_experiment(estimate_config(noise_var=1e100), output_dir=str(tmp_path / "e"))
     assert math.isfinite(summary["results"]["nmse"]) and math.isfinite(summary["results"]["residual_norm"])
+
+
+def test_gainmap_coefficients_at_cap_give_a_finite_summary(tmp_path):
+    # Two paths whose magnitudes sum to the cap: where they add in phase, |h|^2 nears 1e300.
+    cfg = gainmap_config(PATH_RECORD | {"coeff_re": 5e149}, OTHER_PATH_RECORD | {"coeff_im": 5e149})
+    assert validate_config_dict(cfg) == []
+    summary = run_experiment(cfg, output_dir=str(tmp_path / "g"))["results"]
+    assert all(math.isfinite(summary[key]) for key in ("max_db", "min_db", "spread_db"))
 
 
 def test_non_finite_summary_exits_3_and_leaves_nothing(tmp_path, monkeypatch):

@@ -11,7 +11,7 @@ import pytest
 from masim.channel import (_SPLIT_ERROR, MIN_SPACING, ChannelSpec, Region, channel_gain,
                            direction_from_angles, sample_stochastic_channel)
 from masim.mimo import (_capacity_batch, _channel_rows, _greedy, _grid_channel_rows, _grid_near,
-                        _initial_ula_placement, _near, _row_replacement_capacities, capacity_identity_cov,
+                        _initial_ula_placement, _near, _row_replacement_scores, capacity_identity_cov,
                         capacity_waterfilling, greedy_rx_placement, tx_ula)
 
 
@@ -331,13 +331,15 @@ def real_rows(rows):
 
 
 def assert_scores_match_log_det(h, m, rows, spans, rho, rtol, argmax_gap=0.0):
-    """Scores each search of ``h`` (S, M, N) with ``rows`` (K, C, N) complex and checks them
-    against the log-det of every replaced matrix, from its singular values: finite, within
-    ``rtol``, with the oracle's argmax wherever its top two scores differ by more than
-    ``argmax_gap`` relative."""
+    """Scores each search of ``h`` (S, M, N) with ``rows`` (K, C, N) complex and checks the
+    capacities formed from the scores and the log-det against the log-det of every replaced
+    matrix, from its singular values: finite, within ``rtol``, and the scores' argmax the oracle's
+    wherever its top two capacities differ by more than ``argmax_gap`` relative."""
     num_tx = h.shape[-1]
-    scores = _row_replacement_capacities(h, m, real_rows(rows), rho / num_tx, spans)
-    assert scores.shape == (len(h), rows.shape[1])
+    a = rho / num_tx
+    q, log_det = _row_replacement_scores(h, m, real_rows(rows), a, spans)
+    assert q.shape == (len(h), rows.shape[1]) and log_det.shape == (len(h),)
+    scores = (np.log1p(a[:, None] * q) + log_det[:, None]) / math.log(2.0)
     assert np.isfinite(scores).all()
     for k, span in spans:
         for s in range(span.start, span.stop):
@@ -347,12 +349,12 @@ def assert_scores_match_log_det(h, m, rows, spans, rho, rtol, argmax_gap=0.0):
             np.testing.assert_allclose(scores[s], oracle, rtol=rtol, atol=0.0)
             top = np.sort(oracle)[-2:]
             if top[1] - top[0] > argmax_gap * abs(top[1]):
-                assert int(np.argmax(scores[s])) == int(np.argmax(oracle))
+                assert int(np.argmax(q[s])) == int(np.argmax(oracle))
 
 
 @pytest.mark.parametrize("num_tx", (1, 4))
 @pytest.mark.parametrize("num_rx", (1, 2, 4, 6))
-def test_row_replacement_capacities_match_log_det(num_rx, num_tx):
+def test_row_replacement_scores_match_log_det(num_rx, num_tx):
     # One batch of searches on two channels of candidate rows, each search with its own H and
     # SNR, up to 1000 dB, where only the null-space weights keep the scores exact.
     rng = np.random.default_rng((34, num_rx, num_tx))
@@ -367,7 +369,7 @@ def test_row_replacement_capacities_match_log_det(num_rx, num_tx):
 
 @pytest.mark.parametrize("num_paths", (1, 2, 3))
 @pytest.mark.parametrize("num_rx", (2, 4))
-def test_row_replacement_capacities_stay_exact_on_rank_deficient_channels(num_paths, num_rx):
+def test_row_replacement_scores_stay_exact_on_rank_deficient_channels(num_paths, num_rx):
     # With L < N = 4 paths every H and every candidate row lies in the span of L steering
     # vectors, so H_ has singular values at rounding level and a s^2 spans 1e-12 to 1e20.  A
     # gram of the rows against (I + a H_^H H_)^-1 cancels the range once a s^2 swamps 1 and
@@ -403,6 +405,7 @@ def test_row_replacement_capacities_stay_exact_on_rank_deficient_channels(num_pa
     # A box: each candidate row is the product of three phase tables' rows.
     (10, GRID_ROW_REGIONS["3-axes"][0], 4, 4, 10.0, 0.25, range(3), False),
 ], ids=["4x4", "4x4-low-snr", "4x4-high-snr", "1-rx", "3x2", "4x1", "all-blocked", "3-axes"])
+@pytest.mark.filterwarnings("error")  # a fully blocked step must not take log1p of -inf
 def test_greedy_placement_matches_full_capacity_reference(case):
     num_paths, region, num_rx, num_tx, rho, step, seeds, blocked = case
     tx = tx_ula(num_tx)
@@ -509,7 +512,7 @@ def test_greedy_search_returns_one_result_per_level():
 def test_greedy_search_memory_does_not_grow_with_candidates_squared(num_channels):
     # Region.square(10.0) at step 0.1 holds C = 10,201 candidates: one C x C boolean table would
     # take 99 MiB, while the search's arrays grow with C alone.  Three channels are the block of
-    # 10-lambda channels the mimo runner stacks under mimo._LOCKSTEP_ELEMENTS.
+    # 10-lambda channels the search stacks under mimo._LOCKSTEP_ELEMENTS.
     specs, tx = [random_mimo_spec(8, (100, k)) for k in range(num_channels)], tx_ula(4)
     rhos = np.array([10.0 ** (snr_db / 10.0) for snr_db in (-10.0, 0.0, 10.0, 20.0)])
     tracemalloc.start()
