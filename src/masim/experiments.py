@@ -1,7 +1,8 @@
 """Experiment harness: config schema, per-kind runners, artifact writing.
 
 Configs are JSON files with a ``kind`` field selecting the experiment and a
-flat set of kind-specific parameters (``_SCHEMA`` below, listed in README).
+flat set of kind-specific parameters (one ``_KINDS`` entry per kind below: its fields, grid
+sizes, cross-field rules, runner and trial field; the fields are listed in README).
 Every runner is deterministic for a fixed config and seed: per-trial RNG
 streams are derived from (seed, indices) and results are aggregated in index
 order, so CSV outputs are byte-identical across runs.
@@ -9,6 +10,7 @@ order, so CSV outputs are byte-identical across runs.
 
 from __future__ import annotations
 
+import collections
 import ctypes
 import functools
 import json
@@ -30,7 +32,6 @@ from .util import write_csv_atomic, write_json_atomic
 __all__ = ["EXPERIMENT_KINDS", "ENV_OUTPUT_DIR", "MAX_GRID_POINTS", "ConfigError",
            "load_config", "validate_config_dict", "run_experiment"]
 
-EXPERIMENT_KINDS = ("gainmap", "snr", "sinr", "beam", "mimo", "estimate")
 ENV_OUTPUT_DIR = "MASIM_OUTPUT_DIR"
 # Most points any grid of a config may have (for beam arrays, points x
 # elements); the largest shipped config uses 160,801.
@@ -99,71 +100,18 @@ _PATHS = _check(
         and all(_is_num(x) for x in rec.values()) for rec in v)
     and _attempt(channel_spec_from_records, v) is not None)
 _REQUIRED = object()
-_LEVEL_SWEEP = {
-    "path_counts": (_COUNTS, _REQUIRED),
-    "region_sizes": (_list("nonnegative numbers", lambda x: _is_num(x) and x >= 0, float), _REQUIRED),
-    "trials": (_int(1), _REQUIRED),
-    "coarse_step": (_POSITIVE, 0.1),
-    "refine": (_check("true or false", lambda v: isinstance(v, bool)), True),
-}
-
-# The config schema: per kind, field -> (check, default).  _REQUIRED marks a
-# field without a default, None an optional field left unset, and a callable
-# default is computed from the fields resolved before it.
-_SCHEMA = {
-    "gainmap": {
-        "paths": (_PATHS, None),
-        "num_paths": (_int(1), None),
-        "region_size": (_POSITIVE, _REQUIRED),
-        "step": (_POSITIVE, _REQUIRED),
-    },
-    "snr": _LEVEL_SWEEP,
-    "sinr": _LEVEL_SWEEP,
-    "beam": {
-        "num_elements": (_int(1), _REQUIRED),
-        "objective": (_one_of("two-beam", "null-steer"), _REQUIRED),
-        "u1": (_COSINE, _REQUIRED),
-        "u2": (_COSINE, _REQUIRED),
-        "d_max": (_num(f"a number >= {MIN_SPACING}", lambda x: x >= MIN_SPACING), 2.0),
-        "d_step": (_POSITIVE, 1.0 / 64.0),
-        "pattern_points": (_int(2), 2001),
-    },
-    "mimo": {
-        "num_tx": (_int(1), _REQUIRED),
-        "num_rx": (_int(1), _REQUIRED),
-        "path_counts": (_COUNTS, _REQUIRED),
-        # Near 3080 dB, rho*|H|^2 overflows and the capacities turn NaN.
-        "snr_db_list": (_list("numbers <= 1000 (dB)", lambda x: _is_num(x) and x <= 1000.0, float),
-                        _REQUIRED),
-        "seeds": (_int(1), _REQUIRED),
-        "region_size": (_POSITIVE, _REQUIRED),
-        "step": (_POSITIVE, 0.1),
-    },
-    "estimate": {
-        "num_paths": (_int(1), _REQUIRED),
-        "num_measurements": (_int(1), _REQUIRED),
-        "region_size": (_POSITIVE, _REQUIRED),
-        # Near 1e305 the NMSE and the residual norm overflow; 1e100 is a
-        # -1000 dB per-sample SNR, the mimo bound.
-        "noise_var": (_num("a number in [0, 1e100]", lambda x: 0 <= x <= 1e100), _REQUIRED),
-        "strategy": (_one_of("uniform-random", "grid"), "uniform-random"),
-        "dict_grid": (_int(2), 64),
-        "max_paths": (_int(1), lambda c: c.get("num_paths")),
-        "step": (_POSITIVE, 0.1),
-    },
-}
 _COMMON = {"seed": (_int(0), _REQUIRED),
            "output_dir": (_check("a string", lambda v: isinstance(v, str)), None)}
 
 
-# (field, points) of every grid a kind builds and of every array a field
-# scales with a grid, checked before anything is allocated: path counts x
-# grid side (the field_on_grid phase factors); mimo candidates x paths (their
-# Rx-side fields), x num_tx (their channel rows) and x num_rx (the too-near mask);
-# snr/sinr trials x region sizes (the per-trial maxima); estimate
-# measurements x dict_grid^2, which bounds the atoms of the measurement
-# matrix; beam scan or pattern points x elements.  _side saturates just
-# past the cap, so a huge extent/step ratio stays finite.
+# (field, points) of every grid a kind builds and of every array a field scales with a grid,
+# checked before anything is allocated: path counts x grid side (the field_on_grid phase
+# factors); mimo candidates x paths (their Rx-side fields), x num_tx (their channel rows) and x
+# SNRs x (1 + num_rx) (the too-near masks and scores of one channel's lockstep searches); mimo
+# seeds x path counts x SNRs (the searches) and snr/sinr trials x region sizes (the per-trial
+# maxima); estimate measurements x dict_grid^2, which bounds the atoms of the measurement matrix;
+# beam scan or pattern points x elements.  _side saturates just past the cap, so a huge
+# extent/step ratio stays finite.
 _side = lambda extent, step: grid_count(min(extent, step * MAX_GRID_POINTS), step)
 
 
@@ -173,9 +121,10 @@ def _square_grid(step_key, side, path_counts):
 
 
 def _mimo_grids(c):
-    points = _side(c["region_size"], c["step"]) ** 2
+    points, levels = _side(c["region_size"], c["step"]) ** 2, len(c["snr_db_list"])
     return [("step", points), ("path_counts", points * max(c["path_counts"])),
-            ("num_rx", points * c["num_rx"]), ("num_tx", points * c["num_tx"])]
+            ("num_rx", points * levels * (1 + c["num_rx"])), ("num_tx", points * c["num_tx"]),
+            ("seeds", c["seeds"] * len(c["path_counts"]) * levels)]
 
 
 def _estimate_grids(c):
@@ -184,50 +133,12 @@ def _estimate_grids(c):
         ("dict_grid", lattice), ("num_measurements", c["num_measurements"] * lattice)]
 
 
-_sweep_grid = lambda c: _square_grid("coarse_step", _side(max(c["region_sizes"]), c["coarse_step"]),
-                                     [("path_counts", max(c["path_counts"]))]) + [
-    ("trials", c["trials"] * len(c["region_sizes"]))]
-_GRIDS = {
-    "gainmap": lambda c: _square_grid("step", _side(c["region_size"], c["step"]),
-                                      [("paths", len(c["paths"] or ())), ("num_paths", c["num_paths"] or 0)]),
-    "snr": _sweep_grid,
-    "sinr": _sweep_grid,
-    "beam": lambda c: [("d_step", _side(c["d_max"] - MIN_SPACING, c["d_step"]) * c["num_elements"]),
-                       ("pattern_points", c["pattern_points"] * c["num_elements"])],
-    "mimo": _mimo_grids,
-    "estimate": _estimate_grids,
-}
-
-# Cross-field rules (kinds, field, message, ok), run once the grids fit.
-_RULES = [
-    (("gainmap",), "paths", "give exactly one of paths and num_paths",
-     lambda c: (c["paths"] is None) != (c["num_paths"] is None)),
-    (("gainmap",), "paths", "must have coefficient magnitudes summing to at most 1e150, so |h|^2 stays finite",
-     lambda c: sum(math.hypot(p["coeff_re"], p["coeff_im"]) for p in c["paths"] or ()) <= 1e150),
-    (("snr", "sinr"), "coarse_step", "too small for the local refine steps",
-     lambda c: _attempt(positioning.SearchConfig, c["coarse_step"]) is not None),
-    (("beam",), "u2", f"null-steer needs u1, u2 steering vectors not collinear at {MIN_SPACING} spacing",
-     lambda c: c["objective"] == "two-beam" or _attempt(
-         beams.null_steer_weights, beams.uniform_layout(c["num_elements"], MIN_SPACING),
-         c["u1"], c["u2"]) is not None),
-    (("mimo",), "region_size", f"too small to host num_rx antennas at {MIN_SPACING} spacing",
-     lambda c: _attempt(mimo._initial_ula_placement, Region.square(c["region_size"]),
-                        c["num_rx"]) is not None),
-    (("estimate",), "num_measurements", "must be at least num_paths and max_paths",
-     lambda c: c["num_measurements"] >= max(c["num_paths"], c["max_paths"])),
-    # A dict_grid whose points all fall outside the cosine disk raises: 0 atoms.
-    (("estimate",), "dict_grid", "must give a dictionary of at least num_paths and max_paths atoms",
-     lambda c: max(c["num_paths"], c["max_paths"]) <= getattr(
-         _attempt(estimation.cosine_grid_dictionary, c["dict_grid"]), "shape", (0,))[0]),
-]
-
-
 def _resolve(cfg: dict) -> tuple[dict, list[str]]:
     """The config with every default filled in and every value typed, and its violations."""
     kind = cfg.get("kind")
     if kind not in EXPERIMENT_KINDS:
         return {}, [f"kind: must be one of {EXPERIMENT_KINDS}, got {kind!r}"]
-    fields = _COMMON | _SCHEMA[kind]
+    fields = _COMMON | _KINDS[kind].fields
     out = {"kind": kind}
     bad = [f"{key}: unknown field" for key in cfg if key != "kind" and key not in fields]
     for key, (check, default) in fields.items():
@@ -243,10 +154,9 @@ def _resolve(cfg: dict) -> tuple[dict, list[str]]:
             out[key] = default(out) if callable(default) else default
     if not bad:
         bad = [f"{key}: implies {points} grid points, more than MAX_GRID_POINTS={MAX_GRID_POINTS}"
-               for key, points in _GRIDS[kind](out) if points > MAX_GRID_POINTS]
+               for key, points in _KINDS[kind].grids(out) if points > MAX_GRID_POINTS]
     if not bad:
-        bad = [f"{key}: {message}" for kinds, key, message, ok in _RULES
-               if kind in kinds and not ok(out)]
+        bad = [f"{key}: {message}" for key, message, ok in _KINDS[kind].rules if not ok(out)]
     return out, bad
 
 
@@ -372,16 +282,94 @@ def _run_estimate(cfg, outdir):
             "nmse": nmse}
 
 
-# Per kind, runner(cfg, outdir) -> results; work counters a runner reports
-# under results["counters"] go to the summary's top level.
-_RUNNERS = {
-    "gainmap": _run_gainmap,
-    "snr": _run_level_sweep,
-    "sinr": _run_level_sweep,
-    "beam": _run_beam,
-    "mimo": _run_mimo,
-    "estimate": _run_estimate,
+# One experiment kind: ``fields``, field -> (check, default), where _REQUIRED marks a field
+# without a default, None an optional field left unset, and a callable default is computed from
+# the fields resolved before it; ``grids(cfg)``, the (field, points) sizes above; ``run(cfg,
+# outdir)`` -> results, whose work counters under results["counters"] go to the summary's top
+# level; ``trials``, the field --trials sets, or None; and its cross-field ``rules``, (field,
+# message, ok(cfg)), run once the grids fit.
+_Kind = collections.namedtuple("_Kind", "fields grids rules run trials")
+_LEVEL_SWEEP = _Kind(fields={
+    "path_counts": (_COUNTS, _REQUIRED),
+    "region_sizes": (_list("nonnegative numbers", lambda x: _is_num(x) and x >= 0, float), _REQUIRED),
+    "trials": (_int(1), _REQUIRED),
+    "coarse_step": (_POSITIVE, 0.1),
+    "refine": (_check("true or false", lambda v: isinstance(v, bool)), True),
+}, grids=lambda c: _square_grid("coarse_step", _side(max(c["region_sizes"]), c["coarse_step"]),
+                                [("path_counts", max(c["path_counts"]))]) + [
+        ("trials", c["trials"] * len(c["region_sizes"]))],
+    run=_run_level_sweep, trials="trials", rules=[
+        ("coarse_step", "too small for the local refine steps",
+         lambda c: _attempt(positioning.SearchConfig, c["coarse_step"]) is not None),
+    ])
+_KINDS = {
+    "gainmap": _Kind(fields={
+        "paths": (_PATHS, None),
+        "num_paths": (_int(1), None),
+        "region_size": (_POSITIVE, _REQUIRED),
+        "step": (_POSITIVE, _REQUIRED),
+    }, grids=lambda c: _square_grid("step", _side(c["region_size"], c["step"]),
+                                    [("paths", len(c["paths"] or ())), ("num_paths", c["num_paths"] or 0)]),
+        run=_run_gainmap, trials=None, rules=[
+            ("paths", "give exactly one of paths and num_paths",
+             lambda c: (c["paths"] is None) != (c["num_paths"] is None)),
+            ("paths", "must have coefficient magnitudes summing to at most 1e150, so |h|^2 stays finite",
+             lambda c: sum(math.hypot(p["coeff_re"], p["coeff_im"]) for p in c["paths"] or ()) <= 1e150),
+        ]),
+    "snr": _LEVEL_SWEEP,
+    "sinr": _LEVEL_SWEEP,
+    "beam": _Kind(fields={
+        "num_elements": (_int(1), _REQUIRED),
+        "objective": (_one_of("two-beam", "null-steer"), _REQUIRED),
+        "u1": (_COSINE, _REQUIRED),
+        "u2": (_COSINE, _REQUIRED),
+        "d_max": (_num(f"a number >= {MIN_SPACING}", lambda x: x >= MIN_SPACING), 2.0),
+        "d_step": (_POSITIVE, 1.0 / 64.0),
+        "pattern_points": (_int(2), 2001),
+    }, grids=lambda c: [("d_step", _side(c["d_max"] - MIN_SPACING, c["d_step"]) * c["num_elements"]),
+                        ("pattern_points", c["pattern_points"] * c["num_elements"])],
+        run=_run_beam, trials=None, rules=[
+            ("u2", f"null-steer needs u1, u2 steering vectors not collinear at {MIN_SPACING} spacing",
+             lambda c: c["objective"] == "two-beam" or _attempt(
+                 beams.null_steer_weights, beams.uniform_layout(c["num_elements"], MIN_SPACING),
+                 c["u1"], c["u2"]) is not None),
+        ]),
+    "mimo": _Kind(fields={
+        "num_tx": (_int(1), _REQUIRED),
+        "num_rx": (_int(1), _REQUIRED),
+        "path_counts": (_COUNTS, _REQUIRED),
+        # Near 3080 dB, rho*|H|^2 overflows and the capacities turn NaN.
+        "snr_db_list": (_list("numbers <= 1000 (dB)", lambda x: _is_num(x) and x <= 1000.0, float),
+                        _REQUIRED),
+        "seeds": (_int(1), _REQUIRED),
+        "region_size": (_POSITIVE, _REQUIRED),
+        "step": (_POSITIVE, 0.1),
+    }, grids=_mimo_grids, run=_run_mimo, trials="seeds", rules=[
+            ("region_size", f"too small to host num_rx antennas at {MIN_SPACING} spacing",
+             lambda c: _attempt(mimo._initial_ula_placement, Region.square(c["region_size"]),
+                                c["num_rx"]) is not None),
+        ]),
+    "estimate": _Kind(fields={
+        "num_paths": (_int(1), _REQUIRED),
+        "num_measurements": (_int(1), _REQUIRED),
+        "region_size": (_POSITIVE, _REQUIRED),
+        # Near 1e305 the NMSE and the residual norm overflow; 1e100 is a
+        # -1000 dB per-sample SNR, the mimo bound.
+        "noise_var": (_num("a number in [0, 1e100]", lambda x: 0 <= x <= 1e100), _REQUIRED),
+        "strategy": (_one_of("uniform-random", "grid"), "uniform-random"),
+        "dict_grid": (_int(2), 64),
+        "max_paths": (_int(1), lambda c: c.get("num_paths")),
+        "step": (_POSITIVE, 0.1),
+    }, grids=_estimate_grids, run=_run_estimate, trials=None, rules=[
+            ("num_measurements", "must be at least num_paths and max_paths",
+             lambda c: c["num_measurements"] >= max(c["num_paths"], c["max_paths"])),
+            # A dict_grid whose points all fall outside the cosine disk raises: 0 atoms.
+            ("dict_grid", "must give a dictionary of at least num_paths and max_paths atoms",
+             lambda c: max(c["num_paths"], c["max_paths"]) <= getattr(
+                 _attempt(estimation.cosine_grid_dictionary, c["dict_grid"]), "shape", (0,))[0]),
+        ]),
 }
+EXPERIMENT_KINDS = tuple(_KINDS)
 
 
 @functools.cache
@@ -431,8 +419,9 @@ def run_experiment(cfg: dict, output_dir: str | None = None, seed: int | None = 
     cfg = dict(cfg)
     if seed is not None:
         cfg["seed"] = seed
-    if trials is not None and cfg.get("kind") in ("snr", "sinr", "mimo"):  # kinds with a trial count
-        cfg["seeds" if cfg["kind"] == "mimo" else "trials"] = trials
+    field = cfg.get("kind") in EXPERIMENT_KINDS and _KINDS[cfg["kind"]].trials
+    if trials is not None and field:
+        cfg[field] = trials
     cfg, violations = _resolve(cfg)
     if violations:
         raise ConfigError("; ".join(violations))
@@ -441,7 +430,7 @@ def run_experiment(cfg: dict, output_dir: str | None = None, seed: int | None = 
     stage = tempfile.mkdtemp(prefix=".masim-", dir=outdir)
     try:
         start = time.monotonic()
-        results = _RUNNERS[cfg["kind"]](cfg, stage)
+        results = _KINDS[cfg["kind"]].run(cfg, stage)
         payload = {"kind": cfg["kind"], "seed": cfg["seed"], "results": results,
                    "wall_time_s": time.monotonic() - start, "effective_config": cfg,
                    "provenance": _provenance(cfg)}

@@ -15,7 +15,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from masim.cli import main
-from masim.experiments import _SCHEMA
+from masim.experiments import _KINDS
 
 CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
 SAMPLES = {p.name: json.loads(p.read_text()) for p in sorted(CONFIG_DIR.glob("*.json"))}
@@ -26,7 +26,7 @@ POOL = [MISSING, None, True, "x", [], [2.5], -1, 0, 1, 2, 0.3, 2.5, 1e300]
 @st.composite
 def mutated_configs(draw):
     cfg = dict(SAMPLES[draw(st.sampled_from(sorted(SAMPLES)))])
-    fields = sorted(set(cfg) | set(_SCHEMA[cfg["kind"]]) | {"output_dir", "not_a_field"})
+    fields = sorted(set(cfg) | set(_KINDS[cfg["kind"]].fields) | {"output_dir", "not_a_field"})
     key, value = draw(st.sampled_from(fields)), draw(st.sampled_from(POOL))
     if value is MISSING:
         cfg.pop(key, None)

@@ -4,6 +4,7 @@ import json
 import math
 import os
 import platform
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -339,6 +340,8 @@ OTHER_PATH_RECORD = {"theta": 0.3, "phi": -1.2, "coeff_re": 0.0, "coeff_im": 1.0
     estimate_config(noise_var=1.01e100),
     gainmap_config(PATH_RECORD | {"coeff_re": 1e200}),
     gainmap_config(PATH_RECORD | {"coeff_re": 5.1e149}, OTHER_PATH_RECORD | {"coeff_im": 5e149}),
+    mimo_config(seeds=10 ** 9),
+    mimo_config(region_size=30.0, step=0.1, snr_db_list=[float(i) for i in range(16)]),
 ], ids=["refine-string", "max-paths-over-measurements", "estimate-negative-step",
         "one-pattern-point", "d-max-below-min-spacing", "one-point-dictionary",
         "mixed-tx-angles", "tx-theta-out-of-range", "snr-fractional-path-count",
@@ -348,7 +351,8 @@ OTHER_PATH_RECORD = {"theta": 0.3, "phi": -1.2, "coeff_re": 0.0, "coeff_im": 1.0
         "grid-just-over-cap", "unknown-key", "paths-and-num-paths", "coarse-step-below-refine-tol",
         "output-dir-not-string", "repeated-path-count", "region-sizes-one-summary-key",
         "repeated-snr", "trials-over-cap", "noise-var-overflow", "noise-var-just-over-cap",
-        "gainmap-power-overflow", "gainmap-coefficients-just-over-cap"])
+        "gainmap-power-overflow", "gainmap-coefficients-just-over-cap", "mimo-searches-over-cap",
+        "mimo-lockstep-over-cap"])
 def test_invalid_config_exits_2_before_any_output(tmp_path, cfg):
     path = write_config(tmp_path, cfg)
     out = tmp_path / "out"
@@ -364,7 +368,7 @@ def test_cli_runtime_failure_exits_3(tmp_path, monkeypatch):
     def boom(*args, **kwargs):
         raise RuntimeError("synthetic failure")
 
-    monkeypatch.setitem(experiments._RUNNERS, "snr", boom)
+    monkeypatch.setitem(experiments._KINDS, "snr", experiments._KINDS["snr"]._replace(run=boom))
     assert main(["run", "-c", cfg, "-o", str(tmp_path / "y")]) == 3
 
 
@@ -402,7 +406,7 @@ def test_failed_run_leaves_no_partial_csv(tmp_path, monkeypatch):
 
         write_csv_atomic(os.path.join(outdir, "doomed.csv"), "a,b", ([1], failing_column()))
 
-    monkeypatch.setitem(experiments._RUNNERS, "snr", failing_runner)
+    monkeypatch.setitem(experiments._KINDS, "snr", experiments._KINDS["snr"]._replace(run=failing_runner))
     assert main(["run", "-c", cfg, "-o", str(out)]) == 3
     assert list(out.glob("*")) == []
 
@@ -422,7 +426,7 @@ def test_failed_run_leaves_no_partial_csv(tmp_path, monkeypatch):
             written.append(name)
         raise RuntimeError("failure after two files")
 
-    monkeypatch.setitem(experiments._RUNNERS, "snr", two_files_then_fail)
+    monkeypatch.setitem(experiments._KINDS, "snr", experiments._KINDS["snr"]._replace(run=two_files_then_fail))
     assert main(["run", "-c", cfg, "-o", str(out)]) == 3
     assert written == ["snr_sweep.csv", "extra.csv"]
     assert {p.name: p.read_bytes() for p in out.iterdir()} == before
@@ -440,6 +444,36 @@ def test_trials_override_applies_to_kind_field(tmp_path):
     summary = run_experiment(cfg, output_dir=str(tmp_path / "t"), trials=5)
     csv = (tmp_path / "t" / "snr_sweep.csv").read_text().splitlines()
     assert csv[1].split(",")[2] == "5"
+
+
+@pytest.mark.parametrize("name", ["gainmap", "beam_two_beam", "estimate"])
+def test_trials_flag_leaves_a_kind_without_a_trial_field_as_it_was(tmp_path, name):
+    runs = []
+    for flags in ([], ["--trials", "3"]):
+        out = tmp_path / f"out{len(flags)}"
+        assert main(["run", "-c", str(CONFIG_DIR / f"{name}.json"), "-o", str(out), *flags]) == 0
+        summary = json.loads((out / "summary.json").read_text())
+        del summary["wall_time_s"]
+        runs.append(({p.name: p.read_bytes() for p in out.glob("*.csv")}, json.dumps(summary)))
+    assert runs[0][0] and runs[0] == runs[1]
+
+
+def readme_schema_fields():
+    """kind -> the backticked field names of README's config schema table; a blank kind cell
+    carries the kind above it down, and "snr, sinr" names both."""
+    section = (CONFIG_DIR.parent / "README.md").read_text().split("## Config schema\n", 1)[1]
+    table = next(block for block in section.split("\n\n") if block.startswith("| kind | field |"))
+    fields, kinds = {}, []
+    for row in table.splitlines()[2:]:
+        kind_cell, field_cell = re.split(r"(?<!\\)\|", row)[1:3]
+        kinds = [kind.strip() for kind in kind_cell.split(",")] if kind_cell.strip() else kinds
+        for kind in kinds:
+            fields.setdefault(kind, set()).update(re.findall(r"`([^`]+)`", field_cell))
+    return fields
+
+
+def test_readme_schema_table_names_the_fields_of_every_kind():
+    assert readme_schema_fields() == {kind: set(entry.fields) for kind, entry in experiments._KINDS.items()}
 
 
 def test_grid_cap_boundary():
@@ -468,10 +502,11 @@ def test_size_cap_boundary():
     assert capped(mimo | {"num_tx": cap // 100 ** 2 + 1}) == ["num_tx"]
     assert capped(mimo | {"path_counts": [cap // 100 ** 2]}) == []
     assert capped(mimo | {"path_counts": [cap // 100 ** 2 + 1]}) == ["path_counts"]
-    # 101^2 candidates: the (candidates, num_rx) too-near mask fits 411 antennas, not 412.
+    # 101^2 candidates at one SNR: the search's too-near mask of (candidates, num_rx) and its
+    # candidate scores fit 410 antennas, not 411.
     mimo = mimo_config(num_tx=1, region_size=300.0, step=3.0)
-    assert capped(mimo | {"num_rx": cap // 101 ** 2}) == []
-    assert capped(mimo | {"num_rx": cap // 101 ** 2 + 1}) == ["num_rx"]
+    assert capped(mimo | {"num_rx": cap // 101 ** 2 - 1}) == []
+    assert capped(mimo | {"num_rx": cap // 101 ** 2}) == ["num_rx"]
     estimate = estimate_config(dict_grid=64)  # 64^2 lattice points bound the atoms
     assert capped(estimate | {"num_measurements": cap // 64 ** 2}) == []
     assert capped(estimate | {"num_measurements": cap // 64 ** 2 + 1}) == ["num_measurements"]
@@ -480,8 +515,9 @@ def test_size_cap_boundary():
 
 
 def test_mimo_cap_counts_what_the_greedy_search_allocates(tmp_path):
-    # 129^2 candidates: the greedy search keeps C rows of num_tx entries, C x L phases and a
-    # C x num_rx mask, so 64 receive antennas fit and 253 transmit antennas overflow the cap.
+    # 129^2 candidates at one SNR: the greedy lockstep keeps C rows of num_tx entries, C x L
+    # phases and, per search, a C x num_rx too-near mask and C scores, so 64 receive antennas fit
+    # and 253 transmit antennas overflow the cap.
     cfg = mimo_config(num_rx=64, region_size=32.0, step=0.25)
     assert main(["validate", "-c", write_config(tmp_path, cfg, "fits.json")]) == 0
     assert main(["validate", "-c", write_config(tmp_path, cfg | {"num_tx": 253}, "over.json")]) == 2

@@ -6,9 +6,10 @@ Usage, from anywhere inside the repository:
 
 Runs ``masim run`` on each ``configs/*.json`` twice: once with the
 working tree's sources and configs, once with those of ``<git-rev>``,
-extracted by ``git archive`` into a temporary folder.  The ``snr``, ``sinr`` and
-``mimo`` kinds run with ``--trials 2``; ``--full`` runs every config as
-shipped (the 500-trial sweeps and the 200-seed ``mimo``).  Prints ``same``
+extracted by ``git archive`` into a temporary folder.  Every config runs
+with ``--trials 2``, which ``masim run`` ignores for a kind without a trial
+count; ``--full`` runs every config as shipped (the 500-trial sweeps and the
+200-seed ``mimo``).  Prints ``same``
 or ``DIFF`` for every CSV and every ``summary.json`` (compared without its
 ``wall_time_s``) and exits 1 on any difference, 2 when a run fails.  When a
 differing file keeps its layout (the same CSV header and row lengths, or
@@ -32,19 +33,18 @@ from pathlib import Path
 
 from worktree import ROOT, checkout
 
-TRIAL_KINDS = ("snr", "sinr", "mimo")
 ONE_THREAD = {name: "1" for name in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS")}
 
 
 def run_configs(tree: Path, out: Path, full: bool) -> None:
     """Run every ``tree/configs/*.json`` with ``tree``'s sources into ``out/<config name>/``, with
-    ``--trials 2`` for the kinds that take it unless ``full``."""
+    ``--trials 2`` unless ``full``."""
     env = dict(os.environ, PYTHONPATH=str(tree / "src"), **ONE_THREAD)
     env.pop("MASIM_OUTPUT_DIR", None)
     for config in sorted((tree / "configs").glob("*.json")):
         command = [sys.executable, "-m", "masim.cli", "run", "-c", str(config),
                    "-o", str(out / config.stem)]
-        if not full and json.loads(config.read_text()).get("kind") in TRIAL_KINDS:
+        if not full:
             command += ["--trials", "2"]
         done = subprocess.run(command, cwd=tree, env=env, capture_output=True, text=True)
         if done.returncode != 0:
